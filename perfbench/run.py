@@ -45,6 +45,7 @@ VERIFY_SUITES = {
 VERIFY_TRIALS = 20000
 SETUP_SAMPLES = {"inference": 3, "intervals": 3, "cli": 5}
 TAIL_BEYOND = 10
+MIN_PASSES = 3
 
 END_TO_END = (
     ("setup_s", "s"), ("wall_s", "s"), ("ops_per_s", "1/s"), ("p50_ms", "ms"),
@@ -129,11 +130,15 @@ def run_pass(records, tracer=None):
     return time.perf_counter() - t_pass
 
 
-def run_passes(records, seconds):
-    """Repeat passes while the next one is expected to end within ``seconds``."""
+def run_passes(records, seconds, min_passes):
+    """Repeat passes while the next one is expected to end within ``seconds``.
+
+    Runs at least ``min_passes``, so that each op's median is not the mean
+    of a first, colder pass and one other.
+    """
     walls = []
     start = time.perf_counter()
-    while not walls or time.perf_counter() - start + walls[-1] <= seconds:
+    while len(walls) < min_passes or time.perf_counter() - start + walls[-1] <= seconds:
         walls.append(run_pass(records))
     return walls
 
@@ -208,10 +213,10 @@ def end_to_end(args, E):
     if args.workload == "cli":
         # verify runs once and counts against the window; at least one pass follows
         verify_s, _, verify_ok = verify_cli(timing=False)
-        walls = run_passes(records, args.seconds - verify_s)
+        walls = run_passes(records, args.seconds - verify_s, 1)
         rss = peak_rss_mb("cli")
     else:
-        walls = run_passes(records, args.seconds)
+        walls = run_passes(records, args.seconds, MIN_PASSES)
         rss = peak_rss_mb(args.workload)
         seconds, verify_ok = verify_in_process(E, args.workload)
         verify_s = sum(seconds.values())
