@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special, stats
 
 import oracles
-from workloads import Op, worst
+from workloads import EXACT_TOL, INTERVAL_TOL, QUAD_TOL, Op, worst
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -50,9 +50,6 @@ GOLDEN_COMMANDS = {
     "coverage-gamma": ["coverage", "--family", "gamma", "--shape", "1", "--rate", "2", "--m", "5",
                        "--level", "0.9", "--trials", "2000", "--seed", "7"],
 }
-EXACT_TOL = 1e-12
-COMPARE_TOL = 1e-6
-INTERVAL_TOL = 1e-8
 
 
 def child_env():
@@ -144,7 +141,7 @@ def seeded_ops(seed, data_dir, tracer_dir=None):
     def check_compare(records):
         cnml, jeff, diff = records
         errors = [diff["abs_log_difference"], abs(jeff["log_density"] - closed)]
-        return worst(errors, COMPARE_TOL)
+        return worst(errors, QUAD_TOL)
 
     ops.append(_json_op(
         ["predict", "--family", "gamma", "--shape", repr(alpha), "--data", gamma_file,
