@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate perfbench/baseline.json: every metric of every workload.
 
-    python3 perfbench/baseline.py [--seeds 5] [--seconds 24]
+    python3 perfbench/baseline.py
 
 Runs ``run.py`` once per workload and seed untraced, and once per workload
-traced, one process at a time, and records the median of each end-to-end
-metric, the per-layer metrics of the traced run, the line count of
-``src/expfam`` and the machine.
+traced, each for BENCHMARK.json's ``run_seconds``, one process at a time,
+and records the median of each end-to-end metric, the per-layer metrics of
+the traced run, the line count of ``src/expfam`` and the machine.
 """
 
-import argparse
 import json
 import os
 import platform
@@ -21,12 +20,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("inference", "intervals", "cli")
+SEEDS = range(1, 6)
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def bench(workload, seed, seconds, trace):
+def bench(workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True, timeout=600,
     )
     lines = proc.stdout.strip().splitlines()
@@ -51,17 +52,13 @@ def src_lines():
     return sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "expfam").glob("*.py"))
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=24.0)
-    args = p.parse_args(argv)
-    seeds = list(range(1, args.seeds + 1))
+def main():
+    seeds = list(SEEDS)
     record = {"machine": machine(), "src_lines": src_lines(), "seeds": seeds,
-              "seconds": args.seconds, "workloads": {}}
+              "workloads": {}}
     for workload in WORKLOADS:
-        runs = [bench(workload, seed, args.seconds, 0) for seed in seeds]
-        traced, notes = bench(workload, seeds[0], args.seconds, 1)
+        runs = [bench(workload, seed, 0) for seed in seeds]
+        traced, notes = bench(workload, seeds[0], 1)
         end_to_end = {}
         for name, first in runs[0][0]["metrics"].items():
             values = [r["metrics"][name]["value"] for r, _ in runs]

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """expfam benchmark: one seeded workload, end to end or traced by layer.
 
-    python3 perfbench/run.py --workload inference --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload inference --seed 1 --seconds 30 --trace 0
 
 Workloads (see perfbench/README.md): ``inference``, ``intervals``, ``cli``.
 Each is a closed loop with one client: the next op starts when the last
 one ended, in this process or in one ``expfam`` subprocess at a time.
 
 ``--trace 0`` repeats the workload's fixed op list ("pass") for about
-``--seconds`` and prints the end-to-end metrics.  ``--trace 1`` runs one
+``--seconds``, alternating with verify suites, and prints the end-to-end
+metrics.  ``--trace 1`` runs one
 untraced and one traced pass and prints the per-layer metrics; their
 counts repeat exactly for a seed.  Every op's output is checked against a
 closed form or a golden output.  The last stdout line is one JSON object:
@@ -43,9 +44,9 @@ VERIFY_SUITES = {
     "intervals": ("normalization", "coverage"),
 }
 VERIFY_TRIALS = 20000
-SETUP_SAMPLES = {"inference": 3, "intervals": 3, "cli": 5}
+SETUP_SAMPLES = 5
 TAIL_BEYOND = 10
-MIN_PASSES = 3
+MIN_SUITE_RUNS = 2
 
 END_TO_END = (
     ("setup_s", "s"), ("wall_s", "s"), ("ops_per_s", "1/s"), ("p50_ms", "ms"),
@@ -57,7 +58,7 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=WORKLOADS, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=24.0)
+    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--setup-only", action="store_true",
                    help="import and warm up, then exit (one setup_s sample)")
@@ -84,7 +85,7 @@ def setup_samples(workload):
         argv = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
                 "--setup-only"]
     times = []
-    for _ in range(SETUP_SAMPLES[workload]):
+    for _ in range(SETUP_SAMPLES):
         t0 = time.perf_counter()
         subprocess.run(argv, cwd=ROOT, env=cliwork.child_env(), check=True, timeout=170,
                        stdout=subprocess.DEVNULL)
@@ -106,9 +107,14 @@ class OpRecord:
 
 
 def run_pass(records, tracer=None):
-    """Run every op once, closed loop; returns the pass wall time."""
+    """Run every op once, closed loop; returns the pass wall time.
+
+    An op marked ``once`` runs only in the first pass.
+    """
     t_pass = time.perf_counter()
     for i, rec in enumerate(records):
+        if rec.op.once and rec.latencies:
+            continue
         if tracer is not None:
             tracer.op_id = i
         t0 = time.perf_counter()
@@ -130,17 +136,44 @@ def run_pass(records, tracer=None):
     return time.perf_counter() - t_pass
 
 
-def run_passes(records, seconds, min_passes):
-    """Repeat passes while the next one is expected to end within ``seconds``.
-
-    Runs at least ``min_passes``, so that each op's median is not the mean
-    of a first, colder pass and one other.
-    """
+def run_passes(records, seconds):
+    """Repeat passes while the next one is expected to end within ``seconds``; at least one."""
     walls = []
     start = time.perf_counter()
-    while len(walls) < min_passes or time.perf_counter() - start + walls[-1] <= seconds:
+    while not walls or time.perf_counter() - start + walls[-1] <= seconds:
         walls.append(run_pass(records))
     return walls
+
+
+def run_suite(E, suite):
+    """Wall seconds of one in-process verify suite and whether every check passed."""
+    t0 = time.perf_counter()
+    reports = E.run_suite(suite, trials=VERIFY_TRIALS)
+    return time.perf_counter() - t0, all(r.passed for r in reports)
+
+
+def run_cycles(E, workload, records, seconds):
+    """Alternate passes with the workload's verify suites, one suite per pass, in turn.
+
+    Interleaving spreads the samples of both over the whole window, so a
+    slow spell of the host does not land on one of them alone.  Runs at
+    least ``MIN_SUITE_RUNS`` rounds of the suites, then goes on while the
+    next cycle is expected to end within ``seconds``.  Returns the pass
+    wall times, each suite's wall times and whether every check passed.
+    """
+    suites = VERIFY_SUITES[workload]
+    walls, suite_s, passed = [], {suite: [] for suite in suites}, True
+    start = time.perf_counter()
+    while True:
+        suite = suites[len(walls) % len(suites)]
+        if len(walls) >= MIN_SUITE_RUNS * len(suites):
+            expected = walls[-1] + statistics.median(suite_s[suite])
+            if time.perf_counter() - start + expected > seconds:
+                return walls, suite_s, passed
+        walls.append(run_pass(records))
+        wall, ok = run_suite(E, suite)
+        suite_s[suite].append(wall)
+        passed = passed and ok
 
 
 def latency_metrics(records):
@@ -156,10 +189,8 @@ def verify_in_process(E, workload):
     """Per-suite wall seconds and whether every check passed."""
     seconds, passed = {}, True
     for suite in VERIFY_SUITES[workload]:
-        t0 = time.perf_counter()
-        reports = E.run_suite(suite, trials=VERIFY_TRIALS)
-        seconds[suite] = time.perf_counter() - t0
-        passed = passed and all(r.passed for r in reports)
+        seconds[suite], ok = run_suite(E, suite)
+        passed = passed and ok
     return seconds, passed
 
 
@@ -213,13 +244,14 @@ def end_to_end(args, E):
     if args.workload == "cli":
         # verify runs once and counts against the window; at least one pass follows
         verify_s, _, verify_ok = verify_cli(timing=False)
-        walls = run_passes(records, args.seconds - verify_s, 1)
+        walls = run_passes(records, args.seconds - verify_s)
         rss = peak_rss_mb("cli")
+        suite_runs = 1
     else:
-        walls = run_passes(records, args.seconds, MIN_PASSES)
+        walls, suite_s, verify_ok = run_cycles(E, args.workload, records, args.seconds)
         rss = peak_rss_mb(args.workload)
-        seconds, verify_ok = verify_in_process(E, args.workload)
-        verify_s = sum(seconds.values())
+        verify_s = sum(statistics.median(times) for times in suite_s.values())
+        suite_runs = {suite: len(times) for suite, times in suite_s.items()}
     # Time to complete the fixed list once: each op's median over the passes,
     # summed.  Steadier than the median pass when the host's speed drifts.
     wall = sum(statistics.median(r.latencies) for r in records)
@@ -240,6 +272,7 @@ def end_to_end(args, E):
         "ops_per_pass": n,
         "tail_percentile": tail_pct,
         "setup_samples": len(setup),
+        "verify_runs": suite_runs,
     }
     return records, metrics, info, verify_ok
 
@@ -294,7 +327,7 @@ def finite(value):
 
 def report(args, records, metrics, info, verify_ok, units):
     failed = [r for r in records if r.error]
-    misses = [r for r in failed if r.error == "OracleMiss" and not r.op.stress]
+    misses = [r for r in failed if not r.op.stress]
     classes = {}
     for r in failed:
         classes[r.error] = classes.get(r.error, 0) + 1
@@ -324,6 +357,7 @@ def report(args, records, metrics, info, verify_ok, units):
         "metrics": {k: {"value": finite(v), "unit": units.get(k, "count")}
                     for k, v in metrics.items()},
     }))
+    return correct
 
 
 def main(argv=None):
@@ -348,8 +382,8 @@ def main(argv=None):
     else:
         records, metrics, info, ok = end_to_end(args, E)
         units = dict(END_TO_END)
-    report(args, records, metrics, info, ok, units)
-    return 0
+    # the result is printed either way; a failed output check also fails the exit code
+    return 0 if report(args, records, metrics, info, ok, units) else 1
 
 
 if __name__ == "__main__":

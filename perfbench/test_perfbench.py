@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ E = run.import_expfam()
 import cliwork  # noqa: E402
 import layers  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _tiny(workload, seed, count=6):
@@ -48,6 +50,59 @@ def test_workload_runs_at_tiny_size(workload, capsys):
     assert set(last) == {"correct", "attempted", "failed", "metrics"}
     assert last["correct"] is True
     assert last["attempted"] == len(records) + 1
+
+
+def test_raising_op_makes_the_run_incorrect(monkeypatch, capsys):
+    def raises():
+        raise ZeroDivisionError("float division by zero")
+
+    op = workloads.Op("compare", "gamma", "prediction", {"n": 10**9}, raises,
+                      lambda r: (None, True))
+    records = [run.OpRecord(op)]
+    run.run_pass(records)
+    assert records[0].error == "ZeroDivisionError"
+    monkeypatch.setattr(workloads, "warm_up", lambda E, workload: None)
+    monkeypatch.setattr(run, "end_to_end", lambda args, E: (records, {"wall_s": 1.0}, {}, True))
+    argv = ["--workload", "inference", "--seed", "1"]
+
+    assert run.main(argv) != 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (False, 1)
+
+    op.stress = True  # the same failure of a large-n op is counted only
+    assert run.main(argv) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 1)
+
+
+def test_once_op_runs_in_the_first_pass_only():
+    calls = []
+    op = workloads.Op("profile", "gaussian-2d", "saddlepoint", {}, lambda: calls.append(1),
+                      lambda r: (None, True), once=True)
+    records = [run.OpRecord(op)]
+    for _ in range(3):
+        run.run_pass(records)
+    assert len(calls) == len(records[0].latencies) == 1
+
+
+def test_passes_alternate_with_every_verify_suite(monkeypatch):
+    order = []
+
+    class FakeExpfam:
+        @staticmethod
+        def run_suite(suite, trials):
+            order.append(suite)
+            return [SimpleNamespace(passed=suite != "failing")]
+
+    monkeypatch.setitem(run.VERIFY_SUITES, "inference", ("lemma1", "failing"))
+    op = workloads.Op("plugin", "gamma", "prediction", {}, lambda: order.append("op"),
+                      lambda r: (None, True))
+    records = [run.OpRecord(op)]
+    walls, suite_s, passed = run.run_cycles(FakeExpfam, "inference", records, 0.0)
+    assert order == ["op", "lemma1", "op", "failing"] * run.MIN_SUITE_RUNS
+    assert len(walls) == len(records[0].latencies) == 2 * run.MIN_SUITE_RUNS
+    assert [len(t) for t in suite_s.values()] == [run.MIN_SUITE_RUNS] * 2
+    assert passed is False
 
 
 def test_cli_runs_at_tiny_size(tmp_path):
@@ -142,7 +197,7 @@ def test_one_worker_at_a_time(monkeypatch, tmp_path):
             live.pop()
 
     monkeypatch.setattr(subprocess, "run", counting_run)
-    monkeypatch.setitem(run.SETUP_SAMPLES, "cli", 2)
+    monkeypatch.setattr(run, "SETUP_SAMPLES", 2)
     run.setup_samples("cli")
     ops = cliwork.cli_ops(3, tmp_path / "data")[:2]
     run.run_pass([run.OpRecord(op) for op in ops])
