@@ -18,7 +18,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +57,21 @@ def child_env():
     return env
 
 
-def expfam_command(args, trace_out=None):
-    """argv of one ``expfam`` call, through the tracing shim when tracing."""
-    if trace_out is None:
-        return [sys.executable, "-m", "expfam.cli", *args]
-    return [sys.executable, str(HERE / "tracing.py"), str(trace_out), *args]
+def expfam_command(args, trace_out=None, kernel_out=None):
+    """argv of one ``expfam`` call, through the tracing shim when tracing, or
+    through ``hostclock.py`` when the host speed is sampled inside it."""
+    if trace_out is not None:
+        return [sys.executable, str(HERE / "tracing.py"), str(trace_out), *args]
+    if kernel_out is not None:
+        return [sys.executable, str(HERE / "hostclock.py"), str(kernel_out), "-m", "expfam.cli",
+                *args]
+    return [sys.executable, "-m", "expfam.cli", *args]
 
 
-def call(args, trace_out=None):
+def call(args, trace_out=None, kernel_out=None):
     """Run one ``expfam`` subprocess to completion: (exit code, stdout bytes)."""
     proc = subprocess.run(
-        expfam_command(args, trace_out), cwd=ROOT, env=child_env(),
+        expfam_command(args, trace_out, kernel_out), cwd=ROOT, env=child_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=170, check=False,
     )
     return proc.returncode, proc.stdout
@@ -221,13 +224,6 @@ def check_verify(code, out):
         if g != w or not g["pass"] or not stat <= g["threshold"]:
             return False
     return True
-
-
-def timed_verify(timing=False):
-    args = VERIFY_ARGS + (["--timing"] if timing else [])
-    t0 = time.perf_counter()
-    code, out = call(args)
-    return time.perf_counter() - t0, code, out
 
 
 def capture():

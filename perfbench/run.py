@@ -24,6 +24,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import resource  # noqa: E402
@@ -75,8 +76,11 @@ def import_expfam():
     return expfam
 
 
-def setup_samples(workload):
-    """Wall times of fresh processes doing the workload's set-up, median taken later."""
+def setup_samples(workload, clock=None):
+    """(start, end) of fresh processes doing the workload's set-up, median taken later.
+
+    With a ``clock``, its kernel runs before the first sample and after every one.
+    """
     import cliwork
 
     if workload == "cli":
@@ -84,13 +88,26 @@ def setup_samples(workload):
     else:
         argv = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
                 "--setup-only"]
-    times = []
+    spans = []
+    if clock is not None:
+        clock.calibrate()
     for _ in range(SETUP_SAMPLES):
         t0 = time.perf_counter()
+        # a pipe, not DEVNULL: with a timeout and no pipe, subprocess polls
+        # for the exit at up to 50 ms steps
         subprocess.run(argv, cwd=ROOT, env=cliwork.child_env(), check=True, timeout=170,
-                       stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+                       stdout=subprocess.PIPE)
+        spans.append((t0, time.perf_counter()))
+        if clock is not None:
+            clock.calibrate(1)
+    return spans
+
+
+def durations(spans, clock=None):
+    """Seconds of each (start, end) span, scaled to the reference host speed by ``clock``."""
+    if clock is None:
+        return [end - start for start, end in spans]
+    return [clock.scale(start, end) for start, end in spans]
 
 
 class OpRecord:
@@ -98,33 +115,49 @@ class OpRecord:
 
     def __init__(self, op):
         self.op = op
-        self.latencies = []
+        self.starts = []
+        self.latencies = []  # raw seconds
         self.error = None
         self.oracle_err = None
 
-    def latency(self):
-        return math.inf if self.error else statistics.median(self.latencies)
+    def scaled(self, clock=None):
+        """Latencies scaled to the reference host speed by ``clock``; raw without one."""
+        return durations([(t, t + lat) for t, lat in zip(self.starts, self.latencies)], clock)
+
+    def latency(self, clock=None):
+        return math.inf if self.error else statistics.median(self.scaled(clock))
 
 
-def run_pass(records, tracer=None):
+def run_pass(records, tracer=None, clock=None):
     """Run every op once, closed loop; returns the pass wall time.
 
-    An op marked ``once`` runs only in the first pass.
+    An op marked ``once`` runs only in the first pass.  With a ``clock``,
+    the host-speed kernel runs after every op, outside its timing.
     """
     t_pass = time.perf_counter()
+    if clock is not None and not clock.costs:
+        clock.calibrate()
     for i, rec in enumerate(records):
         if rec.op.once and rec.latencies:
             continue
         if tracer is not None:
             tracer.op_id = i
-        t0 = time.perf_counter()
-        try:
-            result = rec.op.run()
-        except Exception as exc:  # the benchmark records every failure and goes on
-            rec.latencies.append(time.perf_counter() - t0)
-            rec.error = type(exc).__name__
+        with clock.sampling() if clock is not None else contextlib.nullcontext():
+            t0 = time.perf_counter()
+            try:
+                result = rec.op.run()
+            except Exception as exc:  # the benchmark records every failure and goes on
+                error = type(exc).__name__
+            else:
+                error = None
+            t1 = time.perf_counter()
+        rec.starts.append(t0)
+        rec.latencies.append(t1 - t0)
+        if clock is not None:
+            clock.calibrate(1)
+        if error is not None:
+            rec.error = error
             continue
-        rec.latencies.append(time.perf_counter() - t0)
         try:
             err, ok = rec.op.check(result)
         except (ArithmeticError, LookupError, TypeError, ValueError):
@@ -136,30 +169,35 @@ def run_pass(records, tracer=None):
     return time.perf_counter() - t_pass
 
 
-def run_passes(records, seconds):
+def run_passes(records, seconds, clock=None):
     """Repeat passes while the next one is expected to end within ``seconds``; at least one."""
     walls = []
     start = time.perf_counter()
     while not walls or time.perf_counter() - start + walls[-1] <= seconds:
-        walls.append(run_pass(records))
+        walls.append(run_pass(records, clock=clock))
     return walls
 
 
-def run_suite(E, suite):
-    """Wall seconds of one in-process verify suite and whether every check passed."""
-    t0 = time.perf_counter()
-    reports = E.run_suite(suite, trials=VERIFY_TRIALS)
-    return time.perf_counter() - t0, all(r.passed for r in reports)
+def run_suite(E, suite, clock=None):
+    """(start, end) of one in-process verify suite and whether every check passed."""
+    with clock.sampling() if clock is not None else contextlib.nullcontext():
+        t0 = time.perf_counter()
+        reports = E.run_suite(suite, trials=VERIFY_TRIALS)
+        span = (t0, time.perf_counter())
+    if clock is not None:
+        clock.calibrate()
+    return span, all(r.passed for r in reports)
 
 
-def run_cycles(E, workload, records, seconds):
+def run_cycles(E, workload, records, seconds, clock=None):
     """Alternate passes with the workload's verify suites, one suite per pass, in turn.
 
     Interleaving spreads the samples of both over the whole window, so a
     slow spell of the host does not land on one of them alone.  Runs at
     least ``MIN_SUITE_RUNS`` rounds of the suites, then goes on while the
     next cycle is expected to end within ``seconds``.  Returns the pass
-    wall times, each suite's wall times and whether every check passed.
+    wall times, each suite's (start, end) spans and whether every check
+    passed.
     """
     suites = VERIFY_SUITES[workload]
     walls, suite_s, passed = [], {suite: [] for suite in suites}, True
@@ -167,17 +205,17 @@ def run_cycles(E, workload, records, seconds):
     while True:
         suite = suites[len(walls) % len(suites)]
         if len(walls) >= MIN_SUITE_RUNS * len(suites):
-            expected = walls[-1] + statistics.median(suite_s[suite])
+            expected = walls[-1] + statistics.median(durations(suite_s[suite]))
             if time.perf_counter() - start + expected > seconds:
                 return walls, suite_s, passed
-        walls.append(run_pass(records))
-        wall, ok = run_suite(E, suite)
-        suite_s[suite].append(wall)
+        walls.append(run_pass(records, clock=clock))
+        span, ok = run_suite(E, suite, clock)
+        suite_s[suite].append(span)
         passed = passed and ok
 
 
-def latency_metrics(records):
-    lat = sorted(r.latency() * 1e3 for r in records)
+def latency_metrics(records, clock=None):
+    lat = sorted(r.latency(clock) * 1e3 for r in records)
     n = len(lat)
     # the highest percentile with TAIL_BEYOND ops beyond it; the maximum when
     # there are too few ops for one
@@ -189,22 +227,44 @@ def verify_in_process(E, workload):
     """Per-suite wall seconds and whether every check passed."""
     seconds, passed = {}, True
     for suite in VERIFY_SUITES[workload]:
-        seconds[suite], ok = run_suite(E, suite)
+        span, ok = run_suite(E, suite)
+        seconds[suite] = span[1] - span[0]
         passed = passed and ok
     return seconds, passed
 
 
 def verify_cli(timing):
+    """verify as a subprocess: its wall seconds, per-suite seconds and whether it passed."""
     import cliwork
 
-    wall, code, out = cliwork.timed_verify(timing)
-    passed = cliwork.check_verify(code, out)
+    t0 = time.perf_counter()
+    code, out = cliwork.call(cliwork.VERIFY_ARGS + (["--timing"] if timing else []))
+    wall = time.perf_counter() - t0
     seconds = {}
     if timing and code == 0:
         for rec in json.loads(out):
             suite = rec["check"].split("/")[0]
             seconds[suite] = seconds.get(suite, 0.0) + rec["runtime"]
-    return wall, seconds, passed
+    return wall, seconds, cliwork.check_verify(code, out)
+
+
+def verify_cli_scaled():
+    """verify as a subprocess that samples the host speed inside itself.
+
+    Returns its wall seconds, those seconds scaled to the reference speed
+    (``hostclock.scale_by``) and whether it passed.
+    """
+    import cliwork
+    import hostclock
+
+    OUT.mkdir(exist_ok=True)
+    kernel_out = OUT / "verify-kernel.json"
+    kernel_out.unlink(missing_ok=True)
+    t0 = time.perf_counter()
+    code, out = cliwork.call(cliwork.VERIFY_ARGS, kernel_out=kernel_out)
+    wall = time.perf_counter() - t0
+    costs = json.loads(kernel_out.read_text()) if kernel_out.is_file() else []
+    return wall, hostclock.scale_by(wall, costs), cliwork.check_verify(code, out)
 
 
 class SpanFiles:
@@ -239,40 +299,68 @@ def peak_rss_mb(workload):
 
 
 def end_to_end(args, E):
-    setup = setup_samples(args.workload)
+    """End-to-end metrics, every time scaled to the reference host speed
+    (``hostclock``): in-process work by a quadrature kernel run in this
+    process, short subprocesses (set-up samples, cli commands) by a bare
+    interpreter start, verify in cli by the quadrature kernel run inside
+    it.  The raw (unscaled) values and the host speed are printed beside
+    the metrics.
+    """
+    import hostclock
+
+    spawns = hostclock.spawning()
+    setup = setup_samples(args.workload, spawns)
     records = build_records(E, args.workload, args.seed)
     if args.workload == "cli":
-        # verify runs once and counts against the window; at least one pass follows
-        verify_s, _, verify_ok = verify_cli(timing=False)
-        walls = run_passes(records, args.seconds - verify_s)
+        clock = spawns
+        # verify runs once, then passes fill the window: each op's latency is
+        # a median over passes, as in the other workloads
+        verify_wall, verify_scaled, verify_ok = verify_cli_scaled()
+        walls = run_passes(records, args.seconds, clock)
         rss = peak_rss_mb("cli")
-        suite_runs = 1
+        verify_runs = 1
     else:
-        walls, suite_s, verify_ok = run_cycles(E, args.workload, records, args.seconds)
+        clock = hostclock.in_process()
+        walls, suite_spans, verify_ok = run_cycles(E, args.workload, records, args.seconds,
+                                                   clock)
         rss = peak_rss_mb(args.workload)
-        verify_s = sum(statistics.median(times) for times in suite_s.values())
-        suite_runs = {suite: len(times) for suite, times in suite_s.items()}
-    # Time to complete the fixed list once: each op's median over the passes,
-    # summed.  Steadier than the median pass when the host's speed drifts.
-    wall = sum(statistics.median(r.latencies) for r in records)
-    p50, tail, tail_pct, n = latency_metrics(records)
+        verify_runs = {suite: len(spans) for suite, spans in suite_spans.items()}
+
+    def measure(scaled):
+        op_clock = clock if scaled else None
+        # Time to complete the fixed list once: each op's median over the
+        # passes, summed.  Steadier than the median pass when the host drifts.
+        wall = sum(statistics.median(r.scaled(op_clock)) for r in records)
+        p50, tail, _, _ = latency_metrics(records, op_clock)
+        if args.workload == "cli":
+            verify_s = verify_scaled if scaled else verify_wall
+        else:
+            verify_s = sum(statistics.median(durations(spans, op_clock))
+                           for spans in suite_spans.values())
+        return {
+            "setup_s": statistics.median(durations(setup, spawns if scaled else None)),
+            "wall_s": wall,
+            "ops_per_s": succeeded / wall,
+            "p50_ms": p50,
+            "tail_ms": tail,
+            "peak_rss_mb": rss,
+            "verify_s": verify_s,
+        }
+
     succeeded = sum(1 for r in records if math.isfinite(r.latency()))
-    metrics = {
-        "setup_s": statistics.median(setup),
-        "wall_s": wall,
-        "ops_per_s": succeeded / wall,
-        "p50_ms": p50,
-        "tail_ms": tail,
-        "peak_rss_mb": rss,
-        "verify_s": verify_s,
-    }
+    metrics, raw = measure(True), measure(False)
+    _, _, tail_pct, n = latency_metrics(records)
     info = {
         "passes": len(walls),
         "pass_walls_s": [round(w, 3) for w in walls],
         "ops_per_pass": n,
         "tail_percentile": tail_pct,
         "setup_samples": len(setup),
-        "verify_runs": suite_runs,
+        "verify_runs": verify_runs,
+        "host_speed": {name: {"median": round(c.median_speed(), 4), "kernel_runs": len(c.costs)}
+                       for name, c in (("in_process", clock), ("spawning", spawns))
+                       if c is not spawns or name == "spawning"},
+        "raw": {k: round(v, 6) for k, v in raw.items() if k != "peak_rss_mb"},
     }
     return records, metrics, info, verify_ok
 
@@ -282,7 +370,7 @@ def traced(args, E):
 
     records = build_records(E, args.workload, args.seed)
     if args.workload == "cli":
-        import_s = statistics.median(setup_samples("cli"))
+        import_s = statistics.median(durations(setup_samples("cli")))
         untraced_wall = run_pass(records)
         files = SpanFiles(OUT / f"spans-cli-seed{args.seed}")
         traced_wall = run_pass(build_records(E, "cli", args.seed, files))

@@ -7,9 +7,11 @@ does not collect them.
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +25,7 @@ import run  # noqa: E402
 E = run.import_expfam()
 
 import cliwork  # noqa: E402
+import hostclock  # noqa: E402
 import layers  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -103,6 +106,58 @@ def test_passes_alternate_with_every_verify_suite(monkeypatch):
     assert len(walls) == len(records[0].latencies) == 2 * run.MIN_SUITE_RUNS
     assert [len(t) for t in suite_s.values()] == [run.MIN_SUITE_RUNS] * 2
     assert passed is False
+
+
+def test_host_clock_scales_by_the_kernel_runs_around_an_item(monkeypatch):
+    monkeypatch.setattr(hostclock, "NEIGHBOURS", 1)
+    ref = 1e-3
+    clock = hostclock.HostClock(None, ref)
+    clock.starts = [0.0, 1.0, 2.0, 10.0, 11.0]
+    clock.costs = [ref, ref, 2 * ref, 2 * ref, 4 * ref]
+    # the kernel ran at the reference speed before the item, at half of it
+    # inside and after; its own time inside is not the item's
+    assert clock.scale(1.5, 3.0) == pytest.approx((1.5 - 2 * ref) / 2)
+    assert clock.scale(0.5, 0.6) == pytest.approx(0.1)
+    assert clock.scale(12.0, 13.0) == pytest.approx(0.25)
+
+
+def test_kernel_samples_inside_a_long_op():
+    clock = hostclock.in_process()
+    clock.calibrate()
+    with clock.sampling():
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 3.5 * hostclock.PERIOD_S:
+            pass
+        t1 = time.perf_counter()
+    inside = [s for s in clock.starts if t0 < s < t1]
+    assert len(inside) == 3
+    clock.calibrate()
+    assert 0 < clock.scale(t0, t1) < 2 * (t1 - t0) * clock.median_speed()
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("clock", [hostclock.in_process, hostclock.spawning])
+def test_kernel_runs_after_every_op(clock):
+    op = workloads.Op("plugin", "gamma", "prediction", {}, lambda: None,
+                      lambda r: (None, True))
+    records = [run.OpRecord(op), run.OpRecord(op)]
+    clock = clock()
+    run.run_pass(records, clock=clock)
+    run.run_pass(records, clock=clock)
+    assert len(clock.costs) == hostclock.NEIGHBOURS + 4
+    assert clock.starts == sorted(clock.starts)
+    assert all(0 < s < 1 for s in records[0].scaled(clock))
+
+
+def test_verify_through_hostclock_samples_inside(tmp_path):
+    kernel_out = tmp_path / "kernel.json"
+    code, out = cliwork.call(["verify", "--suite", "lemma1", "--trials", "200"],
+                             kernel_out=kernel_out)
+    plain = cliwork.call(["verify", "--suite", "lemma1", "--trials", "200"])
+    assert (code, json.loads(out)[0]["check"]) == (plain[0], json.loads(plain[1])[0]["check"])
+    costs = json.loads(kernel_out.read_text())
+    assert costs and hostclock.scale_by(1.0, costs) > 0
+    assert hostclock.scale_by(1.0, []) == 1.0
 
 
 def test_cli_runs_at_tiny_size(tmp_path):

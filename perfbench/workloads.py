@@ -60,7 +60,11 @@ STUDIES = (
 STUDY_SEED = 0
 PE_CONFIDENCE_DECADES = 6
 PE_CONFIDENCE_PER_DECADE = 8
-INTERVAL_FITS = 16
+#: The CLI's default level.  The root finder's work, and so an endpoint's
+#: cost, moves by up to a fifth with the level; a fixed level keeps the
+#: costliest endpoints, which set ``tail_ms``, alike across seeds.
+PE_CONFIDENCE_LEVEL = 0.9
+INTERVAL_FITS = 48
 
 
 @dataclass
@@ -464,11 +468,12 @@ def intervals_ops(E, seed):
     for decade in range(PE_CONFIDENCE_DECADES):
         for log_m in _latin(rng, per, decade, decade + 1):
             m = max(1, int(10.0**log_m))
-            # about one jump per observation, so the cost follows m: the cdf
-            # sums O(sqrt(m kappa / (2 beta))) terms per evaluation
+            # one jump per observation on average, so the cost follows m: the
+            # cdf sums O(sqrt(m kappa / (2 beta))) terms per evaluation, and
+            # the rate beta moves the cost of an endpoint by up to half again
             kappa = float(rng.uniform(0.5, 4.0))
-            beta = kappa / 2.0 * float(rng.uniform(0.8, 1.25))
-            spec = {"kappa": kappa, "level": float(rng.uniform(0.8, 0.95)), "m": m,
+            beta = kappa / 2.0
+            spec = {"kappa": kappa, "level": PE_CONFIDENCE_LEVEL, "m": m,
                     "xbar": _pe_sum_mean(rng, m, kappa, beta)}
             ops.append(_pe_confidence_op(E, spec))
     log_ms = _latin(rng, INTERVAL_FITS, 0.0, 3.0)
