@@ -19,7 +19,12 @@ from scipy import special as _scisp
 
 from .errors import NonConvergenceError, SupportError
 from .numerics import Bracket, find_root, log_std_normal_cdf, std_normal_cdf
-from .validation import check_nonnegative, check_positive, check_unit_open
+from .validation import (
+    check_nonnegative,
+    check_positive,
+    check_positive_array,
+    check_unit_open,
+)
 
 __all__ = [
     "GammaPosterior",
@@ -75,8 +80,8 @@ class InverseGaussianDist:
     shape: float
 
     def __post_init__(self):
-        check_positive(self.mean, "mean")
-        check_positive(self.shape, "shape")
+        check_positive_array(self.mean, "mean")
+        check_positive_array(self.shape, "shape")
 
     def log_pdf(self, x):
         if x <= 0:
@@ -102,7 +107,15 @@ class InverseGaussianDist:
         return min(first + second, 1.0)
 
     def ppf(self, p):
+        """Quantile at ``p``; an array of them when mean or shape is an array.
+
+        A single quantile is found by Brent's method on a doubled bracket;
+        a stack of them by ``_ppf_stacked``, whose per-call set-up would
+        cost more than Brent's method at size one.
+        """
         p = check_unit_open(p, "p")
+        if isinstance(self.mean, np.ndarray) or isinstance(self.shape, np.ndarray):
+            return self._ppf_stacked(p)
         lo, hi = self.mean, self.mean
         for _ in range(200):
             lo *= 0.5
@@ -118,8 +131,68 @@ class InverseGaussianDist:
             raise NonConvergenceError("could not bracket inverse Gaussian quantile")
         return find_root(lambda x: self.cdf(x) - p, Bracket(lo, hi), tol=1e-13)
 
+    def _ppf_stacked(self, p):
+        """Elementwise quantiles by Newton steps safeguarded with bisection.
+
+        The brackets come from the doubling of the scalar path.  A Newton
+        step that leaves its bracket is replaced by a geometric bisection.
+        An element stops once its Newton step falls below 1e-12 relative
+        (Newton converges quadratically, so that step has already brought
+        it to rounding level) or its bracket has shrunk to rounding level.
+        """
+        m, lam = np.broadcast_arrays(
+            np.asarray(self.mean, dtype=float), np.asarray(self.shape, dtype=float)
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lo = _ig_bracket(m, lam, p, 0.5)
+            hi = _ig_bracket(m, lam, p, 2.0)
+            x = m.copy()
+            active = np.ones(m.shape, dtype=bool)
+            for _ in range(100):
+                g = _ig_cdf(x, m, lam) - p
+                lo = np.where(g < 0, x, lo)
+                hi = np.where(g > 0, x, hi)
+                newton = x - g / np.exp(_ig_log_pdf(x, m, lam))
+                small = np.abs(newton - x) <= 1e-12 * x
+                keep = small | ((newton > lo) & (newton < hi))
+                new = np.where(keep, newton, np.sqrt(lo) * np.sqrt(hi))
+                done = small | (hi - lo <= 1e-15 * hi)
+                x = np.where(active, new, x)
+                active &= ~done
+                if not active.any():
+                    return x
+        raise NonConvergenceError("inverse Gaussian quantiles did not converge")
+
     def sample(self, rng, size):
         return rng.wald(self.mean, self.shape, size=size)
+
+
+def _ig_cdf(x, m, lam):
+    """Array form of ``InverseGaussianDist.cdf`` for x > 0."""
+    s = np.sqrt(lam / x)
+    first = _scisp.ndtr(s * (x / m - 1.0))
+    second = np.exp(2.0 * lam / m + _scisp.log_ndtr(-s * (x / m + 1.0)))
+    return np.minimum(first + second, 1.0)
+
+
+def _ig_log_pdf(x, m, lam):
+    """Array form of ``InverseGaussianDist.log_pdf`` for x > 0."""
+    return 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(x)) - lam * (
+        x - m
+    ) ** 2 / (2.0 * m * m * x)
+
+
+def _ig_bracket(m, lam, p, factor):
+    """Scale each mean by ``factor`` until the cdf crosses p: the scalar doubling."""
+    x = m.copy()
+    pending = np.ones(m.shape, dtype=bool)
+    for _ in range(200):
+        x = np.where(pending, x * factor, x)
+        cdf = _ig_cdf(x, m, lam)
+        pending &= cdf >= p if factor < 1.0 else cdf <= p
+        if not pending.any():
+            return x
+    raise NonConvergenceError("could not bracket inverse Gaussian quantile")
 
 
 def pe_log_series_factor(kappa, x):

@@ -30,7 +30,7 @@ from .distributions import (
     pe_log_series_factor,
 )
 from .errors import DomainError, SupportError
-from .validation import check_positive
+from .validation import all_hold, check_positive
 
 __all__ = [
     "GammaFamily",
@@ -175,11 +175,53 @@ class GaussianLocationFamily(Family):
         self._check_natural(theta)
         return float(self._B[0, 0]) if self.d == 1 else self._B.copy()
 
+    def _points(self, v, name):
+        """``v`` as a finite array of shape (..., d).
+
+        For d == 1 every entry is one point, so a scalar and a stack of
+        shape (T,) are both accepted; for d > 1 the last axis holds the
+        coordinates and leading axes stack points.  This is what lets
+        ``mle`` and ``bregman`` take one batch or a stack of trials.
+        """
+        v = np.asarray(v, dtype=float)
+        if self.d == 1:
+            v = v[..., None]
+        elif v.shape[-1:] != (self.d,):
+            raise DomainError(f"{name} must have shape (..., {self.d}), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+        return v
+
+    def bregman(self, theta2, theta1):
+        """0.5 t2.B.t2 - 0.5 t1.B.t1 - (t2 - t1).B t1, clipped at zero.
+
+        Either argument may stack points; a pair of single points gives a
+        float.  Every sum runs term by term in a fixed order, so a stacked
+        call agrees bit for bit with the calls for its single points.
+        """
+        t2 = self._points(theta2, "theta")
+        t1 = self._points(theta1, "theta")
+        d = self.d
+
+        def times_b(t):
+            return [sum(self._B[i, j] * t[..., j] for j in range(d)) for i in range(d)]
+
+        def dot(bt, t):
+            return sum(bt[i] * t[..., i] for i in range(d))
+
+        grad = times_b(t1)
+        div = 0.5 * dot(times_b(t2), t2) - 0.5 * dot(grad, t1) - dot(grad, t2 - t1)
+        div = np.maximum(div, 0.0)
+        return div if isinstance(div, np.ndarray) else float(div)
+
     def mle(self, xbar):
-        scalar = self.d == 1 and np.ndim(xbar) == 0
-        xbar = np.atleast_1d(self._check_mean(xbar))
-        theta = np.linalg.solve(self._B, xbar)
-        return float(theta[0]) if scalar else theta
+        """B^-1 xbar by one LAPACK solve per point, for one mean or a stack."""
+        v = self._points(xbar, "mu")
+        theta = np.linalg.solve(self._B, v[..., None])[..., 0]
+        if self.d > 1:
+            return theta
+        theta = theta[..., 0]
+        return float(theta) if theta.ndim == 0 else theta
 
     def log_carrier(self, x):
         x = np.atleast_1d(self._check_support(x))
@@ -358,14 +400,17 @@ def poisson_exponential_posterior(kappa, batch):
     """Jeffreys posterior of the rate: inverse Gaussian.
 
     Normalizing beta^(-3/2) exp(-m*beta*xbar - m*kappa/(2*beta)) gives an
-    inverse Gaussian with mean sqrt(kappa/(2*xbar)) and shape m*kappa.
+    inverse Gaussian with mean sqrt(kappa/(2*xbar)) and shape m*kappa.  A
+    batch whose xbar stacks trials gives a stack of posteriors.
     """
     check_positive(kappa, "kappa")
-    xbar = float(batch.xbar)
-    if xbar <= 0:
+    xbar = batch.xbar
+    if not all_hold(xbar > 0):
         raise DomainError(f"posterior needs xbar > 0, got {xbar}")
+    mean = np.sqrt(kappa / (2.0 * xbar))
     return InverseGaussianDist(
-        mean=math.sqrt(kappa / (2.0 * xbar)), shape=batch.n * kappa
+        mean=mean if isinstance(xbar, np.ndarray) else float(mean),
+        shape=batch.n * kappa,
     )
 
 

@@ -7,6 +7,12 @@ chi-squared quantile, and it doubles as an exact confidence region.  The
 Poisson-exponential credible interval comes from the inverse Gaussian
 posterior while the confidence interval inverts the exact sampling
 distribution of the sample sum; the two deliberately disagree.
+
+Every construction takes one ``ObservationBatch`` or a stacked one, whose
+``xbar`` carries a leading trial axis.  A stacked batch gives one result
+whose endpoints (or ball centers) are arrays over the trials and whose
+``covers_natural`` returns one bool per trial; a single batch gives Python
+floats and a bool.
 """
 
 import math
@@ -15,19 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import ParamsMixin, check_is_fitted
-from .core import ObservationBatch
+from .core import POSITIVE_HALF_LINE, ObservationBatch
 from .distributions import PoissonExponentialDist
 from .errors import DegenerateDataError, DomainError
 from .families import (
     GammaFamily,
     GaussianLocationFamily,
     PoissonExponentialFamily,
-    gamma_posterior,
     poisson_exponential_posterior,
 )
 from .numerics import Bracket, find_root, inv_reg_gamma_lower, rng_stream
 from .prediction import as_batch
-from .validation import check_positive, check_unit_open
+from .validation import all_hold, check_positive, check_unit_open
 
 __all__ = [
     "METHOD_CREDIBLE",
@@ -56,7 +61,11 @@ METHOD_DIVERGENCE_BALL = "DivergenceBall"
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """A one-sided interval [lower, upper] for a rate parameter."""
+    """A one-sided interval [lower, upper] for a rate parameter.
+
+    ``upper`` is an array over the trials of a stacked batch; ``lower``
+    then broadcasts against it.
+    """
 
     lower: float
     upper: float
@@ -65,11 +74,11 @@ class IntervalResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
+        if not all_hold(self.lower <= self.upper):
             raise DomainError(f"interval needs lower <= upper, got {self}")
 
     def covers(self, value):
-        return self.lower <= value <= self.upper
+        return (self.lower <= value) & (value <= self.upper)
 
     def covers_natural(self, theta):
         """Containment of the rate beta = -theta."""
@@ -94,12 +103,13 @@ class DivergenceBallRegion:
 
 
 def _rate_batch(batch, name):
-    xbar = float(batch.xbar)
-    if xbar == 0.0:
+    """The batch mean, a float or an array over stacked trials, checked > 0."""
+    xbar = batch.xbar
+    if not all_hold(xbar != 0.0):
         raise DegenerateDataError(
             f"{name}: all observations are zero; the rate interval degenerates"
         )
-    if xbar < 0:
+    if not all_hold(xbar > 0):
         raise DomainError(f"{name}: needs xbar > 0, got {xbar}")
     return xbar
 
@@ -111,13 +121,12 @@ def gamma_credible(alpha, batch, level):
     xbar = _rate_batch(batch, "gamma_credible")
     pivot_quantile = inv_reg_gamma_lower(batch.n * alpha, level) / batch.n
     upper = pivot_quantile / xbar
-    post = gamma_posterior(alpha, batch)
     return IntervalResult(
         lower=0.0,
         upper=upper,
         level=level,
         method=METHOD_CREDIBLE,
-        diagnostics={"posterior_shape": post.shape, "posterior_rate": post.rate},
+        diagnostics={"posterior_shape": batch.n * alpha, "posterior_rate": batch.n * xbar},
     )
 
 
@@ -139,7 +148,7 @@ def gaussian_divergence_ball(cov, batch, level):
     Under the N(xbar, B/n) posterior, 2n D_A(theta, theta_hat) is
     chi-squared with d degrees of freedom, so the radius is that quantile
     over 2n; self-conjugation makes the same ball an exact confidence
-    region.
+    region.  A stacked batch gives one ball per trial, sharing the radius.
     """
     level = check_unit_open(level, "level")
     family = cov if isinstance(cov, GaussianLocationFamily) else GaussianLocationFamily(cov)
@@ -189,6 +198,21 @@ def poisson_exp_confidence(kappa, batch, level):
     xbar = _rate_batch(batch, "poisson_exp_confidence")
     m = batch.n
     s_obs = m * xbar
+    # the cost is the compound-Poisson cdf, so stacked trials go one by one
+    uppers = [_cdf_inversion(kappa, m, float(x), level) for x in np.ravel(xbar)]
+    upper = np.reshape(uppers, xbar.shape) if isinstance(xbar, np.ndarray) else uppers[0]
+    return IntervalResult(
+        lower=0.0,
+        upper=upper,
+        level=level,
+        method=METHOD_CONFIDENCE_CDF,
+        diagnostics={"sum": s_obs, "sum_shape": m * kappa},
+    )
+
+
+def _cdf_inversion(kappa, m, xbar, level):
+    """The beta solving P_beta(S <= m xbar) = level for a sum of m draws."""
+    s_obs = m * xbar
 
     def cdf_at(beta):
         return PoissonExponentialDist(m * kappa, beta).cdf(s_obs)
@@ -207,14 +231,7 @@ def poisson_exp_confidence(kappa, batch, level):
             break
     else:
         raise DomainError("could not bracket the confidence endpoint from above")
-    upper = find_root(lambda b: cdf_at(b) - level, Bracket(lo, hi), tol=1e-12)
-    return IntervalResult(
-        lower=0.0,
-        upper=upper,
-        level=level,
-        method=METHOD_CONFIDENCE_CDF,
-        diagnostics={"sum": s_obs, "sum_shape": m * kappa},
-    )
+    return find_root(lambda b: cdf_at(b) - level, Bracket(lo, hi), tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -239,11 +256,17 @@ def coverage_simulation(
 ):
     """Simulate datasets, build intervals, count containment of the truth.
 
-    ``interval_fn(batch)`` must return an object with ``covers_natural``.
-    Trials whose data are degenerate (the all-atom Poisson-exponential
-    sample) are excluded from the coverage denominator and reported.
-    Deterministic for a fixed seed; trials are partitioned across
-    independent seeded streams and merged in stream order.
+    Trials are partitioned across independent seeded streams and merged in
+    stream order, so the result is deterministic for a fixed seed.  Each
+    stream draws one (trials, m) sample, forms the trial means, and calls
+    ``interval_fn`` once with a stacked ``ObservationBatch`` whose ``xbar``
+    carries a leading trial axis.  The object it returns must have a
+    ``covers_natural(theta)`` that gives one bool per trial.
+
+    Trials whose mean sits on the boundary point 0 of a half-line support
+    (the all-atom Poisson-exponential sample, or Gamma draws that all
+    underflow to zero) have no rate interval: they are left out of the
+    batch and of the coverage denominator, and counted in ``degenerate``.
     """
     theta_true = family._check_natural(theta_true)
     level = check_unit_open(level, "level")
@@ -261,20 +284,16 @@ def coverage_simulation(
     degenerate = 0
     for stream_id, chunk in enumerate(per):
         rng = rng_stream(seed, stream_id)
-        data = family.sample(rng, theta_true, size=(chunk, m))
-        for row in np.asarray(data).reshape(chunk, m):
-            if family.d == 1:
-                xbar = float(row.mean())
-            else:
-                xbar = row.mean(axis=0)
-            batch = ObservationBatch(n=m, xbar=xbar)
-            try:
-                result = interval_fn(batch)
-            except DegenerateDataError:
-                degenerate += 1
-                continue
-            if result.covers_natural(theta_true):
-                hits += 1
+        data = np.asarray(family.sample(rng, theta_true, size=(chunk, m)))
+        means = data.mean(axis=1)
+        if family.support_domain == POSITIVE_HALF_LINE:
+            on_boundary = means == 0.0
+            degenerate += int(np.count_nonzero(on_boundary))
+            means = means[~on_boundary]
+        if means.shape[0] == 0:
+            continue
+        result = interval_fn(ObservationBatch(n=m, xbar=means))
+        hits += int(np.count_nonzero(result.covers_natural(theta_true)))
     valid = trials - degenerate
     if valid == 0:
         raise DegenerateDataError("every simulated dataset was degenerate")

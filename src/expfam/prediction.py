@@ -24,6 +24,7 @@ internal arithmetic is done in log space.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,6 @@ from .validation import check_observations, check_positive
 
 __all__ = [
     "PredictiveValue",
-    "RegretRecord",
     "JeffreysPredictor",
     "CnmlPredictor",
     "PlugInPredictor",
@@ -60,6 +60,9 @@ __all__ = [
     "equivalence_check",
 ]
 
+#: ln of the largest double: exp overflows above it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class PredictiveValue:
@@ -68,13 +71,6 @@ class PredictiveValue:
     log_density: float
     method: str
     normalizer_error: float
-
-
-@dataclass(frozen=True)
-class RegretRecord:
-    sequence_id: int
-    method: str
-    regret: float
 
 
 def as_batch(family, X):
@@ -231,26 +227,45 @@ class CnmlPredictor(_PredictorBase):
         return n * fam.convex_conjugate(xbar)
 
     def _sum_normalizer(self, k, shift, tol):
-        """Quadrature of exp(n A*((base+s)/n)) against the k-fold carrier."""
+        """Quadrature of exp(n A*((base+s)/n)) against the k-fold carrier.
+
+        Returns (shift, value, error), the normalizer being exp(shift) *
+        value; the atom and the continuous part share the shift.  The
+        given shift leaves out the carrier, so far from the bulk the atom
+        term or the integrand near the split point can lie more than the
+        float range above it.  The shift then moves up to the larger of
+        the two.  Otherwise it stays, and so does the arithmetic.
+        """
         batch = self.batch_
         n = batch.n + k
         base = batch.n * float(batch.xbar)
         conv = self.family.convolution_family(k)
+        split = k * float(batch.xbar)
+        log_peak = self._log_hindsight(base + split, n) + conv.log_carrier(split)
+        if conv.has_atom:
+            log_atom = self._log_hindsight(base + conv.atom_point, n)
+            log_peak = max(log_peak, log_atom)
+        if log_peak - shift > _LOG_FLOAT_MAX:
+            shift = log_peak
         value = 0.0
         if conv.has_atom:
-            value += math.exp(
-                self._log_hindsight(base + conv.atom_point, n) - shift
-            )
+            value += math.exp(log_atom - shift)
 
         def integrand(s):
             return math.exp(
                 self._log_hindsight(base + s, n) + conv.log_carrier(s) - shift
             )
 
-        result = integrate_over_support(
-            conv, integrand, tol=tol, split_points=[k * float(batch.xbar)]
-        )
-        return value + result.value, result.error_estimate
+        try:
+            result = integrate_over_support(
+                conv, integrand, tol=tol, split_points=[split]
+            )
+        except OverflowError:
+            raise NonConvergenceError(
+                f"CNML normalizer integrand overflows for m={batch.n}, "
+                f"xbar={batch.xbar}, horizon={k}"
+            ) from None
+        return shift, value + result.value, result.error_estimate
 
     def _diverges(self, k, shift):
         """Doubling probe along the tail of the sum-normalizer integrand.
@@ -279,7 +294,7 @@ class CnmlPredictor(_PredictorBase):
         n = batch.n + k
         shift = self._log_hindsight(n * float(batch.xbar), n)
         try:
-            value, err = self._sum_normalizer(k, shift, self.tol)
+            shift, value, err = self._sum_normalizer(k, shift, self.tol)
         except NonConvergenceError:
             if self._diverges(k, shift):
                 raise NonNormalizableError(
@@ -395,6 +410,11 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
         result = integrate_over_natural(
             family, integrand, tol=tol, split_thetas=[theta_hat]
         )
+        if not (math.isfinite(result.value) and result.value > 0):
+            raise NonConvergenceError(
+                f"ratio integral is {result.value} at xbar={batch.xbar}, n={n}; "
+                "it must be finite and positive"
+            )
         values.append(result.value)
     values = tuple(values)
     spread = (max(values) - min(values)) / float(np.median(values))

@@ -8,11 +8,22 @@ from .errors import DomainError
 
 __all__ = [
     "check_positive",
+    "check_positive_array",
     "check_nonnegative",
     "check_unit_open",
     "check_finite_scalar",
     "check_observations",
+    "all_hold",
 ]
+
+
+def all_hold(flags):
+    """Whether every flag holds; ``flags`` is a bool or an array of them.
+
+    An array comes from a stacked batch.  A plain bool skips the numpy call,
+    which would cost more than the scalar check it guards.
+    """
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
 def check_finite_scalar(value, name="value"):
@@ -26,6 +37,15 @@ def check_positive(value, name="value"):
     value = check_finite_scalar(value, name)
     if value <= 0:
         raise DomainError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def check_positive_array(value, name="value"):
+    """``check_positive`` for a scalar; an array must be finite and > 0 throughout."""
+    if not isinstance(value, np.ndarray):
+        return check_positive(value, name)
+    if not np.all(np.isfinite(value) & (value > 0)):
+        raise DomainError(f"{name} must be finite and > 0 throughout, got {value}")
     return value
 
 

@@ -193,6 +193,27 @@ class TestPredictCommand:
         assert code == 2
         assert "bad.txt:2" in err
 
+    def test_far_poisson_exp_prefix_exit_code(self, tmp_path, capsys):
+        # the CNML atom term used to overflow into a raw OverflowError (exit 1)
+        data = tmp_path / "far.txt"
+        data.write_text("1e8\n")
+        code, out, err = run_cli(
+            [
+                "predict",
+                "--family",
+                "poisson-exp",
+                "--kappa",
+                "2",
+                "--data",
+                str(data),
+                "--future",
+                "1.0",
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["log_density"])
+
     def test_non_convergence_exit_code(self, gamma_data, capsys):
         # an unattainable tolerance forces the numeric failure path through
         # the CNML normalizer quadrature

@@ -13,7 +13,8 @@ from expfam import (
     gamma_posterior,
     poisson_exponential_posterior,
 )
-from expfam.distributions import PoissonExponentialDist
+from expfam.core import REAL_LINE
+from expfam.distributions import InverseGaussianDist, PoissonExponentialDist
 from expfam.errors import DegenerateDataError, DomainError
 from expfam.intervals import (
     CoverageReport,
@@ -33,6 +34,7 @@ from expfam.numerics import (
     integrate,
     inv_reg_gamma_lower,
     reg_gamma_lower,
+    rng_stream,
     std_normal_cdf,
 )
 
@@ -324,3 +326,197 @@ class TestIntervalEstimators:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             GammaRateInterval(alpha=1.0, method="hpd").fit([1.0])
+
+
+def loop_coverage(family, interval_fn, theta_true, m, level, trials, seed, n_streams=16):
+    """The per-trial coverage loop that ``coverage_simulation`` batches.
+
+    Same streams and draws; one scalar batch and one interval per trial,
+    with degenerate trials found by the construction raising.
+    """
+    theta_true = family._check_natural(theta_true)
+    n_streams = min(n_streams, trials)
+    per = [trials // n_streams] * n_streams
+    for i in range(trials % n_streams):
+        per[i] += 1
+    hits = 0
+    degenerate = 0
+    for stream_id, chunk in enumerate(per):
+        rng = rng_stream(seed, stream_id)
+        for row in np.asarray(family.sample(rng, theta_true, size=(chunk, m))):
+            xbar = float(row.mean()) if family.d == 1 else row.mean(axis=0)
+            try:
+                result = interval_fn(ObservationBatch(n=m, xbar=xbar))
+            except DegenerateDataError:
+                degenerate += 1
+                continue
+            if result.covers_natural(theta_true):
+                hits += 1
+    valid = trials - degenerate
+    sigma = math.sqrt(level * (1.0 - level) / valid)
+    return CoverageReport(
+        trials=valid,
+        hits=hits,
+        empirical_coverage=hits / valid,
+        three_sigma_band=(level - 3.0 * sigma, level + 3.0 * sigma),
+        level=level,
+        degenerate=degenerate,
+    )
+
+
+B2 = np.array([[2.0, 0.4], [0.4, 1.0]])
+GAUSS1 = GaussianLocationFamily(2.0)
+GAUSS2 = GaussianLocationFamily(B2)
+
+#: name -> (family, interval_fn, true natural parameter, level, trials)
+CONSTRUCTIONS = {
+    "gamma-credible": (
+        GammaFamily(1.5), lambda b: gamma_credible(1.5, b, 0.9), -2.0, 0.9, 1500
+    ),
+    "gamma-confidence": (
+        GammaFamily(0.7), lambda b: gamma_confidence(0.7, b, 0.8), -0.5, 0.8, 1500
+    ),
+    # at this shape many draws underflow to exactly zero: degenerate trials
+    "gamma-credible-tiny-shape": (
+        GammaFamily(0.002), lambda b: gamma_credible(0.002, b, 0.9), -1.0, 0.9, 1500
+    ),
+    "ball-d1": (
+        GAUSS1, lambda b: gaussian_divergence_ball(GAUSS1, b, 0.9), 0.3, 0.9, 1500
+    ),
+    "ball-d2": (
+        GAUSS2,
+        lambda b: gaussian_divergence_ball(GAUSS2, b, 0.85),
+        np.array([0.1, -0.2]),
+        0.85,
+        1500,
+    ),
+    "poisson-exp-credible": (
+        PoissonExponentialFamily(2.0),
+        lambda b: poisson_exp_credible(2.0, b, 0.9),
+        -1.0,
+        0.9,
+        1500,
+    ),
+    "poisson-exp-confidence": (
+        PoissonExponentialFamily(2.0),
+        lambda b: poisson_exp_confidence(2.0, b, 0.9),
+        -1.0,
+        0.9,
+        300,
+    ),
+}
+
+
+class TestBatchedCoverageMatchesLoop:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 17, 2024])
+    def test_same_report(self, name, m, seed):
+        family, fn, theta, level, trials = CONSTRUCTIONS[name]
+        batched = coverage_simulation(family, fn, theta, m, level, trials, seed)
+        reference = loop_coverage(family, fn, theta, m, level, trials, seed)
+        assert batched.hits == reference.hits
+        assert batched.trials == reference.trials
+        assert batched.degenerate == reference.degenerate
+        assert batched.empirical_coverage == reference.empirical_coverage
+        assert batched == reference
+        assert type(batched.hits) is int
+
+    def test_degenerate_trials_occur(self):
+        # the cases above exercise the up-front masking, not only clean draws
+        for name in ("gamma-credible-tiny-shape", "poisson-exp-credible"):
+            family, fn, theta, level, trials = CONSTRUCTIONS[name]
+            assert coverage_simulation(family, fn, theta, 1, level, trials, 0).degenerate > 0
+
+
+def _stacked_means(family, theta, m, trials, seed):
+    """Trial means drawn as coverage_simulation draws them, without zero means."""
+    data = np.asarray(family.sample(rng_stream(seed, 0), theta, size=(trials, m)))
+    means = data.mean(axis=1)
+    return means if family.support_domain == REAL_LINE else means[means > 0]
+
+
+class TestStackedConstructions:
+    """Element i of a stacked construction equals the scalar one for trial i."""
+
+    @pytest.mark.parametrize("name", ["gamma-credible", "gamma-confidence"])
+    def test_gamma_exact(self, name):
+        family, fn, theta, _, _ = CONSTRUCTIONS[name]
+        means = _stacked_means(family, theta, 3, 200, 5)
+        stacked = fn(ObservationBatch(n=3, xbar=means))
+        covers = stacked.covers_natural(theta)
+        assert stacked.upper.shape == means.shape
+        for i, xbar in enumerate(means):
+            single = fn(ObservationBatch(n=3, xbar=float(xbar)))
+            assert isinstance(single.upper, float)
+            assert stacked.upper[i] == single.upper
+            assert stacked.diagnostics["posterior_rate"][i] == single.diagnostics["posterior_rate"]
+            assert stacked.diagnostics["posterior_shape"] == single.diagnostics["posterior_shape"]
+            assert covers[i] == single.covers_natural(theta)
+
+    @pytest.mark.parametrize("name", ["ball-d1", "ball-d2"])
+    def test_ball_exact(self, name):
+        family, fn, theta, _, _ = CONSTRUCTIONS[name]
+        means = _stacked_means(family, theta, 4, 200, 6)
+        stacked = fn(ObservationBatch(n=4, xbar=means))
+        covers = stacked.covers_natural(theta)
+        divergences = family.bregman(theta, stacked.center)
+        assert covers.shape == (means.shape[0],)
+        for i, xbar in enumerate(means):
+            single = fn(ObservationBatch(n=4, xbar=xbar if family.d > 1 else float(xbar)))
+            assert np.array_equal(stacked.center[i], single.center)
+            assert stacked.radius == single.radius
+            assert divergences[i] == family.bregman(theta, single.center)
+            assert covers[i] == single.covers_natural(theta)
+
+    @pytest.mark.parametrize("name", ["poisson-exp-credible", "poisson-exp-confidence"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_root_found_endpoints(self, name, m):
+        family, fn, theta, _, _ = CONSTRUCTIONS[name]
+        means = _stacked_means(family, theta, m, 60, 7)
+        stacked = fn(ObservationBatch(n=m, xbar=means))
+        covers = stacked.covers_natural(theta)
+        for i, xbar in enumerate(means):
+            single = fn(ObservationBatch(n=m, xbar=float(xbar)))
+            assert isinstance(single.upper, float)
+            assert stacked.upper[i] == pytest.approx(single.upper, rel=1e-12, abs=0)
+            assert covers[i] == single.covers_natural(theta)
+
+    def test_degenerate_trial_in_stack(self):
+        batch = ObservationBatch(n=2, xbar=np.array([0.5, 0.0, 1.0]))
+        with pytest.raises(DegenerateDataError):
+            poisson_exp_credible(2.0, batch, 0.9)
+        with pytest.raises(DegenerateDataError):
+            gamma_credible(1.0, batch, 0.9)
+
+    def test_ball_coverage_in_two_dimensions(self):
+        # a stacked 2-d ball, never reachable through the old per-row reshape
+        report = coverage_simulation(
+            GAUSS2,
+            lambda b: gaussian_divergence_ball(GAUSS2, b, 0.9),
+            np.array([0.1, -0.2]),
+            3,
+            0.9,
+            20_000,
+            seed=4,
+        )
+        assert report.within_band
+
+
+class TestStackedInverseGaussianQuantile:
+    def test_matches_scalar_and_level(self):
+        means = np.geomspace(1e-3, 1e3, 13)
+        for shape in (1e-3, 0.5, 2.0, 1e4):
+            for p in (0.05, 0.5, 0.9, 0.999):
+                stacked = InverseGaussianDist(means, shape).ppf(p)
+                for mean, q in zip(means, stacked):
+                    dist = InverseGaussianDist(float(mean), shape)
+                    assert dist.cdf(q) == pytest.approx(p, abs=1e-12)
+                    assert q == pytest.approx(dist.ppf(p), rel=1e-9)
+
+    def test_scalar_stays_float(self):
+        assert isinstance(InverseGaussianDist(1.0, 2.0).ppf(0.9), float)
+
+    def test_rejects_nonpositive_stack(self):
+        with pytest.raises(DomainError):
+            InverseGaussianDist(np.array([1.0, -1.0]), 2.0)

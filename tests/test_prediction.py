@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from expfam import (
     GammaFamily,
@@ -15,6 +16,7 @@ from expfam.core import Family, integrate_over_support
 from expfam.errors import (
     DegenerateDataError,
     DomainError,
+    NonConvergenceError,
     NonNormalizableError,
 )
 from expfam.numerics import integrate
@@ -154,6 +156,23 @@ class TestCnmlPredictor:
                     split_points=[float(predictor.batch_.xbar)],
                 ).value
                 assert mass == pytest.approx(1.0, abs=1e-7), family
+
+    @pytest.mark.parametrize("x", [3e5, 1e8])
+    def test_poisson_exp_far_prefix_finite(self, x):
+        # the atom term lies thousands of e-folds above the old shift; the
+        # result must be finite and equal the Jeffreys predictive, whose
+        # evidence has the closed form sqrt(2 pi/n) exp(-n sqrt(2 kappa xbar))
+        kappa, y = 2.0, 1.0
+        value = CnmlPredictor(PoissonExponentialFamily(kappa)).fit([x]).log_predictive([y])
+
+        def log_evidence(n, xbar):
+            return 0.5 * math.log(2.0 * math.pi / n) - n * math.sqrt(2.0 * kappa * xbar)
+
+        u = 2.0 * math.sqrt(kappa / 2.0 * y)
+        log_carrier = 0.5 * math.log(kappa / 2.0 / y) + math.log(special.ive(1, u)) + u
+        expected = log_evidence(2, (x + y) / 2.0) - log_evidence(1, x) + log_carrier
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_horizon_mismatch_rejected(self):
         predictor = CnmlPredictor(GammaFamily(1.0), horizon=2).fit([1.0])
@@ -298,6 +317,14 @@ class TestLemma1Constancy:
         assert scaled.relative_spread == pytest.approx(
             base.relative_spread, abs=1e-12
         )
+
+    def test_underflowing_values_raise(self):
+        # at n = 2e8 every ratio integral underflows to 0: the spread would
+        # divide by a zero median
+        n = 200_000_000
+        batches = [ObservationBatch(n=n, xbar=x) for x in (0.5, 1.0, 2.0)]
+        with pytest.raises(NonConvergenceError):
+            lemma1_constancy(GammaFamily(2.0), n, batches, tol=1e-6)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DomainError):
