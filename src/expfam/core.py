@@ -30,10 +30,19 @@ from .numerics import DEFAULT_TOL, integrate
 
 TAU = 2.0 * math.pi
 
-#: Tags for the shape of the natural parameter domain and of the support.
-NEGATIVE_HALF_LINE = "negative_half_line"
-POSITIVE_HALF_LINE = "positive_half_line"
-REAL_LINE = "real_line"
+#: Domains are open intervals (lo, hi).  NaN and the infinities fail the
+#: strict comparisons lo < v < hi, so that one test is the whole check.
+NEGATIVE_HALF_LINE = (-math.inf, 0.0)
+POSITIVE_HALF_LINE = (0.0, math.inf)
+REAL_LINE = (-math.inf, math.inf)
+
+
+def _inside(v, domain):
+    """Whether ``v``, a float or every entry of an array, lies in ``domain``."""
+    lo, hi = domain
+    if isinstance(v, np.ndarray):
+        return bool(np.all((lo < v) & (v < hi)))
+    return lo < v < hi
 
 
 @dataclass(frozen=True)
@@ -81,45 +90,41 @@ class ObservationBatch:
 class Family(ParamsMixin):
     """Abstract natural exponential family.
 
-    Subclasses define the closed forms; the natural domain is either the
-    negative half line (Gamma, inverse Gaussian, Poisson-exponential) or
-    all of R^d (Gaussian location).
+    Subclasses supply each closed form once, as a kernel on validated
+    values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
+    ``_mle`` and ``_log_carrier``, and ``_log_jeffreys`` where the default
+    would overflow.  A point is a float when d == 1 and a vector (d,)
+    otherwise.  Each public method checks its arguments and calls the
+    kernel of the same name; quadrature integrands, whose arguments are
+    checked once before the integral, call the kernels directly.
+
+    The natural domain is either the negative half line (Gamma, inverse
+    Gaussian, Poisson-exponential) or all of R^d (Gaussian location).
     """
 
     natural_domain = NEGATIVE_HALF_LINE
+    mean_domain = POSITIVE_HALF_LINE
     support_domain = POSITIVE_HALF_LINE
     #: True when the carrier measure places an atom at ``atom_point``.
     has_atom = False
     atom_point = 0.0
+    d = 1
 
-    # -- closed forms supplied by subclasses --------------------------------
+    # -- kernels supplied by subclasses ---------------------------------------
 
-    @property
-    def d(self):
-        return 1
-
-    def cumulant(self, theta):
+    def _cumulant(self, theta):
         raise NotImplementedError
 
-    def mean_from_natural(self, theta):
+    def _mean_from_natural(self, theta):
         raise NotImplementedError
 
-    def covariance(self, theta):
+    def _covariance(self, theta):
         raise NotImplementedError
 
-    def mle(self, xbar):
+    def _mle(self, mu):
         raise NotImplementedError
 
-    def log_carrier(self, x):
-        raise NotImplementedError
-
-    def in_natural_domain(self, theta):
-        raise NotImplementedError
-
-    def in_mean_domain(self, mu):
-        raise NotImplementedError
-
-    def in_support(self, x):
+    def _log_carrier(self, x):
         raise NotImplementedError
 
     def sample(self, rng, theta, size):
@@ -138,60 +143,109 @@ class Family(ParamsMixin):
             f"{type(self).__name__} does not define k-fold convolutions"
         )
 
+    # -- derived kernels ------------------------------------------------------
+
+    def _dot(self, u, v):
+        """u . v for points, term by term in a fixed order.
+
+        Leading axes stack points, and the fixed order makes a stacked call
+        agree bit for bit with the calls for its single points.
+        """
+        if self.d == 1:
+            return u * v
+        out = sum(u[..., i] * v[..., i] for i in range(self.d))
+        return out if np.ndim(out) else float(out)
+
+    def _bregman(self, theta2, theta1):
+        grad = self._mean_from_natural(theta1)
+        div = (
+            self._cumulant(theta2)
+            - self._cumulant(theta1)
+            - self._dot(theta2 - theta1, grad)
+        )
+        # convexity guarantees nonnegativity; clip roundoff at zero
+        if isinstance(div, np.ndarray):
+            return np.maximum(div, 0.0)
+        return max(div, 0.0)
+
+    def _convex_conjugate(self, x):
+        theta_hat = self._mle(x)
+        return self._dot(theta_hat, x) - self._cumulant(theta_hat)
+
+    def _jeffreys_unnormalized(self, theta):
+        cov = self._covariance(theta)
+        return math.sqrt(cov if self.d == 1 else float(np.linalg.det(cov)))
+
+    def _log_jeffreys(self, theta):
+        return math.log(self._jeffreys_unnormalized(theta))
+
+    def _log_density(self, theta, x):
+        return self._dot(theta, x) - self._cumulant(theta) + self._log_carrier(x)
+
     # -- validation ----------------------------------------------------------
 
-    def _check_natural(self, theta):
-        if self.d == 1:
-            theta = float(theta)
-        else:
-            theta = np.asarray(theta, dtype=float)
-            if theta.shape != (self.d,):
-                raise DomainError(
-                    f"natural parameter must have shape ({self.d},), got {theta.shape}"
+    def in_natural_domain(self, theta):
+        return _inside(theta, self.natural_domain)
+
+    def in_mean_domain(self, mu):
+        return _inside(mu, self.mean_domain)
+
+    def in_support(self, x):
+        return _inside(x, self.support_domain) or (
+            self.has_atom and x == self.atom_point
+        )
+
+    def _checked(self, v, inside, error, what):
+        """``v`` as one point: a float when d == 1, else a vector (d,).
+
+        A Python float at d == 1 is checked by a compare alone; anything
+        else goes through numpy, and at d == 1 may be a scalar or a
+        length-1 vector.
+        """
+        if type(v) is not float or self.d != 1:
+            v = np.asarray(v, dtype=float)
+            shapes = ((), (1,)) if self.d == 1 else ((self.d,),)
+            if v.shape not in shapes:
+                raise error(
+                    f"a point of {self!r} has shape ({self.d},), got {v.shape}"
                 )
-        if not self.in_natural_domain(theta):
-            raise DomainError(f"{theta!r} is outside the natural domain of {self!r}")
-        return theta
+            if self.d == 1:
+                v = v.item()
+        if not inside(v):
+            raise error(f"{v!r} is outside the {what} of {self!r}")
+        return v
+
+    def _check_natural(self, theta):
+        return self._checked(
+            theta, self.in_natural_domain, DomainError, "natural domain"
+        )
 
     def _check_mean(self, mu):
-        if self.d == 1:
-            mu = float(mu)
-        else:
-            mu = np.asarray(mu, dtype=float)
-            if mu.shape != (self.d,):
-                raise DomainError(
-                    f"mean parameter must have shape ({self.d},), got {mu.shape}"
-                )
-        if not self.in_mean_domain(mu):
-            raise DomainError(f"{mu!r} is outside the mean domain of {self!r}")
-        return mu
+        return self._checked(mu, self.in_mean_domain, DomainError, "mean domain")
 
     def _check_support(self, x):
-        if self.d == 1:
-            x = float(x)
-        else:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (self.d,):
-                raise SupportError(
-                    f"observation must have shape ({self.d},), got {x.shape}"
-                )
-        if not self.in_support(x):
-            raise SupportError(f"{x!r} is outside the support of {self!r}")
-        return x
+        return self._checked(x, self.in_support, SupportError, "support")
 
-    # -- derived operations ---------------------------------------------------
+    # -- public closed forms: check, then kernel -------------------------------
+
+    def cumulant(self, theta):
+        return self._cumulant(self._check_natural(theta))
+
+    def mean_from_natural(self, theta):
+        return self._mean_from_natural(self._check_natural(theta))
+
+    def covariance(self, theta):
+        return self._covariance(self._check_natural(theta))
+
+    def mle(self, xbar):
+        return self._mle(self._check_mean(xbar))
+
+    def log_carrier(self, x):
+        return self._log_carrier(self._check_support(x))
 
     def bregman(self, theta2, theta1):
         """Divergence generated by the cumulant: A(t2) - A(t1) - (t2-t1).grad A(t1)."""
-        theta2 = self._check_natural(theta2)
-        theta1 = self._check_natural(theta1)
-        grad = self.mean_from_natural(theta1)
-        dot = np.dot(
-            np.atleast_1d(theta2) - np.atleast_1d(theta1), np.atleast_1d(grad)
-        )
-        div = self.cumulant(theta2) - self.cumulant(theta1) - float(dot)
-        # convexity guarantees nonnegativity; clip roundoff at zero
-        return max(div, 0.0)
+        return self._bregman(self._check_natural(theta2), self._check_natural(theta1))
 
     def kl_divergence(self, theta1, theta2):
         """Information divergence D(P_theta1 || P_theta2) = bregman(theta2, theta1)."""
@@ -199,30 +253,19 @@ class Family(ParamsMixin):
 
     def convex_conjugate(self, x):
         """A*(x) = theta_hat(x) . x - A(theta_hat(x)) on the mean domain."""
-        x = self._check_mean(x)
-        theta_hat = self.mle(x)
-        dot = float(np.dot(np.atleast_1d(theta_hat), np.atleast_1d(x)))
-        return dot - self.cumulant(theta_hat)
+        return self._convex_conjugate(self._check_mean(x))
 
     def jeffreys_unnormalized(self, theta):
         """Square root of the Fisher determinant, det Cov(theta)^(1/2)."""
-        theta = self._check_natural(theta)
-        cov = self.covariance(theta)
-        if self.d == 1:
-            return math.sqrt(cov)
-        det = float(np.linalg.det(cov))
-        return math.sqrt(det)
+        return self._jeffreys_unnormalized(self._check_natural(theta))
 
     def log_jeffreys(self, theta):
         """ln of ``jeffreys_unnormalized``; overridden where the linear form overflows."""
-        return math.log(self.jeffreys_unnormalized(theta))
+        return self._log_jeffreys(self._check_natural(theta))
 
     def log_density(self, theta, x):
         """Log density against Lebesgue measure (atom mass at an atom point)."""
-        theta = self._check_natural(theta)
-        x = self._check_support(x)
-        dot = float(np.dot(np.atleast_1d(theta), np.atleast_1d(x)))
-        return dot - self.cumulant(theta) + self.log_carrier(x)
+        return self._log_density(self._check_natural(theta), self._check_support(x))
 
     def density(self, theta, x):
         return math.exp(self.log_density(theta, x))
@@ -230,15 +273,13 @@ class Family(ParamsMixin):
     def log_likelihood(self, theta, batch):
         """Carrier-free part of the log likelihood, n*(theta.xbar - A(theta))."""
         theta = self._check_natural(theta)
-        dot = float(np.dot(np.atleast_1d(theta), np.atleast_1d(batch.xbar)))
-        return batch.n * (dot - self.cumulant(theta))
+        return batch.n * (self._dot(theta, batch.xbar) - self._cumulant(theta))
 
     def robustness_ratio(self, theta, x):
         """Density ratio p_theta(x) / p_that(x)(x) = exp(-bregman(theta, that(x)))."""
         theta = self._check_natural(theta)
-        x = self._check_mean(x)
-        theta_hat = self.mle(x)
-        return math.exp(-self.bregman(theta, theta_hat))
+        theta_hat = self._mle(self._check_mean(x))
+        return math.exp(-self._bregman(theta, theta_hat))
 
 
 # -- natural-domain quadrature helpers --------------------------------------

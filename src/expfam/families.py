@@ -27,7 +27,7 @@ from .distributions import (
     GammaPosterior,
     InverseGaussianDist,
     PoissonExponentialDist,
-    pe_log_series_factor,
+    _log_series_factor,
 )
 from .errors import DomainError, SupportError
 from .validation import all_hold, check_positive
@@ -54,37 +54,22 @@ class GammaFamily(Family):
         self.alpha = alpha
         check_positive(alpha, "alpha")
 
-    def in_natural_domain(self, theta):
-        return np.isfinite(theta) and theta < 0
-
-    def in_mean_domain(self, mu):
-        return np.isfinite(mu) and mu > 0
-
-    def in_support(self, x):
-        return np.isfinite(x) and x > 0
-
-    def cumulant(self, theta):
-        theta = self._check_natural(theta)
+    def _cumulant(self, theta):
         return -self.alpha * math.log(-theta)
 
-    def mean_from_natural(self, theta):
-        theta = self._check_natural(theta)
+    def _mean_from_natural(self, theta):
         return -self.alpha / theta
 
-    def covariance(self, theta):
-        theta = self._check_natural(theta)
+    def _covariance(self, theta):
         return self.alpha / theta**2
 
-    def mle(self, xbar):
-        xbar = self._check_mean(xbar)
-        return -self.alpha / xbar
+    def _mle(self, mu):
+        return -self.alpha / mu
 
-    def log_carrier(self, x):
-        x = self._check_support(x)
+    def _log_carrier(self, x):
         return (self.alpha - 1.0) * math.log(x) - math.lgamma(self.alpha)
 
-    def log_jeffreys(self, theta):
-        theta = self._check_natural(theta)
+    def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.alpha) - math.log(-theta)
 
     def convolution_family(self, k):
@@ -99,10 +84,13 @@ class GaussianLocationFamily(Family):
     """Gaussian with known covariance ``cov``; the mean varies.
 
     In natural form theta = B^-1 mu with cumulant theta.B.theta / 2, so the
-    mean map is theta -> B theta and the covariance is constant.
+    mean map is theta -> B theta and the covariance is constant.  The
+    kernels take a stack of points as well as one point; ``mle`` and
+    ``bregman`` accept such stacks.
     """
 
     natural_domain = REAL_LINE
+    mean_domain = REAL_LINE
     support_domain = REAL_LINE
 
     def __init__(self, cov=1.0):
@@ -115,128 +103,73 @@ class GaussianLocationFamily(Family):
         eigvals = np.linalg.eigvalsh(B)
         if np.min(eigvals) <= 0:
             raise DomainError(f"cov must be positive definite, eigvals={eigvals}")
+        self.d = B.shape[0]
         self._B = B
         self._B_inv = np.linalg.inv(B)
         self._logdet = float(np.linalg.slogdet(B)[1])
+        self._rows = B.tolist()
+        self._inv_rows = self._B_inv.tolist()
 
-    @property
-    def d(self):
-        return self._B.shape[0]
-
-    def _vec(self, v, name):
-        if self.d == 1 and np.ndim(v) == 0:
-            v = [v]
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.d,):
-            raise DomainError(f"{name} must have shape ({self.d},), got {v.shape}")
-        return v
-
-    def in_natural_domain(self, theta):
-        return bool(np.all(np.isfinite(np.atleast_1d(theta))))
-
-    def in_mean_domain(self, mu):
-        return bool(np.all(np.isfinite(np.atleast_1d(mu))))
-
-    def in_support(self, x):
-        return bool(np.all(np.isfinite(np.atleast_1d(x))))
-
-    def _check_natural(self, theta):
-        scalar = self.d == 1 and np.ndim(theta) == 0
-        v = self._vec(theta, "theta")
-        if not self.in_natural_domain(v):
-            raise DomainError(f"{theta!r} is outside the natural domain")
-        return float(v[0]) if scalar else v
-
-    def _check_mean(self, mu):
-        scalar = self.d == 1 and np.ndim(mu) == 0
-        v = self._vec(mu, "mu")
-        if not self.in_mean_domain(v):
-            raise DomainError(f"{mu!r} is outside the mean domain")
-        return float(v[0]) if scalar else v
-
-    def _check_support(self, x):
-        scalar = self.d == 1 and np.ndim(x) == 0
-        v = self._vec(x, "x")
-        if not self.in_support(v):
-            raise SupportError(f"{x!r} is outside the support")
-        return float(v[0]) if scalar else v
-
-    def cumulant(self, theta):
-        theta = np.atleast_1d(self._check_natural(theta))
-        return 0.5 * float(theta @ self._B @ theta)
-
-    def mean_from_natural(self, theta):
-        scalar = self.d == 1 and np.ndim(theta) == 0
-        theta = np.atleast_1d(self._check_natural(theta))
-        mu = self._B @ theta
-        return float(mu[0]) if scalar else mu
-
-    def covariance(self, theta):
-        self._check_natural(theta)
-        return float(self._B[0, 0]) if self.d == 1 else self._B.copy()
+    def _mul(self, rows, t):
+        """The matrix ``rows`` (nested lists) times points, in ``_dot``'s order."""
+        if self.d == 1:
+            return rows[0][0] * t
+        return np.stack(
+            [sum(r[j] * t[..., j] for j in range(self.d)) for r in rows], axis=-1
+        )
 
     def _points(self, v, name):
-        """``v`` as a finite array of shape (..., d).
+        """``v`` as one point or a stack of points, checked finite.
 
-        For d == 1 every entry is one point, so a scalar and a stack of
-        shape (T,) are both accepted; for d > 1 the last axis holds the
-        coordinates and leading axes stack points.  This is what lets
-        ``mle`` and ``bregman`` take one batch or a stack of trials.
+        For d == 1 every entry is one point, and a scalar stays a float;
+        for d > 1 the last axis holds the coordinates and leading axes
+        stack points.  This is what lets ``mle`` and ``bregman`` take one
+        batch or a stack of trials.
         """
         v = np.asarray(v, dtype=float)
-        if self.d == 1:
-            v = v[..., None]
-        elif v.shape[-1:] != (self.d,):
+        if self.d > 1 and v.shape[-1:] != (self.d,):
             raise DomainError(f"{name} must have shape (..., {self.d}), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DomainError(f"{name} must be finite, got {v!r}")
-        return v
+        return v.item() if v.ndim == 0 else v
+
+    def _cumulant(self, theta):
+        return 0.5 * self._dot(self._mul(self._rows, theta), theta)
+
+    def _mean_from_natural(self, theta):
+        return self._mul(self._rows, theta)
+
+    def _covariance(self, theta):
+        return self._rows[0][0] if self.d == 1 else self._B.copy()
+
+    def _mle(self, mu):
+        return self._mul(self._inv_rows, mu)
+
+    def _log_carrier(self, x):
+        return (
+            -0.5 * self._dot(self._mul(self._inv_rows, x), x)
+            - 0.5 * self.d * math.log(TAU)
+            - 0.5 * self._logdet
+        )
 
     def bregman(self, theta2, theta1):
         """0.5 t2.B.t2 - 0.5 t1.B.t1 - (t2 - t1).B t1, clipped at zero.
 
         Either argument may stack points; a pair of single points gives a
-        float.  Every sum runs term by term in a fixed order, so a stacked
-        call agrees bit for bit with the calls for its single points.
+        float, and a stacked call agrees bit for bit with the calls for
+        its single points.
         """
-        t2 = self._points(theta2, "theta")
-        t1 = self._points(theta1, "theta")
-        d = self.d
-
-        def times_b(t):
-            return [sum(self._B[i, j] * t[..., j] for j in range(d)) for i in range(d)]
-
-        def dot(bt, t):
-            return sum(bt[i] * t[..., i] for i in range(d))
-
-        grad = times_b(t1)
-        div = 0.5 * dot(times_b(t2), t2) - 0.5 * dot(grad, t1) - dot(grad, t2 - t1)
-        div = np.maximum(div, 0.0)
-        return div if isinstance(div, np.ndarray) else float(div)
+        return self._bregman(self._points(theta2, "theta"), self._points(theta1, "theta"))
 
     def mle(self, xbar):
-        """B^-1 xbar by one LAPACK solve per point, for one mean or a stack."""
-        v = self._points(xbar, "mu")
-        theta = np.linalg.solve(self._B, v[..., None])[..., 0]
-        if self.d > 1:
-            return theta
-        theta = theta[..., 0]
-        return float(theta) if theta.ndim == 0 else theta
-
-    def log_carrier(self, x):
-        x = np.atleast_1d(self._check_support(x))
-        return (
-            -0.5 * float(x @ self._B_inv @ x)
-            - 0.5 * self.d * math.log(TAU)
-            - 0.5 * self._logdet
-        )
+        """B^-1 xbar, for one mean or a stack of them."""
+        return self._mle(self._points(xbar, "mu"))
 
     def convolution_family(self, k):
         return GaussianLocationFamily(int(k) * self._B)
 
     def sample(self, rng, theta, size):
-        theta = np.atleast_1d(self._check_natural(theta))
-        mu = self._B @ theta
+        mu = np.atleast_1d(self._mean_from_natural(self._check_natural(theta)))
         draws = rng.multivariate_normal(mu, self._B, size=size, method="cholesky")
         return draws[..., 0] if self.d == 1 else draws
 
@@ -248,39 +181,24 @@ class InverseGaussianFamily(Family):
         self.kappa = kappa
         check_positive(kappa, "kappa")
 
-    def in_natural_domain(self, theta):
-        return np.isfinite(theta) and theta < 0
-
-    def in_mean_domain(self, mu):
-        return np.isfinite(mu) and mu > 0
-
-    def in_support(self, x):
-        return np.isfinite(x) and x > 0
-
-    def cumulant(self, theta):
-        theta = self._check_natural(theta)
+    def _cumulant(self, theta):
         return -math.sqrt(-2.0 * self.kappa * theta)
 
-    def mean_from_natural(self, theta):
-        theta = self._check_natural(theta)
+    def _mean_from_natural(self, theta):
         return math.sqrt(self.kappa / (-2.0 * theta))
 
-    def covariance(self, theta):
-        theta = self._check_natural(theta)
+    def _covariance(self, theta):
         return 0.5 * math.sqrt(self.kappa / 2.0) * (-theta) ** -1.5
 
-    def mle(self, xbar):
-        xbar = self._check_mean(xbar)
-        return -self.kappa / (2.0 * xbar**2)
+    def _mle(self, mu):
+        return -self.kappa / (2.0 * mu**2)
 
-    def log_carrier(self, x):
-        x = self._check_support(x)
+    def _log_carrier(self, x):
         return 0.5 * (
             math.log(self.kappa) - math.log(TAU) - 3.0 * math.log(x)
         ) - self.kappa / (2.0 * x)
 
-    def log_jeffreys(self, theta):
-        theta = self._check_natural(theta)
+    def _log_jeffreys(self, theta):
         return 0.5 * math.log(0.5 * math.sqrt(self.kappa / 2.0)) - 0.75 * math.log(
             -theta
         )
@@ -307,39 +225,24 @@ class PoissonExponentialFamily(Family):
         self.kappa = kappa
         check_positive(kappa, "kappa")
 
-    def in_natural_domain(self, theta):
-        return np.isfinite(theta) and theta < 0
-
-    def in_mean_domain(self, mu):
-        return np.isfinite(mu) and mu > 0
-
-    def in_support(self, x):
-        return np.isfinite(x) and x >= 0
-
-    def cumulant(self, theta):
-        theta = self._check_natural(theta)
+    def _cumulant(self, theta):
         return self.kappa / (2.0 * (-theta))
 
-    def mean_from_natural(self, theta):
-        theta = self._check_natural(theta)
+    def _mean_from_natural(self, theta):
         return self.kappa / (2.0 * theta**2)
 
-    def covariance(self, theta):
-        theta = self._check_natural(theta)
+    def _covariance(self, theta):
         return self.kappa / (-theta) ** 3
 
-    def mle(self, xbar):
-        xbar = self._check_mean(xbar)
-        return -math.sqrt(self.kappa / (2.0 * xbar))
+    def _mle(self, mu):
+        return -math.sqrt(self.kappa / (2.0 * mu))
 
-    def log_carrier(self, x):
-        x = self._check_support(x)
+    def _log_carrier(self, x):
         if x == 0.0:
             return 0.0
-        return pe_log_series_factor(self.kappa, x)
+        return _log_series_factor(self.kappa, x)
 
-    def log_jeffreys(self, theta):
-        theta = self._check_natural(theta)
+    def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.kappa) - 1.5 * math.log(-theta)
 
     def convolution_family(self, k):

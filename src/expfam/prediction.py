@@ -152,11 +152,15 @@ class JeffreysPredictor(_PredictorBase):
 
     def _log_weight(self, theta, n, xbar):
         fam = self.family
-        return n * (theta * xbar - fam.cumulant(theta)) + fam.log_jeffreys(theta)
+        return n * (theta * xbar - fam._cumulant(theta)) + fam._log_jeffreys(theta)
 
     def _log_evidence(self, n, xbar):
-        """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta."""
+        """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta.
+
+        ``xbar`` is checked here once; the integrand calls the kernels.
+        """
         fam = self.family
+        xbar = fam._check_mean(xbar)
         if isinstance(fam, GammaFamily):
             # closed form: the posterior is Gamma(n alpha, n xbar)
             a = fam.alpha
@@ -166,8 +170,8 @@ class JeffreysPredictor(_PredictorBase):
                 - n * a * math.log(n * xbar)
             )
             return value, 0.0
-        theta_hat = fam.mle(xbar)
-        shift = n * fam.convex_conjugate(xbar) + fam.log_jeffreys(theta_hat)
+        theta_hat = fam._mle(xbar)
+        shift = n * fam._convex_conjugate(xbar) + fam._log_jeffreys(theta_hat)
         result = integrate_over_natural(
             fam,
             lambda t: math.exp(self._log_weight(t, n, xbar) - shift),
@@ -192,7 +196,7 @@ class JeffreysPredictor(_PredictorBase):
         n_new = batch.n + k
         xbar_new = (batch.n * float(batch.xbar) + float(future.sum())) / n_new
         log_num, num_err = self._log_evidence(n_new, xbar_new)
-        carriers = sum(self.family.log_carrier(float(y)) for y in future)
+        carriers = sum(self.family._log_carrier(y) for y in future.tolist())
         err = num_err + self._evidence_rel_err
         return log_num - self.log_evidence_ + carriers, err
 
@@ -224,7 +228,7 @@ class CnmlPredictor(_PredictorBase):
         xbar = total_stat / n
         if not fam.in_mean_domain(xbar):
             return -math.inf
-        return n * fam.convex_conjugate(xbar)
+        return n * fam._convex_conjugate(xbar)
 
     def _sum_normalizer(self, k, shift, tol):
         """Quadrature of exp(n A*((base+s)/n)) against the k-fold carrier.
@@ -253,7 +257,7 @@ class CnmlPredictor(_PredictorBase):
 
         def integrand(s):
             return math.exp(
-                self._log_hindsight(base + s, n) + conv.log_carrier(s) - shift
+                self._log_hindsight(base + s, n) + conv._log_carrier(s) - shift
             )
 
         try:
@@ -318,7 +322,7 @@ class CnmlPredictor(_PredictorBase):
         n = batch.n + k
         total = batch.n * float(batch.xbar) + float(future.sum())
         log_num = self._log_hindsight(total, n)
-        carriers = sum(self.family.log_carrier(float(y)) for y in future)
+        carriers = sum(self.family._log_carrier(y) for y in future.tolist())
         return log_num + carriers - self.log_normalizer_, self._normalizer_rel_err
 
 
@@ -404,7 +408,7 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
 
         def integrand(t):
             return math.exp(
-                -n * family.bregman(t, theta_hat) + family.log_jeffreys(t) + log_scale
+                -n * family._bregman(t, theta_hat) + family._log_jeffreys(t) + log_scale
             )
 
         result = integrate_over_natural(

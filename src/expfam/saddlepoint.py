@@ -40,12 +40,26 @@ __all__ = [
 ]
 
 
-def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
-    """Log of the unnormalized saddle-point value at theta around theta_hat."""
+def _check_n(n):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    div = family.bregman(theta, theta_hat)
-    return -n * div + family.log_jeffreys(theta) - 0.5 * family.d * math.log(TAU)
+    return n
+
+
+def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
+    """Log of the unnormalized saddle-point value at theta around theta_hat."""
+    return _log_profile(
+        family,
+        _check_n(n),
+        family._check_natural(theta_hat),
+        family._check_natural(theta),
+    )
+
+
+def _log_profile(family, n, theta_hat, theta):
+    """``log_saddlepoint_unnormalized`` on checked arguments."""
+    div = family._bregman(theta, theta_hat)
+    return -n * div + family._log_jeffreys(theta) - 0.5 * family.d * math.log(TAU)
 
 
 def saddlepoint_unnormalized(family, n, theta_hat, theta):
@@ -75,13 +89,12 @@ class SaddlepointProfile:
 def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     """Integrate the profile over the natural domain and package the result."""
     check_positive(tol, "tol")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_n(n)
     theta_hat = family._check_natural(theta_hat)
     if family.d == 1:
         result = integrate_over_natural(
             family,
-            lambda t: saddlepoint_unnormalized(family, n, theta_hat, t),
+            lambda t: math.exp(_log_profile(family, n, theta_hat, t)),
             tol=tol,
             split_thetas=[theta_hat],
         )
@@ -95,9 +108,7 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
             for i in range(family.d)
         ]
         normalizer, err = _sciint.nquad(
-            lambda *t: saddlepoint_unnormalized(
-                family, n, theta_hat, np.asarray(t)
-            ),
+            lambda *t: math.exp(_log_profile(family, n, theta_hat, np.asarray(t))),
             ranges,
             opts={"epsabs": tol, "epsrel": tol},
         )

@@ -6,6 +6,7 @@ Bessel-function identity, quadrature, and Monte Carlo simulation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +139,49 @@ class TestPoissonExponentialSeries:
     def test_support_error(self):
         with pytest.raises(SupportError):
             pe_log_series_factor(1.0, 0.0)
+
+    def test_matches_truncated_series(self):
+        # an error e in log S is a relative error e in S; log S crosses zero
+        for kappa in np.geomspace(1e-3, 1e3, 13):
+            for x in np.geomspace(1e-8, 1e6, 29):
+                expected = truncated_log_series(kappa, x)
+                value = pe_log_series_factor(kappa, x)
+                assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    def test_finite_from_subnormal_to_huge(self):
+        xs = [5e-324, 1e-320, sys.float_info.min, 1e-300, 1e-100, 1.0, 1e100, 1e300]
+        for kappa in (1e-3, 2.0, 1e3):
+            values = [pe_log_series_factor(kappa, x) for x in xs]
+            assert all(math.isfinite(v) for v in values)
+            # S increases in x and tends to z = kappa/2 as x -> 0
+            assert values == sorted(values)
+            assert values[0] == pytest.approx(math.log(kappa / 2.0), abs=1e-15)
+
+    def test_rejects_non_finite(self):
+        for x in (math.nan, math.inf, -1.0):
+            with pytest.raises(SupportError):
+                pe_log_series_factor(1.0, x)
+
+
+def truncated_log_series(kappa, x):
+    """log S summed term by term: the reference for the Bessel form.
+
+    Terms run around the peak index k ~ sqrt(kappa*x/2) with enough slack
+    that the neglected tail is below 1e-16 relative.
+    """
+    z = kappa / 2.0
+    w = z * x
+    n_terms = int(max(12.0, math.sqrt(w) + 12.0 * w**0.25 + 25.0))
+    k = np.arange(1, n_terms + 1, dtype=float)
+    log_terms = (
+        k * math.log(z)
+        + (k - 1.0) * math.log(x)
+        - special.gammaln(k + 1.0)
+        - special.gammaln(k)
+    )
+    out = float(special.logsumexp(log_terms))
+    assert log_terms[-1] < out - 40.0, "reference series truncated too short"
+    return out
 
 
 class TestPoissonExponentialDist:

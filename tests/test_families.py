@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expfam import (
     GammaFamily,
@@ -18,9 +20,11 @@ from expfam import (
     self_conjugacy_defect,
     tweedie_variance_function,
 )
-from expfam.core import integrate_over_natural
+from expfam.core import REAL_LINE, integrate_over_natural
+from expfam.distributions import _log_series_factor, pe_log_series_factor
 from expfam.errors import DomainError, SupportError
 from expfam.numerics import integrate
+from expfam.saddlepoint import _log_profile, log_saddlepoint_unnormalized
 
 
 class TestConjugateFamily:
@@ -221,3 +225,126 @@ class TestSelfConjugacyDefect:
         grid = np.linspace(0.5, 4.0, 9)
         for b in (0.5, 1.0, 2.0):
             assert self_conjugacy_defect(family, b, grid) > 1.0
+
+
+# -- the validation contract: public methods check, kernels compute -----------
+
+HALF_LINE = [GammaFamily(1.5), InverseGaussianFamily(2.0), PoissonExponentialFamily(2.0)]
+WRAPPERS = [float, np.float64, np.array]
+#: For each argument kind of a half-line family: its error, a value inside
+#: and values of the right shape on the wrong side.
+KINDS = {
+    "natural": (DomainError, -1.0, (0.0, 1.0)),
+    "mean": (DomainError, 1.5, (0.0, -1.0)),
+    "support": (SupportError, 0.7, (-1.0,)),
+}
+
+
+def _good(family):
+    """An in-domain (natural, mean, support) triple for ``family``."""
+    if family.natural_domain != REAL_LINE:
+        return tuple(KINDS[kind][1] for kind in ("natural", "mean", "support"))
+    if family.d == 1:
+        return 0.3, 0.4, -0.2
+    return np.array([0.3, -0.2]), np.array([0.4, 0.1]), np.array([0.1, 0.2])
+
+
+def _public_calls(family):
+    """(label, kind, call of one value) for every argument of every closed form."""
+    theta, _, x = _good(family)
+    return [
+        ("cumulant", "natural", family.cumulant),
+        ("mean_from_natural", "natural", family.mean_from_natural),
+        ("covariance", "natural", family.covariance),
+        ("log_jeffreys", "natural", family.log_jeffreys),
+        ("jeffreys_unnormalized", "natural", family.jeffreys_unnormalized),
+        ("bregman/first", "natural", lambda v: family.bregman(v, theta)),
+        ("bregman/second", "natural", lambda v: family.bregman(theta, v)),
+        ("log_density/theta", "natural", lambda v: family.log_density(v, x)),
+        ("mle", "mean", family.mle),
+        ("convex_conjugate", "mean", family.convex_conjugate),
+        ("log_carrier", "support", family.log_carrier),
+        ("log_density/x", "support", lambda v: family.log_density(theta, v)),
+    ]
+
+
+def _assert_rejected(family, values):
+    """Every public closed form raises its error for each of ``values(label, kind)``."""
+    for label, kind, call in _public_calls(family):
+        for bad in values(label, kind):
+            with pytest.raises(KINDS[kind][0]):
+                call(bad)
+                pytest.fail(f"{label} of {family!r} accepted {bad!r}")
+
+
+class TestValidationContract:
+    @pytest.mark.parametrize("family", HALF_LINE + [GaussianLocationFamily(1.0)])
+    def test_non_finite_rejected(self, family):
+        _assert_rejected(
+            family,
+            lambda label, kind: [
+                wrap(bad) for bad in (math.nan, math.inf, -math.inf) for wrap in WRAPPERS
+            ],
+        )
+
+    @pytest.mark.parametrize("family", HALF_LINE)
+    def test_wrong_sign_rejected(self, family):
+        _assert_rejected(
+            family,
+            lambda label, kind: [wrap(bad) for bad in KINDS[kind][2] for wrap in WRAPPERS],
+        )
+
+    @pytest.mark.parametrize("family", HALF_LINE)
+    def test_wrong_shape_rejected_at_d1(self, family):
+        _assert_rejected(
+            family,
+            lambda label, kind: [
+                np.full(shape, KINDS[kind][1]) for shape in ((2,), (1, 1), (2, 3))
+            ],
+        )
+
+    def test_wrong_shape_rejected_at_d2(self):
+        family = GaussianLocationFamily(np.diag([2.0, 0.5]))
+
+        def values(label, kind):
+            if label.startswith(("bregman", "mle")):
+                # these take stacks of points; only the last axis is fixed
+                return [np.ones(3), np.ones((4, 3))]
+            return [1.0, np.ones(3), np.ones((2, 2))]
+
+        _assert_rejected(family, values)
+
+    def test_atom_and_length_one_vectors_are_points(self):
+        assert PoissonExponentialFamily(2.0).log_carrier(np.array(0.0)) == 0.0
+        for family in HALF_LINE + [GaussianLocationFamily(1.0)]:
+            theta, _, x = _good(family)
+            assert family.cumulant(np.array([theta])) == family.cumulant(theta)
+            assert family.log_carrier([x]) == family.log_carrier(x)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.sampled_from(WRAPPERS),
+    )
+    def test_kernels_equal_public_methods(self, a, b, c, wrap):
+        """What an integrand computes equals the checked method, bit for bit."""
+        families = HALF_LINE + [GaussianLocationFamily(1.0), GaussianLocationFamily(0.7)]
+        for family in families:
+            if family.natural_domain == REAL_LINE:
+                theta, theta_hat, x = math.log(a), math.log(b), math.log(c)
+            else:
+                theta, theta_hat, x = -a, -b, c
+            t, th, v = wrap(theta), wrap(theta_hat), wrap(x)
+            assert family._cumulant(theta) == family.cumulant(t)
+            assert family._mean_from_natural(theta) == family.mean_from_natural(t)
+            assert family._log_jeffreys(theta) == family.log_jeffreys(t)
+            assert family._bregman(theta, theta_hat) == family.bregman(t, th)
+            assert family._mle(x) == family.mle(v)
+            assert family._convex_conjugate(x) == family.convex_conjugate(v)
+            assert family._log_carrier(x) == family.log_carrier(v)
+            assert _log_profile(family, 3, theta_hat, theta) == (
+                log_saddlepoint_unnormalized(family, 3, th, t)
+            )
+        assert _log_series_factor(a, c) == pe_log_series_factor(wrap(a), wrap(c))

@@ -1,6 +1,9 @@
 """Tests for the prediction strategies and their agreement properties."""
 
 import math
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from expfam import (
     PoissonExponentialFamily,
     ObservationBatch,
 )
+from expfam import core
 from expfam.core import Family, integrate_over_support
 from expfam.errors import (
     DegenerateDataError,
@@ -29,6 +33,9 @@ from expfam.prediction import (
     make_predictor,
     regret,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracles  # noqa: E402
 
 
 def gaussian_pdf(y, mu, var):
@@ -174,6 +181,14 @@ class TestCnmlPredictor:
         assert math.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_poisson_exp_prefix_1e12_fast(self):
+        # the normalizer's nodes reach s ~ 1e12, where the carrier must stay cheap
+        started = time.perf_counter()
+        value = CnmlPredictor(PoissonExponentialFamily(2.0)).fit([1e12]).log_predictive([1.0])
+        assert time.perf_counter() - started < 1.0
+        expected = oracles.jeffreys_log_predictive("poisson-exp", {"kappa": 2.0}, 1, 1e12, 1.0)
+        assert value == pytest.approx(expected, rel=1e-10)
+
     def test_horizon_mismatch_rejected(self):
         predictor = CnmlPredictor(GammaFamily(1.0), horizon=2).fit([1.0])
         with pytest.raises(DomainError):
@@ -192,22 +207,22 @@ class TestCnmlPredictor:
             def in_support(self, x):
                 return x > 0
 
-            def cumulant(self, theta):
+            def _cumulant(self, theta):
                 return -math.log(-theta)
 
-            def mean_from_natural(self, theta):
+            def _mean_from_natural(self, theta):
                 return -1.0 / theta
 
-            def covariance(self, theta):
+            def _covariance(self, theta):
                 return 1.0 / theta**2
 
-            def mle(self, xbar):
+            def _mle(self, xbar):
                 return -1.0 / xbar
 
-            def log_carrier(self, x):
+            def _log_carrier(self, x):
                 return 0.0
 
-            def convex_conjugate(self, x):
+            def _convex_conjugate(self, x):
                 return 0.0
 
         with pytest.raises(NonNormalizableError):
@@ -441,3 +456,54 @@ class TestEstimatorSurface:
     def test_support_validated(self):
         with pytest.raises(Exception):
             JeffreysPredictor(GammaFamily(1.0)).fit([1.0, -2.0])
+
+
+class TestValidationCost:
+    """Inputs are checked once per integral, never at quadrature nodes."""
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        counts = {"checks": 0, "integrals": 0, "evaluations": 0}
+
+        def counted_check(name, cls):
+            original = getattr(cls, name)
+
+            def check(self, *args):
+                counts["checks"] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, check)
+
+        for name in ("_check_natural", "_check_mean", "_check_support"):
+            counted_check(name, Family)
+        counted_check("_points", GaussianLocationFamily)
+        original_integrate = core.integrate
+
+        def integrate_counted(*args, **kwargs):
+            result = original_integrate(*args, **kwargs)
+            counts["integrals"] += 1
+            counts["evaluations"] += result.evaluations
+            return result
+
+        monkeypatch.setattr(core, "integrate", integrate_counted)
+        run()
+        monkeypatch.undo()
+        return counts
+
+    def test_checks_bounded_by_grid_not_by_nodes(self, monkeypatch):
+        family = GaussianLocationFamily(1.0)
+        prefixes, futures = (-0.5, 1.0), (-1.0, 0.5)
+
+        def run(tol):
+            def both():
+                equivalence_check(family, 1, 2, prefixes, futures, tol=tol)
+                batches = [ObservationBatch(n=2, xbar=x) for x in prefixes]
+                lemma1_constancy(family, 2, batches, tol=tol)
+
+            return self._count(monkeypatch, both)
+
+        coarse, fine = run(1e-6), run(1e-12)
+        grid = len(prefixes) * len(futures) + len(prefixes)
+        assert fine["evaluations"] > coarse["evaluations"] > 20 * grid
+        assert coarse["checks"] <= 6 * grid
+        assert fine["checks"] == coarse["checks"]
