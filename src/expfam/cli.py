@@ -32,12 +32,9 @@ from .families import (
 )
 from .intervals import (
     METHOD_DIVERGENCE_BALL,
+    DivergenceBallRegion,
     coverage_simulation,
-    gamma_confidence,
-    gamma_credible,
-    gaussian_divergence_ball,
-    poisson_exp_confidence,
-    poisson_exp_credible,
+    interval_construction,
 )
 from .numerics import DEFAULT_TOL
 from .prediction import as_batch, make_predictor
@@ -49,7 +46,13 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_DEGENERATE = 4
 
-FAMILIES = ("gamma", "gaussian", "inverse-gaussian", "poisson-exp")
+#: --family name -> (family class, the option that holds its parameter)
+FAMILIES = {
+    "gamma": (GammaFamily, "shape"),
+    "gaussian": (GaussianLocationFamily, "cov"),
+    "inverse-gaussian": (InverseGaussianFamily, "kappa"),
+    "poisson-exp": (PoissonExponentialFamily, "kappa"),
+}
 
 
 def _parse_matrix(text):
@@ -132,27 +135,18 @@ def _load_observations(path, d=1):
 def _make_family(args):
     if args.family is None:
         raise DomainError("--family is required")
-    if args.family == "gamma":
-        if args.shape is None:
-            raise DomainError("gamma needs --shape")
-        return GammaFamily(args.shape)
-    if args.family == "gaussian":
-        cov = 1.0 if args.cov is None else _parse_matrix(args.cov)
-        return GaussianLocationFamily(cov)
-    if args.family == "inverse-gaussian":
-        if args.kappa is None:
-            raise DomainError("inverse-gaussian needs --kappa")
-        return InverseGaussianFamily(args.kappa)
-    if args.family == "poisson-exp":
-        if args.kappa is None:
-            raise DomainError("poisson-exp needs --kappa")
-        return PoissonExponentialFamily(args.kappa)
-    raise DomainError(f"unknown family {args.family!r}")
+    cls, option = FAMILIES[args.family]
+    value = getattr(args, option)
+    if option == "cov":
+        return cls(1.0 if value is None else _parse_matrix(value))
+    if value is None:
+        raise DomainError(f"{args.family} needs --{option}")
+    return cls(value)
 
 
 def _theta_for(args, family):
     """Natural parameter from the user-facing parametrization."""
-    if isinstance(family, (GammaFamily, PoissonExponentialFamily)):
+    if args.family in ("gamma", "poisson-exp"):
         if args.rate is None:
             raise DomainError(f"{args.family} needs --rate")
         if args.rate <= 0:
@@ -258,6 +252,14 @@ def cmd_predict(args, config):
 
 
 def _interval_record(result):
+    if isinstance(result, DivergenceBallRegion):
+        return {
+            "method": METHOD_DIVERGENCE_BALL,
+            "center": _jsonable(result.center),
+            "radius": result.radius,
+            "level": result.level,
+            "diagnostics": _jsonable(result.diagnostics),
+        }
     return {
         "lower": result.lower,
         "upper": result.upper,
@@ -274,38 +276,8 @@ def cmd_interval(args, config):
     level = _resolve(args, config, "level", 0.9, float)
     data = _load_observations(args.data, family.d)
     batch = as_batch(family, data)
-    method = args.method
-    if isinstance(family, GammaFamily):
-        if method == "credible":
-            result = gamma_credible(family.alpha, batch, level)
-        elif method == "confidence":
-            result = gamma_confidence(family.alpha, batch, level)
-        else:
-            raise DomainError(f"gamma supports credible/confidence, got {method!r}")
-        return [_interval_record(result)], EXIT_OK
-    if isinstance(family, PoissonExponentialFamily):
-        if method == "credible":
-            result = poisson_exp_credible(family.kappa, batch, level)
-        elif method == "confidence":
-            result = poisson_exp_confidence(family.kappa, batch, level)
-        else:
-            raise DomainError(
-                f"poisson-exp supports credible/confidence, got {method!r}"
-            )
-        return [_interval_record(result)], EXIT_OK
-    if isinstance(family, GaussianLocationFamily):
-        if method != "divergence-ball":
-            raise DomainError(f"gaussian supports divergence-ball, got {method!r}")
-        region = gaussian_divergence_ball(family, batch, level)
-        record = {
-            "method": METHOD_DIVERGENCE_BALL,
-            "center": _jsonable(region.center),
-            "radius": region.radius,
-            "level": region.level,
-            "diagnostics": _jsonable(region.diagnostics),
-        }
-        return [record], EXIT_OK
-    raise DomainError(f"no interval construction for family {args.family!r}")
+    build = interval_construction(family, args.method, level)
+    return [_interval_record(build(batch))], EXIT_OK
 
 
 def cmd_coverage(args, config):
@@ -315,29 +287,8 @@ def cmd_coverage(args, config):
     seed = int(_resolve(args, config, "seed", 0, float))
     m = int(_resolve(args, config, "m", 1, float))
     theta_true = _theta_for(args, family)
-    if isinstance(family, GammaFamily):
-        ops = {
-            "credible": lambda b: gamma_credible(family.alpha, b, level),
-            "confidence": lambda b: gamma_confidence(family.alpha, b, level),
-        }
-    elif isinstance(family, PoissonExponentialFamily):
-        ops = {
-            "credible": lambda b: poisson_exp_credible(family.kappa, b, level),
-            "confidence": lambda b: poisson_exp_confidence(family.kappa, b, level),
-        }
-    elif isinstance(family, GaussianLocationFamily):
-        ops = {
-            "divergence-ball": lambda b: gaussian_divergence_ball(family, b, level)
-        }
-    else:
-        raise DomainError(f"no coverage simulation for family {args.family!r}")
-    if args.method not in ops:
-        raise DomainError(
-            f"{args.family} supports methods {sorted(ops)}, got {args.method!r}"
-        )
-    report = coverage_simulation(
-        family, ops[args.method], theta_true, m, level, trials, seed
-    )
+    build = interval_construction(family, args.method, level)
+    report = coverage_simulation(family, build, theta_true, m, level, trials, seed)
     record = {
         "family": args.family,
         "method": args.method,

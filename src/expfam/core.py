@@ -131,6 +131,27 @@ class Family(ParamsMixin):
         """Draw iid observations under the natural parameter ``theta``."""
         raise NotImplementedError
 
+    def jeffreys_posterior(self, batch):
+        """The closed-form Jeffreys posterior given ``batch``.
+
+        It has ``log_pdf(theta)`` and ``ppf(p)`` in natural coordinates.
+        Only families whose conjugated family gives an explicit posterior
+        define it.
+        """
+        raise DomainError(f"no closed-form Jeffreys posterior for {type(self).__name__}")
+
+    def _log_jeffreys_evidence(self, n, xbar):
+        """ln of the integral of exp(n(theta xbar - A(theta))) * jeffreys(theta).
+
+        Returns the closed form on checked arguments, or None where the
+        evidence must be integrated.
+        """
+        return None
+
+    def conjugate(self):
+        """The conjugated exponential family; see ``families.conjugate_family``."""
+        raise DomainError(f"no conjugation rule for {type(self).__name__}")
+
     def convolution_family(self, k):
         """The family of sums of k iid observations from this one.
 

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _scisp
 
-from .errors import NonConvergenceError, SupportError
-from .numerics import Bracket, find_root, log_std_normal_cdf, std_normal_cdf
+from .errors import DomainError, NonConvergenceError, SupportError
+from .numerics import (
+    bracket_by_doubling,
+    find_root,
+    log_std_normal_cdf,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 from .validation import (
     check_nonnegative,
     check_positive,
@@ -28,6 +34,8 @@ from .validation import (
 
 __all__ = [
     "GammaPosterior",
+    "RatePosterior",
+    "GaussianDist",
     "InverseGaussianDist",
     "PoissonExponentialDist",
     "pe_log_series_factor",
@@ -70,6 +78,44 @@ class GammaPosterior:
     @property
     def variance(self):
         return self.shape / self.rate**2
+
+
+@dataclass(frozen=True)
+class RatePosterior:
+    """A posterior of the rate beta = -theta, read in the natural coordinate."""
+
+    rate: object
+
+    def log_pdf(self, theta):
+        return self.rate.log_pdf(-float(theta))
+
+    def ppf(self, p):
+        # theta <= t exactly when beta >= -t
+        return -self.rate.ppf(1.0 - check_unit_open(p, "p"))
+
+
+@dataclass(frozen=True)
+class GaussianDist:
+    """Gaussian on R^d with mean vector ``mean`` and precision matrix ``precision``."""
+
+    mean: np.ndarray
+    precision: np.ndarray
+
+    def log_pdf(self, x):
+        delta = np.atleast_1d(np.asarray(x, dtype=float)) - self.mean
+        if delta.shape != self.mean.shape or not np.all(np.isfinite(delta)):
+            raise DomainError(f"a point of R^{self.mean.shape[0]} is needed, got {x!r}")
+        logdet_cov = -float(np.linalg.slogdet(self.precision)[1])
+        return -0.5 * (
+            self.mean.shape[0] * math.log(2.0 * math.pi) + logdet_cov
+        ) - 0.5 * float(delta @ self.precision @ delta)
+
+    def ppf(self, p):
+        if self.mean.shape != (1,):
+            raise DomainError("quantiles need a one-dimensional Gaussian")
+        return float(self.mean[0]) + std_normal_quantile(p) / math.sqrt(
+            self.precision[0, 0]
+        )
 
 
 @dataclass(frozen=True)
@@ -116,20 +162,8 @@ class InverseGaussianDist:
         p = check_unit_open(p, "p")
         if isinstance(self.mean, np.ndarray) or isinstance(self.shape, np.ndarray):
             return self._ppf_stacked(p)
-        lo, hi = self.mean, self.mean
-        for _ in range(200):
-            lo *= 0.5
-            if self.cdf(lo) < p:
-                break
-        else:
-            raise NonConvergenceError("could not bracket inverse Gaussian quantile")
-        for _ in range(200):
-            hi *= 2.0
-            if self.cdf(hi) > p:
-                break
-        else:
-            raise NonConvergenceError("could not bracket inverse Gaussian quantile")
-        return find_root(lambda x: self.cdf(x) - p, Bracket(lo, hi), tol=1e-15 * lo)
+        bracket = bracket_by_doubling(self.cdf, self.mean, p)
+        return find_root(lambda x: self.cdf(x) - p, bracket, tol=1e-15 * bracket.lo)
 
     def _ppf_stacked(self, p):
         """Elementwise quantiles by Newton steps safeguarded with bisection.

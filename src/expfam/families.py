@@ -25,8 +25,10 @@ import numpy as np
 from .core import Family, REAL_LINE, TAU
 from .distributions import (
     GammaPosterior,
+    GaussianDist,
     InverseGaussianDist,
     PoissonExponentialDist,
+    RatePosterior,
     _log_series_factor,
 )
 from .errors import DomainError, SupportError
@@ -71,6 +73,17 @@ class GammaFamily(Family):
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.alpha) - math.log(-theta)
+
+    def _log_jeffreys_evidence(self, n, xbar):
+        # the posterior of the rate is Gamma(n alpha, n xbar)
+        a = self.alpha
+        return 0.5 * math.log(a) + math.lgamma(n * a) - n * a * math.log(n * xbar)
+
+    def jeffreys_posterior(self, batch):
+        return RatePosterior(gamma_posterior(self.alpha, batch))
+
+    def conjugate(self):
+        return GammaFamily(self.alpha)
 
     def convolution_family(self, k):
         return GammaFamily(int(k) * self.alpha)
@@ -126,6 +139,10 @@ class GaussianLocationFamily(Family):
         stack points.  This is what lets ``mle`` and ``bregman`` take one
         batch or a stack of trials.
         """
+        if type(v) is float and self.d == 1:
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v!r}")
+            return v
         v = np.asarray(v, dtype=float)
         if self.d > 1 and v.shape[-1:] != (self.d,):
             raise DomainError(f"{name} must have shape (..., {self.d}), got {v.shape}")
@@ -165,6 +182,15 @@ class GaussianLocationFamily(Family):
         """B^-1 xbar, for one mean or a stack of them."""
         return self._mle(self._points(xbar, "mu"))
 
+    def jeffreys_posterior(self, batch):
+        """N(B^-1 xbar, B^-1/n): for B = I the textbook N(xbar, B/n) of the mean."""
+        return GaussianDist(
+            mean=np.atleast_1d(self.mle(batch.xbar)), precision=batch.n * self._B
+        )
+
+    def conjugate(self):
+        return GaussianLocationFamily(self._B_inv)
+
     def convolution_family(self, k):
         return GaussianLocationFamily(int(k) * self._B)
 
@@ -202,6 +228,9 @@ class InverseGaussianFamily(Family):
         return 0.5 * math.log(0.5 * math.sqrt(self.kappa / 2.0)) - 0.75 * math.log(
             -theta
         )
+
+    def conjugate(self):
+        return PoissonExponentialFamily(self.kappa)
 
     def convolution_family(self, k):
         return InverseGaussianFamily(int(k) ** 2 * self.kappa)
@@ -245,6 +274,17 @@ class PoissonExponentialFamily(Family):
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.kappa) - 1.5 * math.log(-theta)
 
+    def _log_jeffreys_evidence(self, n, xbar):
+        # sqrt(kappa) * integral of beta^-3/2 exp(-n xbar beta - n kappa/(2 beta))
+        # is a Bessel K_{1/2}: sqrt(2 pi/n) exp(-n sqrt(2 kappa xbar))
+        return 0.5 * (math.log(TAU) - math.log(n)) - n * math.sqrt(2.0 * self.kappa * xbar)
+
+    def jeffreys_posterior(self, batch):
+        return RatePosterior(poisson_exponential_posterior(self.kappa, batch))
+
+    def conjugate(self):
+        return InverseGaussianFamily(self.kappa)
+
     def convolution_family(self, k):
         return PoissonExponentialFamily(int(k) * self.kappa)
 
@@ -268,17 +308,10 @@ def conjugate_family(family):
     Gamma and Gaussian location are self-conjugated (the Gaussian dual
     carries the inverse covariance); inverse Gaussian and
     Poisson-exponential swap with each other, up to the sign change of the
-    natural parameter.
+    natural parameter.  Each family's ``conjugate`` holds its rule.
     """
-    if isinstance(family, GammaFamily):
-        return ConjugatePair(family, GammaFamily(family.alpha), True)
-    if isinstance(family, GaussianLocationFamily):
-        return ConjugatePair(family, GaussianLocationFamily(family._B_inv), True)
-    if isinstance(family, InverseGaussianFamily):
-        return ConjugatePair(family, PoissonExponentialFamily(family.kappa), False)
-    if isinstance(family, PoissonExponentialFamily):
-        return ConjugatePair(family, InverseGaussianFamily(family.kappa), False)
-    raise DomainError(f"no conjugation rule for {type(family).__name__}")
+    dual = family.conjugate()
+    return ConjugatePair(family, dual, type(dual) is type(family))
 
 
 def gamma_density(alpha, beta, x):

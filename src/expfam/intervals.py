@@ -12,9 +12,12 @@ Every construction takes one ``ObservationBatch`` or a stacked one, whose
 ``xbar`` carries a leading trial axis.  A stacked batch gives one result
 whose endpoints (or ball centers) are arrays over the trials and whose
 ``covers_natural`` returns one bool per trial; a single batch gives Python
-floats and a bool.
+floats and a bool.  ``interval_construction`` looks a (family, method) pair
+up in the one table of constructions, which the CLI and the estimator
+classes share.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +33,7 @@ from .families import (
     PoissonExponentialFamily,
     poisson_exponential_posterior,
 )
-from .numerics import Bracket, find_root, inv_reg_gamma_lower, rng_stream
+from .numerics import bracket_by_doubling, find_root, inv_reg_gamma_lower, rng_stream
 from .prediction import as_batch
 from .validation import all_hold, check_positive, check_unit_open
 
@@ -48,6 +51,7 @@ __all__ = [
     "poisson_exp_credible",
     "poisson_exp_confidence",
     "coverage_simulation",
+    "interval_construction",
     "GammaRateInterval",
     "PoissonExponentialRateInterval",
     "GaussianDivergenceBall",
@@ -132,13 +136,8 @@ def gamma_credible(alpha, batch, level):
 
 def gamma_confidence(alpha, batch, level):
     """Pivot inversion of beta*Xbar ~ Gamma(m alpha, m); same endpoints as credible."""
-    credible = gamma_credible(alpha, batch, level)
-    return IntervalResult(
-        lower=credible.lower,
-        upper=credible.upper,
-        level=credible.level,
-        method=METHOD_CONFIDENCE_PIVOT,
-        diagnostics=dict(credible.diagnostics),
+    return dataclasses.replace(
+        gamma_credible(alpha, batch, level), method=METHOD_CONFIDENCE_PIVOT
     )
 
 
@@ -218,20 +217,8 @@ def _cdf_inversion(kappa, m, xbar, level):
         return PoissonExponentialDist(m * kappa, beta).cdf(s_obs)
 
     beta_hat = math.sqrt(kappa / (2.0 * xbar))
-    lo = hi = beta_hat
-    for _ in range(200):
-        lo *= 0.5
-        if cdf_at(lo) < level:
-            break
-    else:
-        raise DomainError("could not bracket the confidence endpoint from below")
-    for _ in range(200):
-        hi *= 2.0
-        if cdf_at(hi) > level:
-            break
-    else:
-        raise DomainError("could not bracket the confidence endpoint from above")
-    return find_root(lambda b: cdf_at(b) - level, Bracket(lo, hi), tol=1e-12)
+    bracket = bracket_by_doubling(cdf_at, beta_hat, level)
+    return find_root(lambda b: cdf_at(b) - level, bracket, tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -309,25 +296,69 @@ def coverage_simulation(
     )
 
 
+# -- the interval table -------------------------------------------------------
+
+#: (family class, method) -> construction(family, batch, level).  Each entry
+#: looks its function up by name when it is called, so whatever the module
+#: name is bound to then (a tracing wrapper, say) sees the call.  A new
+#: construction is one more entry here.
+_CONSTRUCTIONS = {
+    (GammaFamily, "credible"): (
+        lambda family, batch, level: gamma_credible(family.alpha, batch, level)
+    ),
+    (GammaFamily, "confidence"): (
+        lambda family, batch, level: gamma_confidence(family.alpha, batch, level)
+    ),
+    (PoissonExponentialFamily, "credible"): (
+        lambda family, batch, level: poisson_exp_credible(family.kappa, batch, level)
+    ),
+    (PoissonExponentialFamily, "confidence"): (
+        lambda family, batch, level: poisson_exp_confidence(family.kappa, batch, level)
+    ),
+    (GaussianLocationFamily, "divergence-ball"): (
+        lambda family, batch, level: gaussian_divergence_ball(family, batch, level)
+    ),
+}
+
+
+def interval_construction(family, method, level):
+    """The construction ``batch -> result`` of ``method`` for ``family`` at ``level``.
+
+    Raises :class:`DomainError` for a (family, method) pair the table does
+    not hold.
+    """
+    build = _CONSTRUCTIONS.get((type(family), method))
+    if build is None:
+        methods = sorted(m for cls, m in _CONSTRUCTIONS if cls is type(family))
+        raise DomainError(
+            f"no {method!r} interval for {type(family).__name__}; "
+            f"supported: {', '.join(methods) or 'none'}"
+        )
+    return lambda batch: build(family, batch, level)
+
+
 # -- estimator wrappers ------------------------------------------------------
 
 
 class _IntervalEstimator(ParamsMixin):
-    """fit(X) -> interval in ``result_`` with ``lower_``/``upper_`` attributes."""
+    """fit(X) -> the construction's result in ``result_``.
+
+    Each name in ``_fitted`` is also copied from the result to an attribute
+    with a trailing underscore.
+    """
+
+    _fitted = ("lower", "upper")
 
     def _family(self):
-        raise NotImplementedError
-
-    def _build(self, batch):
         raise NotImplementedError
 
     def fit(self, X):
         family = self._family()
         check_unit_open(self.level, "level")
-        batch = as_batch(family, X)
-        self.result_ = self._build(batch)
-        self.lower_ = self.result_.lower
-        self.upper_ = self.result_.upper
+        build = interval_construction(family, self.method, self.level)
+        self.result_ = build(as_batch(family, X))
+        for name in self._fitted:
+            setattr(self, name + "_", getattr(self.result_, name))
         return self
 
     def covers(self, value):
@@ -346,13 +377,6 @@ class GammaRateInterval(_IntervalEstimator):
     def _family(self):
         return GammaFamily(self.alpha)
 
-    def _build(self, batch):
-        if self.method == "credible":
-            return gamma_credible(self.alpha, batch, self.level)
-        if self.method == "confidence":
-            return gamma_confidence(self.alpha, batch, self.level)
-        raise DomainError(f"unknown method {self.method!r}")
-
 
 class PoissonExponentialRateInterval(_IntervalEstimator):
     """One-sided interval for the compound-Poisson rate; the two methods differ."""
@@ -365,30 +389,16 @@ class PoissonExponentialRateInterval(_IntervalEstimator):
     def _family(self):
         return PoissonExponentialFamily(self.kappa)
 
-    def _build(self, batch):
-        if self.method == "credible":
-            return poisson_exp_credible(self.kappa, batch, self.level)
-        if self.method == "confidence":
-            return poisson_exp_confidence(self.kappa, batch, self.level)
-        raise DomainError(f"unknown method {self.method!r}")
 
-
-class GaussianDivergenceBall(ParamsMixin):
+class GaussianDivergenceBall(_IntervalEstimator):
     """Divergence-ball credible (= confidence) region for the Gaussian mean."""
+
+    method = "divergence-ball"
+    _fitted = ("center", "radius")
 
     def __init__(self, cov=1.0, level=0.9):
         self.cov = cov
         self.level = level
 
-    def fit(self, X):
-        family = GaussianLocationFamily(self.cov)
-        check_unit_open(self.level, "level")
-        batch = as_batch(family, X)
-        self.result_ = gaussian_divergence_ball(family, batch, self.level)
-        self.center_ = self.result_.center
-        self.radius_ = self.result_.radius
-        return self
-
-    def covers(self, theta):
-        check_is_fitted(self, "result_")
-        return self.result_.covers(theta)
+    def _family(self):
+        return GaussianLocationFamily(self.cov)

@@ -33,6 +33,7 @@ __all__ = [
     "log_std_normal_cdf",
     "integrate",
     "find_root",
+    "bracket_by_doubling",
     "rng_stream",
 ]
 
@@ -176,6 +177,29 @@ def find_root(f, bracket, tol=1e-12):
     if not report.converged:
         raise NonConvergenceError(f"root finding stalled on [{lo}, {hi}]")
     return float(root)
+
+
+def bracket_by_doubling(f, start, target):
+    """A bracket on which an increasing ``f`` crosses ``target``.
+
+    From ``start`` > 0, halves until f(lo) < target and doubles until
+    f(hi) > target, at most 200 times each; a function that never crosses
+    raises :class:`NonConvergenceError`.
+    """
+    lo = hi = start
+    for _ in range(200):
+        lo *= 0.5
+        if f(lo) < target:
+            break
+    else:
+        raise NonConvergenceError(f"no value below {target} down to {lo}")
+    for _ in range(200):
+        hi *= 2.0
+        if f(hi) > target:
+            break
+    else:
+        raise NonConvergenceError(f"no value above {target} up to {hi}")
+    return Bracket(lo, hi)
 
 
 def rng_stream(seed, stream_id=0):

@@ -44,7 +44,6 @@ from .errors import (
     NonNormalizableError,
     SupportError,
 )
-from .families import GammaFamily
 from .numerics import DEFAULT_TOL
 from .validation import check_observations, check_positive
 
@@ -157,19 +156,14 @@ class JeffreysPredictor(_PredictorBase):
     def _log_evidence(self, n, xbar):
         """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta.
 
+        The family's closed form where it has one, else quadrature.
         ``xbar`` is checked here once; the integrand calls the kernels.
         """
         fam = self.family
         xbar = fam._check_mean(xbar)
-        if isinstance(fam, GammaFamily):
-            # closed form: the posterior is Gamma(n alpha, n xbar)
-            a = fam.alpha
-            value = (
-                0.5 * math.log(a)
-                + math.lgamma(n * a)
-                - n * a * math.log(n * xbar)
-            )
-            return value, 0.0
+        closed = fam._log_jeffreys_evidence(n, xbar)
+        if closed is not None:
+            return closed, 0.0
         theta_hat = fam._mle(xbar)
         shift = n * fam._convex_conjugate(xbar) + fam._log_jeffreys(theta_hat)
         result = integrate_over_natural(

@@ -20,13 +20,6 @@ from scipy import integrate as _sciint
 
 from .core import TAU, Family, ObservationBatch, integrate_over_natural
 from .errors import DomainError, NonIntegrableError
-from .families import (
-    GammaFamily,
-    GaussianLocationFamily,
-    PoissonExponentialFamily,
-    gamma_posterior,
-    poisson_exponential_posterior,
-)
 from .numerics import DEFAULT_TOL
 from .validation import check_positive
 
@@ -36,7 +29,6 @@ __all__ = [
     "saddlepoint_unnormalized",
     "renormalize",
     "exactness_report",
-    "conjugate_posterior_log_density",
 ]
 
 
@@ -99,10 +91,10 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
             split_thetas=[theta_hat],
         )
         normalizer, err = result.value, result.error_estimate
-    elif isinstance(family, GaussianLocationFamily):
-        # product rule over an axis-aligned box; the profile is Gaussian
-        # with covariance B^-1/n around theta_hat
-        sigma = np.sqrt(np.diag(family._B_inv) / n)
+    else:
+        # product rule over an axis-aligned box of 12 Laplace widths: the
+        # profile peaks at theta_hat with covariance Cov(theta_hat)^-1/n
+        sigma = np.sqrt(np.diag(np.linalg.inv(family._covariance(theta_hat))) / n)
         ranges = [
             (theta_hat[i] - 12.0 * sigma[i], theta_hat[i] + 12.0 * sigma[i])
             for i in range(family.d)
@@ -112,8 +104,6 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
             ranges,
             opts={"epsabs": tol, "epsrel": tol},
         )
-    else:
-        raise DomainError("renormalization beyond d=1 needs a Gaussian family")
     if not math.isfinite(normalizer) or normalizer <= 0:
         raise NonIntegrableError(
             f"saddle-point normalizer is not finite/positive: {normalizer}"
@@ -127,44 +117,18 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     )
 
 
-def conjugate_posterior_log_density(family, n, theta_hat, theta):
-    """Closed-form Jeffreys-posterior log density in natural coordinates.
-
-    Only available for the three families whose conjugated family is
-    explicit: Gamma (gamma posterior), Gaussian location (Gaussian
-    posterior) and Poisson-exponential (inverse Gaussian posterior).
-    """
-    xbar = family.mean_from_natural(theta_hat)
-    batch = ObservationBatch(n=n, xbar=xbar)
-    if isinstance(family, GammaFamily):
-        post = gamma_posterior(family.alpha, batch)
-        return post.log_pdf(-float(theta))
-    if isinstance(family, PoissonExponentialFamily):
-        post = poisson_exponential_posterior(family.kappa, batch)
-        return post.log_pdf(-float(theta))
-    if isinstance(family, GaussianLocationFamily):
-        # posterior of theta is N(B^-1 xbar, B^-1/n): for B = I this is the
-        # textbook N(xbar, B/n) posterior of the mean
-        theta = np.atleast_1d(family._check_natural(theta))
-        center = np.atleast_1d(family.mle(xbar))
-        prec = n * family._B
-        delta = theta - center
-        logdet_cov = -float(np.linalg.slogdet(prec)[1])
-        return -0.5 * (
-            family.d * math.log(TAU) + logdet_cov
-        ) - 0.5 * float(delta @ prec @ delta)
-    raise DomainError(
-        f"no closed-form conjugated posterior for {type(family).__name__}"
-    )
-
-
 def exactness_report(family, n, theta_hat, grid, tol=DEFAULT_TOL):
-    """Max relative deviation of the renormalized profile from the exact posterior."""
+    """Max relative deviation of the renormalized profile from the exact posterior.
+
+    The exact posterior is the family's closed-form ``jeffreys_posterior``.
+    """
+    batch = ObservationBatch(n=n, xbar=family.mean_from_natural(theta_hat))
+    posterior = family.jeffreys_posterior(batch)
     profile = renormalize(family, n, theta_hat, tol=tol)
     worst = 0.0
     for theta in grid:
         approx = profile.log_density(theta)
-        exact = conjugate_posterior_log_density(family, n, theta_hat, theta)
+        exact = posterior.log_pdf(theta)
         rel = abs(math.exp(approx - exact) - 1.0)
         worst = max(worst, rel)
     return worst

@@ -15,20 +15,8 @@ import numpy as np
 
 from .core import ObservationBatch, integrate_over_support
 from .distributions import PoissonExponentialDist
-from .families import (
-    GammaFamily,
-    GaussianLocationFamily,
-    PoissonExponentialFamily,
-    gamma_posterior,
-    poisson_exponential_posterior,
-)
-from .intervals import (
-    coverage_simulation,
-    gamma_credible,
-    gaussian_divergence_ball,
-    poisson_exp_confidence,
-    poisson_exp_credible,
-)
+from .families import GammaFamily, GaussianLocationFamily, PoissonExponentialFamily
+from .intervals import coverage_simulation, interval_construction
 from .numerics import DEFAULT_TOL, rng_stream
 from .prediction import equivalence_check, lemma1_constancy
 from .saddlepoint import exactness_report
@@ -58,26 +46,19 @@ def _timed(check, statistic, threshold, detail, started):
     )
 
 
-def _half_line_means(count):
-    return np.geomspace(0.25, 4.0, count)
-
-
 def suite_lemma1(tol=DEFAULT_TOL, seed=0, trials=None):
     """Constancy of the likelihood-ratio integral across data sequences."""
     reports = []
+    half_line, real_line = np.geomspace(0.25, 4.0, 12), np.linspace(-3.0, 3.0, 12)
     cases = [
-        ("gamma[alpha=1]", GammaFamily(1.0), True),
-        ("gamma[alpha=2]", GammaFamily(2.0), False),
-        ("gaussian[cov=1]", GaussianLocationFamily(1.0), False),
-        ("poisson-exp[kappa=2]", PoissonExponentialFamily(2.0), False),
+        ("gamma[alpha=1]", GammaFamily(1.0), True, half_line),
+        ("gamma[alpha=2]", GammaFamily(2.0), False, half_line),
+        ("gaussian[cov=1]", GaussianLocationFamily(1.0), False, real_line),
+        ("poisson-exp[kappa=2]", PoissonExponentialFamily(2.0), False, half_line),
     ]
-    for label, family, closed_form in cases:
+    for label, family, closed_form, means in cases:
         for n in (2, 3):
             started = time.perf_counter()
-            if isinstance(family, GaussianLocationFamily):
-                means = np.linspace(-3.0, 3.0, 12)
-            else:
-                means = _half_line_means(12)
             batches = [ObservationBatch(n=n, xbar=x) for x in means]
             report = lemma1_constancy(family, n, batches, tol=tol)
             detail = f"12 sequences, xbar grid {means[0]:g}..{means[-1]:g}"
@@ -109,18 +90,14 @@ def suite_lemma1(tol=DEFAULT_TOL, seed=0, trials=None):
 def suite_equivalence(tol=DEFAULT_TOL, seed=0, trials=None):
     """CNML vs Jeffreys-predictive agreement on 10x10 grids."""
     reports = []
+    half_line = np.geomspace(0.2, 5.0, 10)
+    real_prefixes, real_futures = np.linspace(-2.0, 2.0, 10), np.linspace(-2.5, 2.5, 10)
     cases = [
-        ("gamma[alpha=1]", GammaFamily(1.0)),
-        ("gaussian[cov=1]", GaussianLocationFamily(1.0)),
-        ("poisson-exp[kappa=2]", PoissonExponentialFamily(2.0)),
+        ("gamma[alpha=1]", GammaFamily(1.0), half_line, half_line),
+        ("gaussian[cov=1]", GaussianLocationFamily(1.0), real_prefixes, real_futures),
+        ("poisson-exp[kappa=2]", PoissonExponentialFamily(2.0), half_line, half_line),
     ]
-    for label, family in cases:
-        if isinstance(family, GaussianLocationFamily):
-            prefixes = np.linspace(-2.0, 2.0, 10)
-            futures = np.linspace(-2.5, 2.5, 10)
-        else:
-            prefixes = np.geomspace(0.2, 5.0, 10)
-            futures = np.geomspace(0.2, 5.0, 10)
+    for label, family, prefixes, futures in cases:
         for m in (1, 2):
             started = time.perf_counter()
             worst = equivalence_check(family, m, m + 1, prefixes, futures, tol=tol)
@@ -136,21 +113,6 @@ def suite_equivalence(tol=DEFAULT_TOL, seed=0, trials=None):
     return reports
 
 
-def _exactness_grid(family, n, xbar):
-    """Grid of natural parameters at exact-posterior quantiles."""
-    probs = (0.05, 0.2, 0.5, 0.8, 0.95)
-    batch = ObservationBatch(n=n, xbar=xbar)
-    if isinstance(family, GammaFamily):
-        post = gamma_posterior(family.alpha, batch)
-        return [-post.ppf(p) for p in probs]
-    if isinstance(family, PoissonExponentialFamily):
-        post = poisson_exponential_posterior(family.kappa, batch)
-        return [-post.ppf(p) for p in probs]
-    sd = math.sqrt(1.0 / (n * float(np.atleast_2d(family._B)[0, 0])))
-    center = family.mle(xbar)
-    return [center + k * sd for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-
-
 def suite_saddlepoint(tol=DEFAULT_TOL, seed=0, trials=None):
     """Exactness of the renormalized profile against closed-form posteriors.
 
@@ -159,22 +121,21 @@ def suite_saddlepoint(tol=DEFAULT_TOL, seed=0, trials=None):
     Gaussian posterior.
     """
     reports = []
+    probs = (0.05, 0.2, 0.5, 0.8, 0.95)
     cases = [
-        ("gamma[alpha=1]", GammaFamily(1.0)),
-        ("gaussian[cov=1]", GaussianLocationFamily(1.0)),
-        ("inverse-gaussian[kappa=2]", PoissonExponentialFamily(2.0)),
+        ("gamma[alpha=1]", GammaFamily(1.0), (0.5, 1.0, 2.0)),
+        ("gaussian[cov=1]", GaussianLocationFamily(1.0), (-1.0, 0.5, 2.0)),
+        ("inverse-gaussian[kappa=2]", PoissonExponentialFamily(2.0), (0.5, 1.0, 2.0)),
     ]
-    for label, family in cases:
+    for label, family, means in cases:
         started = time.perf_counter()
         worst = 0.0
-        if isinstance(family, GaussianLocationFamily):
-            means = (-1.0, 0.5, 2.0)
-        else:
-            means = (0.5, 1.0, 2.0)
         for n in (1, 2, 4):
             for xbar in means:
                 theta_hat = family.mle(xbar)
-                grid = _exactness_grid(family, n, xbar)
+                # natural parameters at exact-posterior quantiles
+                posterior = family.jeffreys_posterior(ObservationBatch(n=n, xbar=xbar))
+                grid = [posterior.ppf(p) for p in probs]
                 worst = max(
                     worst, exactness_report(family, n, theta_hat, grid, tol=tol)
                 )
@@ -253,7 +214,7 @@ def suite_coverage(tol=DEFAULT_TOL, seed=0, trials=100_000):
     family = GammaFamily(alpha)
     rep = coverage_simulation(
         family,
-        lambda b: gamma_credible(alpha, b, level),
+        interval_construction(family, "credible", level),
         -beta_true,
         m,
         level,
@@ -277,7 +238,7 @@ def suite_coverage(tol=DEFAULT_TOL, seed=0, trials=100_000):
     n, level_g = 4, 0.9
     rep = coverage_simulation(
         gauss,
-        lambda b: gaussian_divergence_ball(gauss, b, level_g),
+        interval_construction(gauss, "divergence-ball", level_g),
         0.3,
         n,
         level_g,
@@ -297,9 +258,10 @@ def suite_coverage(tol=DEFAULT_TOL, seed=0, trials=100_000):
 
     started = time.perf_counter()
     kappa, level_pe = 2.0, 0.9
+    pe = PoissonExponentialFamily(kappa)
     batch = ObservationBatch(n=1, xbar=2.0)
-    cred = poisson_exp_credible(kappa, batch, level_pe)
-    conf = poisson_exp_confidence(kappa, batch, level_pe)
+    cred = interval_construction(pe, "credible", level_pe)(batch)
+    conf = interval_construction(pe, "confidence", level_pe)(batch)
     gap = abs(cred.upper - conf.upper)
     required = 100.0 * tol
     reports.append(
@@ -314,10 +276,9 @@ def suite_coverage(tol=DEFAULT_TOL, seed=0, trials=100_000):
     )
 
     started = time.perf_counter()
-    pe = PoissonExponentialFamily(kappa)
     rep = coverage_simulation(
         pe,
-        lambda b: poisson_exp_credible(kappa, b, level_pe),
+        interval_construction(pe, "credible", level_pe),
         -1.0,
         1,
         level_pe,
@@ -356,8 +317,8 @@ def available_suites():
 def run_suite(name, tol=DEFAULT_TOL, seed=0, trials=100_000):
     if name == "all":
         reports = []
-        for key in ("lemma1", "equivalence", "saddlepoint", "normalization", "coverage"):
-            reports.extend(SUITES[key](tol=tol, seed=seed, trials=trials))
+        for suite in SUITES.values():
+            reports.extend(suite(tol=tol, seed=seed, trials=trials))
         return reports
     if name not in SUITES:
         raise DomainError(

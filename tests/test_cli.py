@@ -9,10 +9,15 @@ import csv
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from expfam.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracles  # noqa: E402
 
 
 def run_cli(argv, capsys):
@@ -213,6 +218,17 @@ class TestPredictCommand:
         )
         assert code == 0, err
         assert math.isfinite(json.loads(out)["log_density"])
+
+    def test_far_poisson_exp_prefix_jeffreys(self, tmp_path, capsys):
+        # quadrature missed this evidence by 4.5e-4 while it reported an
+        # error of 1.5e-9; the family's Bessel closed form replaces it
+        data = tmp_path / "far.txt"
+        data.write_text("1e8\n")
+        argv = ["predict", "--family", "poisson-exp", "--kappa", "2", "--data", str(data),
+                "--future", "1.0", "--method", "jeffreys"]
+        record = run_json(argv, capsys)
+        expected = oracles.jeffreys_log_predictive("poisson-exp", {"kappa": 2.0}, 1, 1e8, 1.0)
+        assert record["log_density"] == pytest.approx(expected, rel=1e-13)
 
     def test_non_convergence_exit_code(self, gamma_data, capsys):
         # an unattainable tolerance forces the numeric failure path through
@@ -498,3 +514,33 @@ class TestConfigPrecedence:
             capsys,
         )
         assert code == 2
+
+
+#: (family options, method) pairs with no interval construction; the
+#: options also give each family its true parameter for ``coverage``.
+UNSUPPORTED_PAIRS = [
+    (["--family", "gamma", "--shape", "1", "--rate", "1"], "divergence-ball"),
+    (["--family", "gaussian", "--mu", "0.5"], "credible"),
+    (["--family", "gaussian", "--mu", "0.5"], "confidence"),
+] + [
+    (["--family", "inverse-gaussian", "--kappa", "2", "--mu", "1"], method)
+    for method in ("credible", "confidence", "divergence-ball")
+]
+
+
+class TestUnsupportedMethods:
+    @pytest.mark.parametrize("family_args, method", UNSUPPORTED_PAIRS)
+    def test_interval_exit_code(self, family_args, method, gamma_data, capsys):
+        argv = ["interval", *family_args, "--data", gamma_data, "--method", method]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"no {method!r} interval" in err
+
+    @pytest.mark.parametrize("family_args, method", UNSUPPORTED_PAIRS)
+    def test_coverage_exit_code(self, family_args, method, capsys):
+        argv = ["coverage", *family_args, "--method", method, "--trials", "100"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"no {method!r} interval" in err

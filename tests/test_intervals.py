@@ -25,6 +25,7 @@ from expfam.intervals import (
     gamma_confidence,
     gamma_credible,
     gaussian_divergence_ball,
+    interval_construction,
     poisson_exp_confidence,
     poisson_exp_credible,
 )
@@ -326,6 +327,36 @@ class TestIntervalEstimators:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             GammaRateInterval(alpha=1.0, method="hpd").fit([1.0])
+
+    @pytest.mark.parametrize(
+        "estimator, family, method, data",
+        [
+            (GammaRateInterval(2.0, 0.8, "credible"), GammaFamily(2.0), "credible",
+             [0.5, 1.5, 1.0]),
+            (GammaRateInterval(2.0, 0.8, "confidence"), GammaFamily(2.0), "confidence",
+             [0.5, 1.5, 1.0]),
+            (PoissonExponentialRateInterval(2.0, 0.8, "credible"),
+             PoissonExponentialFamily(2.0), "credible", [0.0, 2.0, 0.7]),
+            (PoissonExponentialRateInterval(2.0, 0.8, "confidence"),
+             PoissonExponentialFamily(2.0), "confidence", [0.0, 2.0, 0.7]),
+            (GaussianDivergenceBall(1.5, 0.8), GaussianLocationFamily(1.5),
+             "divergence-ball", [0.3, -1.2, 2.0]),
+            (GaussianDivergenceBall(np.array([[1.0, 0.3], [0.3, 2.0]]), 0.8),
+             GaussianLocationFamily(np.array([[1.0, 0.3], [0.3, 2.0]])),
+             "divergence-ball", [[0.3, -1.0], [1.2, 0.4]]),
+        ],
+    )
+    def test_estimators_equal_the_table(self, estimator, family, method, data):
+        batch = ObservationBatch.from_observations(data)
+        want = interval_construction(family, method, 0.8)(batch)
+        got = estimator.fit(data).result_
+        assert type(got) is type(want)
+        assert got.level == want.level and got.diagnostics == want.diagnostics
+        assert getattr(got, "method", None) == getattr(want, "method", None)
+        fitted = ("center", "radius") if method == "divergence-ball" else ("lower", "upper")
+        for name in fitted:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(getattr(estimator, name + "_"), getattr(want, name))
 
 
 def loop_coverage(family, interval_fn, theta_true, m, level, trials, seed, n_streams=16):

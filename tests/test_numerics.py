@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from expfam.errors import DomainError, NoSignChangeError, NonConvergenceError
 from expfam.numerics import (
     Bracket,
+    bracket_by_doubling,
     find_root,
     integrate,
     inv_reg_gamma_lower,
@@ -232,6 +233,23 @@ class TestFindRoot:
     def test_determinism(self):
         f = lambda t: math.tanh(t) - 0.3
         assert find_root(f, Bracket(-2.0, 2.0)) == find_root(f, Bracket(-2.0, 2.0))
+
+
+class TestBracketByDoubling:
+    def test_crossing_function(self):
+        # the cdf of the unit exponential crosses 0.9 at ln 10
+        f = lambda x: -math.expm1(-x)
+        bracket = bracket_by_doubling(f, 1.0, 0.9)
+        assert (bracket.lo, bracket.hi) == (0.5, 4.0)
+        assert f(bracket.lo) < 0.9 < f(bracket.hi)
+        root = find_root(lambda x: f(x) - 0.9, bracket)
+        assert root == pytest.approx(math.log(10.0), rel=1e-12)
+
+    def test_function_that_never_crosses(self):
+        with pytest.raises(NonConvergenceError):
+            bracket_by_doubling(lambda x: 0.5, 1.0, 0.9)  # stays below: no hi
+        with pytest.raises(NonConvergenceError):
+            bracket_by_doubling(lambda x: 0.95, 1.0, 0.9)  # stays above: no lo
 
 
 class TestRngStream:

@@ -9,7 +9,10 @@ from expfam import (
     GammaFamily,
     GaussianLocationFamily,
     InverseGaussianFamily,
+    ObservationBatch,
     PoissonExponentialFamily,
+    gamma_posterior,
+    poisson_exponential_posterior,
 )
 from expfam.core import TAU, integrate_over_natural
 from expfam.distributions import GammaPosterior
@@ -145,3 +148,69 @@ class TestExactness:
         family = InverseGaussianFamily(2.0)
         with pytest.raises(DomainError):
             exactness_report(family, 2, -1.0, [-1.0], tol=1e-10)
+
+
+def _gaussian_log_posterior(family, n, xbar, theta):
+    """Reference: the N(B^-1 xbar, B^-1/n) log density, written out with numpy."""
+    theta = np.atleast_1d(family._check_natural(theta))
+    center = np.atleast_1d(family.mle(xbar))
+    prec = n * family._B
+    delta = theta - center
+    logdet_cov = -float(np.linalg.slogdet(prec)[1])
+    return -0.5 * (family.d * math.log(TAU) + logdet_cov) - 0.5 * float(
+        delta @ prec @ delta
+    )
+
+
+class TestJeffreysPosterior:
+    @pytest.mark.parametrize(
+        "cov, xbar, thetas",
+        [
+            (1.0, 0.7, [-1.0, 0.0, 0.7, 2.5]),
+            (2.5, -1.3, [-3.0, -0.52, 0.4]),
+            (
+                np.array([[1.0, 0.3], [0.3, 2.0]]),
+                np.array([0.5, -1.0]),
+                [np.array([0.0, 0.0]), np.array([0.8, -0.6]), np.array([-1.0, 2.0])],
+            ),
+        ],
+    )
+    def test_gaussian_equals_closed_form(self, cov, xbar, thetas):
+        family = GaussianLocationFamily(cov)
+        for n in (1, 3):
+            posterior = family.jeffreys_posterior(ObservationBatch(n=n, xbar=xbar))
+            for theta in thetas:
+                assert posterior.log_pdf(theta) == _gaussian_log_posterior(
+                    family, n, xbar, theta
+                )
+
+    def test_gaussian_quantiles(self):
+        family = GaussianLocationFamily(2.0)
+        posterior = family.jeffreys_posterior(ObservationBatch(n=4, xbar=1.0))
+        # N(0.5, 1/8) in the natural coordinate
+        assert posterior.ppf(0.5) == 0.5
+        assert posterior.ppf(0.975) == pytest.approx(0.5 + 1.959964 / math.sqrt(8.0))
+        two_d = GaussianLocationFamily(np.eye(2))
+        with pytest.raises(DomainError):
+            two_d.jeffreys_posterior(ObservationBatch(n=1, xbar=np.zeros(2))).ppf(0.5)
+
+    @pytest.mark.parametrize(
+        "family, rate_posterior",
+        [
+            (GammaFamily(2.0), lambda b: gamma_posterior(2.0, b)),
+            (PoissonExponentialFamily(2.0), lambda b: poisson_exponential_posterior(2.0, b)),
+        ],
+    )
+    def test_rate_posteriors_in_natural_coordinates(self, family, rate_posterior):
+        batch = ObservationBatch(n=3, xbar=0.8)
+        posterior = family.jeffreys_posterior(batch)
+        rate = rate_posterior(batch)
+        for theta in (-0.3, -1.0, -2.5):
+            assert posterior.log_pdf(theta) == rate.log_pdf(-theta)
+        for p in (0.05, 0.5, 0.9):
+            # theta <= ppf(p) exactly when the rate is >= -ppf(p)
+            assert 1.0 - rate.cdf(-posterior.ppf(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_inverse_gaussian_has_none(self):
+        with pytest.raises(DomainError):
+            InverseGaussianFamily(2.0).jeffreys_posterior(ObservationBatch(n=1, xbar=1.0))
