@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _scisp
 
-from .errors import DomainError, NonConvergenceError, SupportError
-from .numerics import (
-    bracket_by_doubling,
-    find_root,
-    log_std_normal_cdf,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from .errors import DomainError, SupportError
+from .numerics import bracket_by_doubling, find_root, std_normal_quantile
 from .validation import (
+    all_hold,
     check_nonnegative,
     check_positive,
     check_positive_array,
@@ -71,6 +66,10 @@ class GammaPosterior:
         p = check_unit_open(p, "p")
         return float(_scisp.gammaincinv(self.shape, p)) / self.rate
 
+    def isf(self, p):
+        """Upper-tail quantile: the x with P(X > x) = p."""
+        return float(_scisp.gammainccinv(self.shape, check_unit_open(p, "p"))) / self.rate
+
     @property
     def mean(self):
         return self.shape / self.rate
@@ -90,8 +89,8 @@ class RatePosterior:
         return self.rate.log_pdf(-float(theta))
 
     def ppf(self, p):
-        # theta <= t exactly when beta >= -t
-        return -self.rate.ppf(1.0 - check_unit_open(p, "p"))
+        # theta <= t iff beta >= -t: the upper tail keeps the digits 1 - p loses
+        return -self.rate.isf(p)
 
 
 @dataclass(frozen=True)
@@ -130,103 +129,52 @@ class InverseGaussianDist:
         check_positive_array(self.shape, "shape")
 
     def log_pdf(self, x):
-        if x <= 0:
+        """Log density at x > 0; x, mean and shape broadcast as arrays."""
+        if not all_hold(np.asarray(x) > 0):
             raise SupportError(f"inverse Gaussian support is x > 0, got {x}")
         m, lam = self.mean, self.shape
-        tau = 2.0 * math.pi
-        return 0.5 * (math.log(lam) - math.log(tau) - 3.0 * math.log(x)) - lam * (
-            x - m
-        ) ** 2 / (2.0 * m * m * x)
+        log_norm = 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(x))
+        return log_norm - lam * (x - m) ** 2 / (2.0 * m * m * x)
 
     def pdf(self, x):
-        return math.exp(self.log_pdf(x))
+        return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
-        """Two-term standard-normal composition, stable for large shapes."""
-        x = float(x)
-        if x <= 0:
-            return 0.0
+        """P(X <= x); x, mean and shape broadcast as arrays."""
+        inside = np.asarray(x) > 0
+        value = np.minimum(self._tail_inside(np.where(inside, x, 1.0), 1.0), 1.0)
+        return np.where(inside, value, 0.0)[()]
+
+    def _tail_inside(self, x, sign):
+        """Phi(sign s (x/m - 1)) + sign exp(2 lam/m) Phi(-s (x/m + 1)), s = sqrt(lam/x).
+
+        The unclipped cdf (sign 1, two positive terms) or sf (sign -1) at x > 0.
+        """
         m, lam = self.mean, self.shape
-        s = math.sqrt(lam / x)
-        first = std_normal_cdf(s * (x / m - 1.0))
-        second = math.exp(2.0 * lam / m + log_std_normal_cdf(-s * (x / m + 1.0)))
-        return min(first + second, 1.0)
+        s = (lam / x) ** 0.5  # np.sqrt costs more than all the rest on a float
+        return _scisp.ndtr(sign * s * (x / m - 1.0)) + sign * np.exp(
+            2.0 * lam / m + _scisp.log_ndtr(-s * (x / m + 1.0))
+        )
 
     def ppf(self, p):
-        """Quantile at ``p``; an array of them when mean or shape is an array.
+        """Quantile at ``p``; an array of them when mean or shape is an array."""
+        return self._solve(check_unit_open(p, "p"), 1.0)
 
-        A single quantile is found by Brent's method on a doubled bracket;
-        a stack of them by ``_ppf_stacked``, whose per-call set-up would
-        cost more than Brent's method at size one.
+    def isf(self, p):
+        """Upper-tail quantile: the x with P(X > x) = p."""
+        return self._solve(check_unit_open(p, "p"), -1.0)
+
+    def _solve(self, p, sign):
+        """The x where the cdf (sign 1) or sf (sign -1) is p.
+
+        Times ``sign`` both rise, so one doubled bracket and ``find_root`` serve both.
         """
-        p = check_unit_open(p, "p")
-        if isinstance(self.mean, np.ndarray) or isinstance(self.shape, np.ndarray):
-            return self._ppf_stacked(p)
-        bracket = bracket_by_doubling(self.cdf, self.mean, p)
-        return find_root(lambda x: self.cdf(x) - p, bracket, tol=1e-15 * bracket.lo)
-
-    def _ppf_stacked(self, p):
-        """Elementwise quantiles by Newton steps safeguarded with bisection.
-
-        The brackets come from the doubling of the scalar path.  A Newton
-        step that leaves its bracket is replaced by a geometric bisection.
-        An element stops once its Newton step falls below 1e-12 relative
-        (Newton converges quadratically, so that step has already brought
-        it to rounding level) or its bracket has shrunk to rounding level.
-        """
-        m, lam = np.broadcast_arrays(
-            np.asarray(self.mean, dtype=float), np.asarray(self.shape, dtype=float)
-        )
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lo = _ig_bracket(m, lam, p, 0.5)
-            hi = _ig_bracket(m, lam, p, 2.0)
-            x = m.copy()
-            active = np.ones(m.shape, dtype=bool)
-            for _ in range(100):
-                g = _ig_cdf(x, m, lam) - p
-                lo = np.where(g < 0, x, lo)
-                hi = np.where(g > 0, x, hi)
-                newton = x - g / np.exp(_ig_log_pdf(x, m, lam))
-                small = np.abs(newton - x) <= 1e-12 * x
-                keep = small | ((newton > lo) & (newton < hi))
-                new = np.where(keep, newton, np.sqrt(lo) * np.sqrt(hi))
-                done = small | (hi - lo <= 1e-15 * hi)
-                x = np.where(active, new, x)
-                active &= ~done
-                if not active.any():
-                    return x
-        raise NonConvergenceError("inverse Gaussian quantiles did not converge")
+        rising = lambda x: sign * (self._tail_inside(x, sign) - p)
+        bracket = bracket_by_doubling(rising, self.mean, 0.0)
+        return find_root(rising, bracket, tol=1e-15 * bracket.lo, fprime=self.pdf)
 
     def sample(self, rng, size):
         return rng.wald(self.mean, self.shape, size=size)
-
-
-def _ig_cdf(x, m, lam):
-    """Array form of ``InverseGaussianDist.cdf`` for x > 0."""
-    s = np.sqrt(lam / x)
-    first = _scisp.ndtr(s * (x / m - 1.0))
-    second = np.exp(2.0 * lam / m + _scisp.log_ndtr(-s * (x / m + 1.0)))
-    return np.minimum(first + second, 1.0)
-
-
-def _ig_log_pdf(x, m, lam):
-    """Array form of ``InverseGaussianDist.log_pdf`` for x > 0."""
-    return 0.5 * (np.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(x)) - lam * (
-        x - m
-    ) ** 2 / (2.0 * m * m * x)
-
-
-def _ig_bracket(m, lam, p, factor):
-    """Scale each mean by ``factor`` until the cdf crosses p: the scalar doubling."""
-    x = m.copy()
-    pending = np.ones(m.shape, dtype=bool)
-    for _ in range(200):
-        x = np.where(pending, x * factor, x)
-        cdf = _ig_cdf(x, m, lam)
-        pending &= cdf >= p if factor < 1.0 else cdf <= p
-        if not pending.any():
-            return x
-    raise NonConvergenceError("could not bracket inverse Gaussian quantile")
 
 
 def pe_log_series_factor(kappa, x):

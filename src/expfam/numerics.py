@@ -4,22 +4,22 @@ Special functions, adaptive quadrature, bracketed root finding and seeded
 random streams.  Everything here is a pure function of its arguments; the
 random streams are explicit generator objects, never global state.
 
-The quadrature and root-finding kernels are QUADPACK (via
-``scipy.integrate.quad``, which applies the standard half-line transform
-internally and extrapolates across integrable endpoint singularities) and
-Brent's safeguarded bisection/secant hybrid (``scipy.optimize.brentq``).
+Only this module calls scipy's quadrature and root finders, importing
+them on first use.  ``integrate`` runs QUADPACK (``scipy.integrate.quad``,
+which applies the standard half-line transform internally and
+extrapolates across integrable endpoint singularities) on an interval and
+``scipy.integrate.cubature`` on a box; ``find_root`` runs Brent's method
+(``scipy.optimize.brentq``) on a bracket and safeguarded Newton on a stack.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import optimize as _sciopt
 from scipy import special as _scisp
 
 from .errors import DomainError, NoSignChangeError, NonConvergenceError
-from .validation import check_positive, check_unit_open
+from .validation import all_hold, check_positive, check_positive_array, check_unit_open
 
 __all__ = [
     "DEFAULT_TOL",
@@ -30,7 +30,6 @@ __all__ = [
     "inv_reg_gamma_lower",
     "std_normal_cdf",
     "std_normal_quantile",
-    "log_std_normal_cdf",
     "integrate",
     "find_root",
     "bracket_by_doubling",
@@ -42,6 +41,8 @@ DEFAULT_TOL = 1e-10
 # QUADPACK subdivision limit per segment; with <= 21 evaluations per
 # subinterval this keeps each call far below a 1e6 evaluation budget.
 _QUAD_LIMIT = 200
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # the least relative tolerance brentq takes
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,13 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class Bracket:
-    """An interval [lo, hi] expected to enclose a sign change."""
+    """An interval [lo, hi] expected to enclose a sign change; arrays stack them."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not all_hold(self.lo < self.hi):
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
@@ -95,28 +96,10 @@ def std_normal_cdf(z):
     return 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
 
 
-def log_std_normal_cdf(z):
-    """ln Phi(z), stable far into the lower tail."""
-    return float(_scisp.log_ndtr(float(z)))
-
-
 def std_normal_quantile(p):
     """Inverse of Phi on (0, 1)."""
     p = check_unit_open(p, "p")
     return float(_scisp.ndtri(p))
-
-
-def _segment_edges(lo, hi, points):
-    edges = [lo]
-    if points:
-        interior = sorted(float(p) for p in points if lo < p < hi)
-        prev = lo
-        for p in interior:
-            if p > prev:
-                edges.append(p)
-                prev = p
-    edges.append(hi)
-    return edges
 
 
 def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):
@@ -124,19 +107,34 @@ def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):
 
     ``points`` lists interior locations (modes, kinks) where the domain is
     split before integrating; this is how callers steer the rule toward
-    narrow peaks on unbounded domains.
+    narrow peaks on unbounded domains.  When ``lo`` and ``hi`` are
+    length-d arrays the domain is the box between them, ``f`` maps an
+    (N, d) array of points to N values, and ``evaluations`` counts points.
 
-    Raises :class:`NonConvergenceError` when the reported error exceeds
-    ``max(tol, tol * |value|)``.
+    Raises :class:`NonConvergenceError` when the rule gives up or the
+    reported error exceeds ``max(tol, tol * |value|)``.
     """
+    from scipy import integrate as _sciint
+
     tol = check_positive(tol, "tol")
-    lo, hi = float(lo), float(hi)
+    if np.ndim(lo):
+        value, err, neval = _cubature(_sciint, f, lo, hi, tol)
+    else:
+        value, err, neval = _quadpack(_sciint, f, float(lo), float(hi), tol, points)
+    if not math.isfinite(value) or err < 0 or err > max(tol, tol * abs(value)):
+        raise NonConvergenceError(
+            f"quadrature did not converge: value={value}, "
+            f"error_estimate={err}, tol={tol}, evaluations={neval}"
+        )
+    return QuadratureResult(value=value, error_estimate=err, evaluations=neval)
+
+
+def _quadpack(_sciint, f, lo, hi, tol, points):
     if not lo < hi:
         raise DomainError(f"empty integration domain [{lo}, {hi}]")
-    edges = _segment_edges(lo, hi, points)
+    edges = [lo, *sorted({float(p) for p in points or () if lo < p < hi}), hi]
     seg_tol = tol / len(edges)
-    value = 0.0
-    err = 0.0
+    value = err = 0.0
     neval = 0
     for a, b in zip(edges[:-1], edges[1:]):
         out = _sciint.quad(
@@ -150,16 +148,34 @@ def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):
         value += out[0]
         err += out[1]
         neval += out[2]["neval"]
-    if not math.isfinite(value) or err < 0 or err > max(tol, tol * abs(value)):
-        raise NonConvergenceError(
-            f"quadrature did not converge: value={value}, "
-            f"error_estimate={err}, tol={tol}, evaluations={neval}"
-        )
-    return QuadratureResult(value=value, error_estimate=err, evaluations=neval)
+    return value, err, neval
 
 
-def find_root(f, bracket, tol=1e-12):
-    """Root of f on a sign-changing bracket (Brent's method)."""
+def _cubature(_sciint, f, lo, hi, tol):
+    # an unconverged cubature leaves error > tol * (1 + |value|), which integrate rejects
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape or not np.all(lo < hi):
+        raise DomainError(f"integration box needs lo < hi, got {lo}, {hi}")
+    rows = []
+    out = _sciint.cubature(
+        lambda x: rows.append(len(x)) or f(x), lo, hi, rtol=tol, atol=tol
+    )
+    return float(out.estimate), float(out.error), sum(rows)
+
+
+def find_root(f, bracket, tol=1e-12, fprime=None):
+    """Root of f on a sign-changing bracket: Brent's method to ``xtol = tol``.
+
+    A stack of brackets goes to ``_newton_bisection``; ``f`` and ``fprime``
+    then map arrays of the bracket's shape to arrays.
+    """
+    if isinstance(bracket.lo, np.ndarray):
+        if fprime is None:
+            raise DomainError("a stack of brackets needs the derivative fprime")
+        tol = check_positive_array(tol, "tol")
+        return _newton_bisection(f, fprime, bracket.lo, bracket.hi, tol)
+    from scipy import optimize as _sciopt
+
     tol = check_positive(tol, "tol")
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
@@ -172,11 +188,42 @@ def find_root(f, bracket, tol=1e-12):
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
     root, report = _sciopt.brentq(
-        f, lo, hi, xtol=tol, rtol=8.881784197001252e-16, maxiter=200, full_output=True
+        f, lo, hi, xtol=tol, rtol=_BRENT_RTOL, maxiter=200, full_output=True
     )
     if not report.converged:
         raise NonConvergenceError(f"root finding stalled on [{lo}, {hi}]")
     return float(root)
+
+
+def _newton_bisection(f, fprime, lo, hi, tol):
+    """Roots of an ``f`` rising through zero on each bracket; ``tol`` may be an array.
+
+    A Newton step that leaves the bracket or exceeds half the step of two
+    rounds before (``rtsafe`` in Numerical Recipes) becomes a bisection.
+    Each element starts at its bracket's midpoint and stops after a Newton step
+    below 1e-12 relative (quadratic convergence then puts it at rounding
+    level) or once its bracket is narrower than ``tol`` plus Brent's floor.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if np.any((f(lo) > 0) | (f(hi) < 0)):
+            raise NoSignChangeError("f does not rise through zero on some brackets")
+        x = 0.5 * (lo + hi)
+        last = old = hi - lo
+        active = np.ones(np.shape(x), dtype=bool)
+        for _ in range(100):
+            g = f(x)
+            lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+            step = g / fprime(x)
+            small = np.abs(step) <= 1e-12 * np.abs(x)
+            newton = x - step
+            keep = small | ((newton > lo) & (newton < hi) & (2.0 * np.abs(step) <= old))
+            new = np.where(keep, newton, 0.5 * (lo + hi))
+            old, last = last, np.abs(new - x)
+            x = np.where(active, new, x)
+            active &= ~(small | (hi - lo <= tol + _BRENT_RTOL * np.abs(hi)))
+            if not active.any():
+                return x
+    raise NonConvergenceError("stacked root finding did not converge in 100 steps")
 
 
 def bracket_by_doubling(f, start, target):
@@ -184,8 +231,12 @@ def bracket_by_doubling(f, start, target):
 
     From ``start`` > 0, halves until f(lo) < target and doubles until
     f(hi) > target, at most 200 times each; a function that never crosses
-    raises :class:`NonConvergenceError`.
+    raises :class:`NonConvergenceError`.  An array ``start`` (with an ``f``
+    taking arrays of its shape) gives a stack of brackets, each element
+    halving and doubling on its own.
     """
+    if isinstance(start, np.ndarray):
+        return Bracket(_scale(f, start, target, 0.5), _scale(f, start, target, 2.0))
     lo = hi = start
     for _ in range(200):
         lo *= 0.5
@@ -200,6 +251,18 @@ def bracket_by_doubling(f, start, target):
     else:
         raise NonConvergenceError(f"no value above {target} up to {hi}")
     return Bracket(lo, hi)
+
+
+def _scale(f, x, target, factor):
+    """Halve (double) the elements of x where f is not yet below (above) target."""
+    crossed = np.less if factor < 1.0 else np.greater
+    pending = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        x = np.where(pending, x * factor, x)
+        pending &= ~crossed(f(x), target)
+        if not pending.any():
+            return x
+    raise NonConvergenceError(f"f never crosses {target} from {x} by factors {factor}")
 
 
 def rng_stream(seed, stream_id=0):

@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .core import TAU, Family, ObservationBatch, integrate_over_natural
 from .errors import DomainError, NonIntegrableError
-from .numerics import DEFAULT_TOL
-from .validation import check_positive
+from .numerics import DEFAULT_TOL, integrate
 
 __all__ = [
     "SaddlepointProfile",
@@ -49,7 +47,7 @@ def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
 
 
 def _log_profile(family, n, theta_hat, theta):
-    """``log_saddlepoint_unnormalized`` on checked arguments."""
+    """``log_saddlepoint_unnormalized`` on checked arguments; d > 1 takes stacks."""
     div = family._bregman(theta, theta_hat)
     return -n * div + family._log_jeffreys(theta) - 0.5 * family.d * math.log(TAU)
 
@@ -80,7 +78,6 @@ class SaddlepointProfile:
 
 def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     """Integrate the profile over the natural domain and package the result."""
-    check_positive(tol, "tol")
     n = _check_n(n)
     theta_hat = family._check_natural(theta_hat)
     if family.d == 1:
@@ -90,30 +87,21 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
             tol=tol,
             split_thetas=[theta_hat],
         )
-        normalizer, err = result.value, result.error_estimate
     else:
-        # product rule over an axis-aligned box of 12 Laplace widths: the
-        # profile peaks at theta_hat with covariance Cov(theta_hat)^-1/n
-        sigma = np.sqrt(np.diag(np.linalg.inv(family._covariance(theta_hat))) / n)
-        ranges = [
-            (theta_hat[i] - 12.0 * sigma[i], theta_hat[i] + 12.0 * sigma[i])
-            for i in range(family.d)
-        ]
-        normalizer, err = _sciint.nquad(
-            lambda *t: math.exp(_log_profile(family, n, theta_hat, np.asarray(t))),
-            ranges,
-            opts={"epsabs": tol, "epsrel": tol},
+        # 12 Laplace widths each way: the peak's covariance is Cov(theta_hat)^-1/n
+        half = 12.0 * np.sqrt(np.diag(np.linalg.inv(family._covariance(theta_hat))) / n)
+        lo, hi = theta_hat - half, theta_hat + half
+        result = integrate(
+            lambda t: np.exp(_log_profile(family, n, theta_hat, t)), lo, hi, tol=tol
         )
-    if not math.isfinite(normalizer) or normalizer <= 0:
-        raise NonIntegrableError(
-            f"saddle-point normalizer is not finite/positive: {normalizer}"
-        )
+    if not result.value > 0:  # integrate has already rejected a non-finite value
+        raise NonIntegrableError(f"saddle-point normalizer is not positive: {result.value}")
     return SaddlepointProfile(
         family=family,
         n=int(n),
         theta_hat=theta_hat,
-        normalizer=normalizer,
-        normalizer_error=err,
+        normalizer=result.value,
+        normalizer_error=result.error_estimate,
     )
 
 

@@ -9,6 +9,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,25 @@ from expfam.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
+
+
+def test_import_leaves_out_quadrature_and_root_finding():
+    """``import expfam.cli`` loads neither scipy.integrate nor scipy.optimize.
+
+    ``numerics`` imports them on first use, so commands without quadrature
+    or root finding never pay for them.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        "import sys, expfam.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def run_cli(argv, capsys):

@@ -8,6 +8,7 @@ Bessel-function identity, quadrature, and Monte Carlo simulation.
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -16,6 +17,7 @@ from expfam.distributions import (
     GammaPosterior,
     InverseGaussianDist,
     PoissonExponentialDist,
+    RatePosterior,
     pe_log_series_factor,
 )
 from expfam.errors import DomainError, SupportError
@@ -114,11 +116,84 @@ class TestInverseGaussianCdf:
         value = dist.cdf(0.5)
         assert 0.0 < value < 1.0
 
+    def test_upper_tail_quantile_mirrors_ppf(self):
+        dist = InverseGaussianDist(1.3, 0.9)
+        for p in (0.05, 0.3, 0.5, 0.9):
+            assert dist.isf(p) == pytest.approx(dist.ppf(1.0 - p), rel=1e-13)
+        np.testing.assert_array_equal(dist.cdf(np.array([-1.0, 0.0])), [0.0, 0.0])
+
+    def test_array_closed_forms_equal_scalar_calls(self):
+        means = np.array([0.3, 1.0, 2.5])
+        stacked = InverseGaussianDist(means, 2.0)
+        xs = np.array([0.2, 1.1, 7.0])
+        for name in ("log_pdf", "pdf", "cdf"):
+            values = getattr(stacked, name)(xs)
+            for mean, x, value in zip(means, xs, values):
+                assert getattr(InverseGaussianDist(float(mean), 2.0), name)(float(x)) == value
+
     def test_sampling_moments(self):
         dist = InverseGaussianDist(1.5, 2.0)
         draws = dist.sample(rng_stream(5, 0), 200_000)
         sd = math.sqrt(1.5**3 / 2.0)
         assert abs(draws.mean() - 1.5) < 3.0 * sd / math.sqrt(draws.size)
+
+
+def _mp_gamma_isf(shape, rate, p, guess):
+    """x with Q(shape, rate x) = p, at 50 digits."""
+    return mp.findroot(
+        lambda x: mp.gammainc(shape, rate * x, mp.inf, regularized=True) - p, guess
+    )
+
+
+def _mp_inverse_gaussian_isf(mean, shape, p, guess):
+    """x with P(X > x) = p, at 50 digits, where the two-term difference keeps its digits."""
+    m, lam = mp.mpf(mean), mp.mpf(shape)
+
+    def sf(x):
+        s = mp.sqrt(lam / x)
+        return mp.ncdf(-s * (x / m - 1)) - mp.exp(2 * lam / m) * mp.ncdf(-s * (x / m + 1))
+
+    return mp.findroot(lambda x: sf(x) - p, guess)
+
+
+class TestRatePosteriorQuantiles:
+    """theta <= ppf(p) exactly when the rate is above its upper-tail p quantile."""
+
+    PROBS = (1e-17, 0.05, 0.5, 0.95)
+
+    @pytest.mark.parametrize("shape, rate", [(2.0, 1.0), (6.0, 2.4), (0.5, 3.0)])
+    def test_gamma_against_mpmath(self, shape, rate):
+        posterior = RatePosterior(GammaPosterior(shape, rate))
+        with mp.workdps(50):
+            for p in self.PROBS:
+                got = -posterior.ppf(p)
+                assert got == pytest.approx(
+                    float(_mp_gamma_isf(shape, rate, p, got)), rel=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "mean, shape", [(math.sqrt(1.25), 6.0), (1.0, 0.1), (0.3, 50.0), (2.0, 1.0)]
+    )
+    def test_inverse_gaussian_against_mpmath(self, mean, shape):
+        posterior = RatePosterior(InverseGaussianDist(mean, shape))
+        with mp.workdps(50):
+            for p in self.PROBS:
+                got = -posterior.ppf(p)
+                assert got == pytest.approx(
+                    float(_mp_inverse_gaussian_isf(mean, shape, p, got)), rel=1e-12
+                )
+
+    def test_small_p_keeps_its_digits(self):
+        # 1 - 1e-17 rounds to 1, so the quantile must come from the upper tail
+        assert RatePosterior(GammaPosterior(2.0, 1.0)).ppf(1e-17) < -40.0
+        means = np.array([0.5, 2.0])
+        for p in (1e-17, 1e-100):
+            # the stacked Newton path, against Brent's method one by one
+            stacked = InverseGaussianDist(means, 3.0).isf(p)
+            for mean, q in zip(means, stacked):
+                assert q == pytest.approx(
+                    InverseGaussianDist(float(mean), 3.0).isf(p), rel=1e-12
+                )
 
 
 class TestPoissonExponentialSeries:

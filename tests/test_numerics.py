@@ -194,6 +194,34 @@ class TestIntegrate:
             integrate(math.exp, 1.0, 1.0)
 
 
+class TestIntegrateBox:
+    def test_separable_gaussian(self):
+        # exp(-(x^2 + 2 y^2)) over a box wide enough to hold all its mass
+        f = lambda x: np.exp(-(x[:, 0] ** 2) - 2.0 * x[:, 1] ** 2)
+        result = integrate(f, [-9.0, -7.0], [9.0, 7.0], tol=1e-11)
+        assert result.value == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-11)
+        assert result.error_estimate <= 1e-11 * result.value
+
+    def test_evaluations_count_rows(self):
+        rows = []
+        f = lambda x: rows.append(x.shape[0]) or np.ones(x.shape[0])
+        result = integrate(f, np.zeros(3), np.array([1.0, 2.0, 3.0]), tol=1e-10)
+        assert result.value == pytest.approx(6.0, rel=1e-12)
+        assert result.evaluations == sum(rows) > len(rows)
+
+    def test_pole_cannot_meet_tol(self):
+        # 1/|x|^2 diverges at the center of the box, a node of the rule
+        with np.errstate(divide="ignore"), pytest.raises(NonConvergenceError):
+            integrate(lambda x: 1.0 / np.sum(x * x, axis=1), -np.ones(2), np.ones(2))
+
+    def test_bad_box(self):
+        f = lambda x: np.ones(x.shape[0])
+        with pytest.raises(DomainError):
+            integrate(f, [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(DomainError):
+            integrate(f, [0.0, 0.0], [1.0, 1.0, 1.0])
+
+
 def _bisect(f, lo, hi, iterations=80):
     flo = f(lo)
     for _ in range(iterations):
@@ -250,6 +278,58 @@ class TestBracketByDoubling:
             bracket_by_doubling(lambda x: 0.5, 1.0, 0.9)  # stays below: no hi
         with pytest.raises(NonConvergenceError):
             bracket_by_doubling(lambda x: 0.95, 1.0, 0.9)  # stays above: no lo
+        with pytest.raises(NonConvergenceError):
+            bracket_by_doubling(lambda x: np.full(x.shape, 0.5), np.ones(2), 0.9)
+
+
+class TestStackedRoots:
+    """A stack of brackets and roots equals the scalar calls element by element."""
+
+    scales = np.geomspace(1e-3, 1e3, 13)
+
+    @staticmethod
+    def cdf(scale):
+        return lambda x: -np.expm1(-x / scale)
+
+    def test_matches_scalar_calls(self):
+        # the exponential cdf with scale s crosses p at -s log(1 - p)
+        for p in (1e-6, 0.05, 0.5, 0.9, 0.999):
+            stacked = bracket_by_doubling(self.cdf(self.scales), self.scales, p)
+            roots = find_root(
+                lambda x: self.cdf(self.scales)(x) - p,
+                stacked,
+                tol=1e-15 * stacked.lo,
+                fprime=lambda x: np.exp(-x / self.scales) / self.scales,
+            )
+            for i, scale in enumerate(self.scales):
+                single = bracket_by_doubling(self.cdf(float(scale)), float(scale), p)
+                assert (single.lo, single.hi) == (stacked.lo[i], stacked.hi[i])
+                root = find_root(
+                    lambda x: self.cdf(float(scale))(x) - p, single, tol=1e-15 * single.lo
+                )
+                assert roots[i] == pytest.approx(root, rel=1e-14, abs=0)
+                assert roots[i] == pytest.approx(-scale * math.log1p(-p), rel=1e-13)
+
+    def test_negative_brackets(self):
+        shifts = np.array([-3.0, -0.5, 0.25, 2.0])
+        roots = find_root(
+            lambda t: np.tanh(t - shifts),
+            Bracket(shifts - 1.5, shifts + 1.0),
+            tol=1e-14,
+            fprime=lambda t: 1.0 / np.cosh(t - shifts) ** 2,
+        )
+        np.testing.assert_allclose(roots, shifts, rtol=0, atol=1e-13)
+
+    def test_needs_derivative_and_sign_change(self):
+        bracket = Bracket(np.zeros(2), np.ones(2))
+        with pytest.raises(DomainError):
+            find_root(lambda x: x - 0.5, bracket)
+        with pytest.raises(NoSignChangeError):
+            find_root(lambda x: x + 1.0, bracket, fprime=np.ones_like)
+        with pytest.raises(NoSignChangeError):  # a stack must rise through zero
+            find_root(lambda x: 0.5 - x, bracket, fprime=lambda x: -np.ones_like(x))
+        with pytest.raises(DomainError):
+            Bracket(np.zeros(2), np.array([1.0, 0.0]))
 
 
 class TestRngStream:

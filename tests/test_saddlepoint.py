@@ -1,6 +1,7 @@
 """Tests for the saddle-point profile and its exactness diagnostics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +19,15 @@ from expfam.core import TAU, integrate_over_natural
 from expfam.distributions import GammaPosterior
 from expfam.errors import DomainError
 from expfam.saddlepoint import (
+    _log_profile,
     exactness_report,
     renormalize,
     saddlepoint_unnormalized,
 )
+
+#: non-diagonal covariances for the d > 1 Gaussian location family
+COV_2D = np.array([[2.0, 0.4], [0.4, 1.0]])
+COV_3D = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.0]])
 
 
 class TestUnnormalizedProfile:
@@ -108,6 +114,34 @@ class TestRenormalize:
                 ).value
                 variances.append(second - mean * mean)
             assert all(a > b for a, b in zip(variances, variances[1:])), family
+
+
+class TestRenormalizeHigherDimensions:
+    """Gaussian location at d = 2 and 3: the box cubature of the profile."""
+
+    @pytest.mark.parametrize("cov", [COV_2D, COV_3D], ids=["d2", "d3"])
+    def test_normalizer_and_exactness(self, cov):
+        family = GaussianLocationFamily(cov)
+        n = 5
+        theta_hat = family.mle(np.linspace(0.3, -0.2, family.d))
+        started = time.perf_counter()
+        profile = renormalize(family, n, theta_hat)
+        assert profile.normalizer == pytest.approx(n ** (-family.d / 2), rel=1e-10, abs=0)
+        assert profile.normalizer_error <= 1e-10
+        # grid: the estimate and points one and two posterior widths away
+        scale = np.linalg.cholesky(np.linalg.inv(cov) / n)
+        steps = [np.zeros(family.d), np.ones(family.d), -2.0 * np.eye(family.d)[0]]
+        grid = [theta_hat + scale @ z for z in steps]
+        assert exactness_report(family, n, theta_hat, grid) <= 1e-8
+        assert time.perf_counter() - started < 2.0
+
+    def test_stacked_profile_equals_rows(self):
+        family = GaussianLocationFamily(COV_3D)
+        theta_hat = np.array([0.1, -0.4, 0.7])
+        thetas = theta_hat + np.random.default_rng(3).normal(size=(40, 3))
+        stacked = _log_profile(family, 4, theta_hat, thetas)
+        rows = [_log_profile(family, 4, theta_hat, t) for t in thetas]
+        assert stacked.tolist() == rows
 
 
 class TestExactness:
