@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ParamsMixin
-from .errors import DomainError, SupportError
+from .errors import DomainError, NonIntegrableError, SupportError
 from .numerics import DEFAULT_TOL, integrate
 
 TAU = 2.0 * math.pi
@@ -47,15 +47,10 @@ def _inside(v, domain):
 
 @dataclass(frozen=True)
 class ObservationBatch:
-    """Sufficient summary of an iid sample: size and mean statistic.
-
-    ``raw`` optionally keeps the individual observations for operations
-    that need carrier terms over the whole sequence.
-    """
+    """Sufficient summary of an iid sample: size and mean statistic."""
 
     n: int
     xbar: object
-    raw: tuple = None
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -65,26 +60,13 @@ class ObservationBatch:
             object.__setattr__(self, "xbar", self.xbar.astype(float))
         else:
             object.__setattr__(self, "xbar", float(self.xbar))
-        if self.raw is not None:
-            raw = tuple(
-                tuple(np.atleast_1d(np.asarray(r, dtype=float)))
-                if np.ndim(r) > 0
-                else float(r)
-                for r in self.raw
-            )
-            object.__setattr__(self, "raw", raw)
-            if len(raw) != self.n:
-                raise DomainError(f"raw has {len(raw)} entries, expected n={self.n}")
-            mean = np.mean(np.asarray(raw, dtype=float), axis=0)
-            if not np.allclose(mean, self.xbar, rtol=1e-12, atol=1e-12):
-                raise DomainError("average of raw observations does not match xbar")
 
     @classmethod
     def from_observations(cls, X):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            return cls(n=X.shape[0], xbar=float(X.mean()), raw=tuple(X))
-        return cls(n=X.shape[0], xbar=X.mean(axis=0), raw=tuple(map(tuple, X)))
+            return cls(n=X.shape[0], xbar=float(X.mean()))
+        return cls(n=X.shape[0], xbar=X.mean(axis=0))
 
 
 class Family(ParamsMixin):
@@ -319,6 +301,32 @@ def integrate_over_natural(family, g, tol=DEFAULT_TOL, split_thetas=()):
         return integrate(lambda b: g(-b), 0.0, math.inf, tol=tol, points=points)
     points = [float(t) for t in split_thetas]
     return integrate(g, -math.inf, math.inf, tol=tol, points=points)
+
+
+def _log_ratio_integral(family, n, xbar, theta_hat, tol):
+    """(ln R, relative error) for R = integral of exp(-n D(theta, theta_hat)) J(theta).
+
+    R is Lemma 1's ratio integral; the Jeffreys evidence is
+    exp(n A*(xbar)) R and the d == 1 saddle-point normalizer R / sqrt(tau).
+    The integrand exp(n (theta xbar - A(theta)) + ln J(theta)) is shifted
+    by its value at ``theta_hat``, the MLE of ``xbar``, so it peaks at 1
+    and ln J(theta_hat) is the only term added back.  Arguments are checked
+    by the callers (d == 1).
+    """
+    log_j_hat = family._log_jeffreys(theta_hat)
+    shift = n * (theta_hat * xbar - family._cumulant(theta_hat)) + log_j_hat
+
+    def integrand(t):
+        return math.exp(
+            n * (t * xbar - family._cumulant(t)) + family._log_jeffreys(t) - shift
+        )
+
+    result = integrate_over_natural(family, integrand, tol=tol, split_thetas=[theta_hat])
+    if not result.value > 0:  # integrate has already rejected a non-finite value
+        raise NonIntegrableError(
+            f"ratio integral is {result.value} at xbar={xbar}, n={n}; it must be positive"
+        )
+    return log_j_hat + math.log(result.value), result.error_estimate / result.value
 
 
 def integrate_over_support(family, g, tol=DEFAULT_TOL, split_points=()):

@@ -33,13 +33,12 @@ from .base import ParamsMixin, check_is_fitted
 from .core import (
     Family,
     ObservationBatch,
-    integrate_over_natural,
+    _log_ratio_integral,
     integrate_over_support,
 )
 from .errors import (
     DegenerateDataError,
     DomainError,
-    ImproperPosteriorError,
     NonConvergenceError,
     NonNormalizableError,
     SupportError,
@@ -149,34 +148,19 @@ class JeffreysPredictor(_PredictorBase):
 
     method = "Jeffreys"
 
-    def _log_weight(self, theta, n, xbar):
-        fam = self.family
-        return n * (theta * xbar - fam._cumulant(theta)) + fam._log_jeffreys(theta)
-
     def _log_evidence(self, n, xbar):
         """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta.
 
-        The family's closed form where it has one, else quadrature.
-        ``xbar`` is checked here once; the integrand calls the kernels.
+        The family's closed form where it has one, else n A*(xbar) plus the
+        log ratio integral.  ``xbar`` is checked here once.
         """
         fam = self.family
         xbar = fam._check_mean(xbar)
         closed = fam._log_jeffreys_evidence(n, xbar)
         if closed is not None:
             return closed, 0.0
-        theta_hat = fam._mle(xbar)
-        shift = n * fam._convex_conjugate(xbar) + fam._log_jeffreys(theta_hat)
-        result = integrate_over_natural(
-            fam,
-            lambda t: math.exp(self._log_weight(t, n, xbar) - shift),
-            tol=self.tol,
-            split_thetas=[theta_hat],
-        )
-        if result.value <= 0 or not math.isfinite(result.value):
-            raise ImproperPosteriorError(
-                f"posterior failed to normalize for n={n}, xbar={xbar}"
-            )
-        return shift + math.log(result.value), result.error_estimate / result.value
+        log_r, rel_err = _log_ratio_integral(fam, n, xbar, fam._mle(xbar), self.tol)
+        return n * fam._convex_conjugate(xbar) + log_r, rel_err
 
     def _prepare(self):
         batch = self.batch_
@@ -392,28 +376,17 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
     check_positive(tol, "tol")
     if family.d != 1:
         raise DomainError("constancy quadrature is univariate only")
-    log_scale = math.log(check_positive(prior_scale, "prior_scale"))
+    prior_scale = check_positive(prior_scale, "prior_scale")
     values = []
     for seq in sequences:
         batch = seq if isinstance(seq, ObservationBatch) else as_batch(family, seq)
         if batch.n != n:
             raise DomainError(f"sequence has n={batch.n}, expected {n}")
-        theta_hat = family.mle(float(batch.xbar))
-
-        def integrand(t):
-            return math.exp(
-                -n * family._bregman(t, theta_hat) + family._log_jeffreys(t) + log_scale
-            )
-
-        result = integrate_over_natural(
-            family, integrand, tol=tol, split_thetas=[theta_hat]
-        )
-        if not (math.isfinite(result.value) and result.value > 0):
-            raise NonConvergenceError(
-                f"ratio integral is {result.value} at xbar={batch.xbar}, n={n}; "
-                "it must be finite and positive"
-            )
-        values.append(result.value)
+        xbar = float(batch.xbar)
+        log_r, _ = _log_ratio_integral(family, n, xbar, family.mle(xbar), tol)
+        values.append(prior_scale * math.exp(log_r))
+    if not values:
+        raise DomainError("lemma1_constancy needs at least one sequence")
     values = tuple(values)
     spread = (max(values) - min(values)) / float(np.median(values))
     return Lemma1Report(values=values, relative_spread=spread)

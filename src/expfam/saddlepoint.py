@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, Family, ObservationBatch, integrate_over_natural
+from .core import TAU, Family, ObservationBatch, _log_ratio_integral
 from .errors import DomainError, NonIntegrableError
 from .numerics import DEFAULT_TOL, integrate
 
@@ -81,12 +81,10 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     n = _check_n(n)
     theta_hat = family._check_natural(theta_hat)
     if family.d == 1:
-        result = integrate_over_natural(
-            family,
-            lambda t: math.exp(_log_profile(family, n, theta_hat, t)),
-            tol=tol,
-            split_thetas=[theta_hat],
-        )
+        xbar = family._mean_from_natural(theta_hat)
+        log_r, rel_err = _log_ratio_integral(family, n, xbar, theta_hat, tol)
+        normalizer = math.exp(log_r - 0.5 * math.log(TAU))
+        error = rel_err * normalizer
     else:
         # 12 Laplace widths each way: the peak's covariance is Cov(theta_hat)^-1/n
         half = 12.0 * np.sqrt(np.diag(np.linalg.inv(family._covariance(theta_hat))) / n)
@@ -94,14 +92,17 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
         result = integrate(
             lambda t: np.exp(_log_profile(family, n, theta_hat, t)), lo, hi, tol=tol
         )
-    if not result.value > 0:  # integrate has already rejected a non-finite value
-        raise NonIntegrableError(f"saddle-point normalizer is not positive: {result.value}")
+        if not result.value > 0:  # integrate has already rejected a non-finite value
+            raise NonIntegrableError(
+                f"saddle-point normalizer is not positive: {result.value}"
+            )
+        normalizer, error = result.value, result.error_estimate
     return SaddlepointProfile(
         family=family,
         n=int(n),
         theta_hat=theta_hat,
-        normalizer=result.value,
-        normalizer_error=result.error_estimate,
+        normalizer=normalizer,
+        normalizer_error=error,
     )
 
 

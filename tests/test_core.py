@@ -419,17 +419,10 @@ class TestObservationBatch:
         batch = ObservationBatch.from_observations([1.0, 2.0, 3.0])
         assert batch.n == 3
         assert batch.xbar == 2.0
-        assert batch.raw == (1.0, 2.0, 3.0)
-
-    def test_raw_mean_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            ObservationBatch(n=2, xbar=5.0, raw=(1.0, 2.0))
 
     def test_size_validated(self):
         with pytest.raises(DomainError):
             ObservationBatch(n=0, xbar=1.0)
-        with pytest.raises(DomainError):
-            ObservationBatch(n=3, xbar=1.0, raw=(1.0, 1.0))
 
 
 class TestEstimatorParams:

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -12,11 +13,12 @@ from scipy import special
 from expfam import (
     GammaFamily,
     GaussianLocationFamily,
+    InverseGaussianFamily,
     PoissonExponentialFamily,
     ObservationBatch,
 )
 from expfam import core
-from expfam.core import Family, integrate_over_support
+from expfam.core import TAU, Family, _log_ratio_integral, integrate_over_support
 from expfam.errors import (
     DegenerateDataError,
     DomainError,
@@ -33,6 +35,7 @@ from expfam.prediction import (
     make_predictor,
     regret,
 )
+from expfam.saddlepoint import renormalize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
@@ -40,6 +43,25 @@ import oracles  # noqa: E402
 
 def gaussian_pdf(y, mu, var):
     return math.exp(-((y - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def _mp_inverse_gaussian_log_evidence(kappa, n, xbar):
+    """ln of integral exp(n (theta xbar + sqrt(-2 kappa theta))) J(theta), theta < 0.
+
+    With theta = -u^2 the integral is 2c * int u^(-1/2) exp(-a u^2 + b u) du,
+    c^2 = sqrt(kappa/2)/2, a = n xbar, b = n sqrt(2 kappa): a parabolic
+    cylinder function (Gradshteyn & Ryzhik 3.462.1).
+    """
+    kappa, xbar = mp.mpf(kappa), mp.mpf(xbar)
+    c = mp.sqrt(mp.sqrt(kappa / 2) / 2)
+    a, b = n * xbar, n * mp.sqrt(2 * kappa)
+    half = mp.mpf(1) / 2
+    return (
+        mp.log(2 * c * mp.gamma(half))
+        - mp.log(2 * a) / 4
+        + b**2 / (8 * a)
+        + mp.log(mp.pcfd(-half, -b / mp.sqrt(2 * a)))
+    )
 
 
 class TestJeffreysPredictor:
@@ -69,6 +91,32 @@ class TestJeffreysPredictor:
         assert predictor.log_predictive([y]) == pytest.approx(
             math.log(num), abs=1e-9
         )
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.3])
+    def test_inverse_gaussian_evidence_against_mpmath(self, kappa):
+        # the inverse Gaussian has no closed-form evidence: this is the
+        # ratio-integral quadrature path
+        predictor = JeffreysPredictor(InverseGaussianFamily(kappa))
+        with mp.workdps(30):
+            for n in (1, 2, 3, 5, 8, 20, 100, 1000):
+                for xbar in (0.05, 0.4, 1.0, 3.0, 20.0):
+                    ref = float(_mp_inverse_gaussian_log_evidence(kappa, n, xbar))
+                    got, _ = predictor._log_evidence(n, xbar)
+                    assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (n, xbar)
+
+    @pytest.mark.parametrize(
+        "family",
+        [GammaFamily(0.5), GammaFamily(2.0), PoissonExponentialFamily(0.5),
+         PoissonExponentialFamily(2.0)],
+    )
+    def test_ratio_integral_matches_closed_evidence(self, family):
+        # evidence = n A*(xbar) + ln R wherever the family has a closed form
+        for n in (1, 3, 20, 1000):
+            for xbar in (0.05, 1.0, 20.0):
+                log_r, _ = _log_ratio_integral(family, n, xbar, family.mle(xbar), 1e-12)
+                ref = family._log_jeffreys_evidence(n, xbar)
+                got = n * family.convex_conjugate(xbar) + log_r
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, xbar)
 
     def test_gaussian_convolution(self):
         # posterior N(xbar, 1), predictive N(xbar, 2)
@@ -340,6 +388,26 @@ class TestLemma1Constancy:
         batches = [ObservationBatch(n=n, xbar=x) for x in (0.5, 1.0, 2.0)]
         with pytest.raises(NonConvergenceError):
             lemma1_constancy(GammaFamily(2.0), n, batches, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "family",
+        [GammaFamily(2.0), GaussianLocationFamily(1.0), InverseGaussianFamily(1.3),
+         PoissonExponentialFamily(2.0)],
+    )
+    def test_values_are_saddlepoint_normalizers(self, family):
+        # Lemma 1's ratio integral is sqrt(tau) times the d = 1 normalizer
+        xbars = (0.4, 1.0, 3.0)
+        report = lemma1_constancy(
+            family, 3, [ObservationBatch(n=3, xbar=x) for x in xbars], prior_scale=7.0
+        )
+        for xbar, value in zip(xbars, report.values):
+            profile = renormalize(family, 3, family.mle(xbar))
+            expected = 7.0 * math.sqrt(TAU) * profile.normalizer
+            assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_no_sequences_rejected(self):
+        with pytest.raises(DomainError):
+            lemma1_constancy(GammaFamily(1.0), 2, [])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DomainError):
