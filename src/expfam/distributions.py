@@ -9,6 +9,10 @@ continuous part of the density of Y = X_1 + ... + X_N factors as
 
 with a point mass exp(-kappa/(2*beta)) at zero; kappa = 2*lambda*beta ties
 the Poisson rate lambda to the family's shape parameter.
+
+Its distribution function is the Poisson-weighted sum of gamma distribution
+functions for lambda <= 30 (the CLI goldens pin those bits) and above that the
+zero-degree noncentral chi-squared form of Siegel (1979, *Biometrika* 66).
 """
 
 import math
@@ -146,15 +150,25 @@ class InverseGaussianDist:
         return np.where(inside, value, 0.0)[()]
 
     def _tail_inside(self, x, sign):
-        """Phi(sign s (x/m - 1)) + sign exp(2 lam/m) Phi(-s (x/m + 1)), s = sqrt(lam/x).
+        """Phi(sign a) + sign exp(2 lam/m) Phi(-b), s = sqrt(lam/x), a, b = s (x/m -+ 1).
 
         The unclipped cdf (sign 1, two positive terms) or sf (sign -1) at x > 0.
+        Above the mean (a > 0) the sf is exp(-a^2/2) (erfcx(a/sqrt2) - erfcx(b/sqrt2)) / 2,
+        since 2 lam/m - b^2/2 = -a^2/2: the two terms share their exponential
+        instead of each rounding their own.  Below, erfcx(a/sqrt2) would overflow.
         """
         m, lam = self.mean, self.shape
         s = (lam / x) ** 0.5  # np.sqrt costs more than all the rest on a float
-        return _scisp.ndtr(sign * s * (x / m - 1.0)) + sign * np.exp(
-            2.0 * lam / m + _scisp.log_ndtr(-s * (x / m + 1.0))
+        a, b = s * (x / m - 1.0), s * (x / m + 1.0)
+        if sign < 0 and not isinstance(a, np.ndarray) and a > 0.0:
+            return _sf_above_mean(a, b)
+        value = _scisp.ndtr(sign * a) + sign * np.exp(
+            2.0 * lam / m + _scisp.log_ndtr(-b)
         )
+        if sign < 0 and isinstance(a, np.ndarray):
+            above = a > 0.0
+            value = np.where(above, _sf_above_mean(np.where(above, a, 0.0), b), value)
+        return value
 
     def ppf(self, p):
         """Quantile at ``p``; an array of them when mean or shape is an array."""
@@ -175,6 +189,16 @@ class InverseGaussianDist:
 
     def sample(self, rng, size):
         return rng.wald(self.mean, self.shape, size=size)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _sf_above_mean(a, b):
+    """The inverse Gaussian sf in its a > 0 form (see ``InverseGaussianDist._tail_inside``)."""
+    return 0.5 * np.exp(-0.5 * a * a) * (
+        _scisp.erfcx(a * _SQRT_HALF) - _scisp.erfcx(b * _SQRT_HALF)
+    )
 
 
 def pe_log_series_factor(kappa, x):
@@ -235,21 +259,32 @@ class PoissonExponentialDist:
         return math.exp(self.log_density(x))
 
     def cdf(self, x):
-        """Atom plus Poisson-weighted gamma distribution functions."""
+        """P(Y <= x): the atom plus the Poisson-weighted gamma distribution functions.
+
+        For lam <= 30 the sum runs over k = 1..lam+45, term by term.  Above,
+        2 beta Y is noncentral chi-squared with zero degrees of freedom and
+        noncentrality 2 lam (Siegel 1979), so with t = beta x and independent
+        Poisson counts N_t, N_lam
+
+            P(Y <= x) = P(N_t > N_lam) + P(N_t = N_lam)
+                      = chndtr(2t, 2, 2 lam) + exp(-(sqrt(lam) - sqrt(t))^2) i0e(2 sqrt(lam t)),
+
+        two positive terms, so the lower tail keeps its digits at any lam.
+        """
         x = check_nonnegative(x, "x")
         lam = self.poisson_rate
-        out = math.exp(-lam)
         if x == 0.0:
-            return out
-        if lam <= 30.0:
-            k_lo, k_hi = 1, int(lam + 45)
+            return math.exp(-lam)
+        t = self.rate * x
+        if lam > 30.0:
+            root_lam, root_t = math.sqrt(lam), math.sqrt(t)
+            out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam)) + math.exp(
+                -((root_lam - root_t) ** 2)
+            ) * float(_scisp.i0e(2.0 * root_lam * root_t))
         else:
-            half = 12.0 * math.sqrt(lam) + 30.0
-            k_lo = max(1, int(lam - half))
-            k_hi = int(lam + half)
-        k = np.arange(k_lo, k_hi + 1, dtype=float)
-        log_w = -lam + k * math.log(lam) - _scisp.gammaln(k + 1.0)
-        out += float(np.sum(np.exp(log_w) * _scisp.gammainc(k, self.rate * x)))
+            k = np.arange(1, int(lam + 45) + 1, dtype=float)
+            log_w = -lam + k * math.log(lam) - _scisp.gammaln(k + 1.0)
+            out = math.exp(-lam) + float(np.sum(np.exp(log_w) * _scisp.gammainc(k, t)))
         return min(out, 1.0)
 
     def sample(self, rng, size):

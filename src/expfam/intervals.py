@@ -197,7 +197,7 @@ def poisson_exp_confidence(kappa, batch, level):
     xbar = _rate_batch(batch, "poisson_exp_confidence")
     m = batch.n
     s_obs = m * xbar
-    # the cost is the compound-Poisson cdf, so stacked trials go one by one
+    # stacked trials go one by one, each a bracket and a Brent solve on the cdf
     uppers = [_cdf_inversion(kappa, m, float(x), level) for x in np.ravel(xbar)]
     upper = np.reshape(uppers, xbar.shape) if isinstance(xbar, np.ndarray) else uppers[0]
     return IntervalResult(

@@ -145,15 +145,16 @@ def _mp_gamma_isf(shape, rate, p, guess):
     )
 
 
+def _mp_inverse_gaussian_sf(mean, shape, x):
+    """P(X > x) at the working precision, where the two-term difference keeps its digits."""
+    m, lam, x = mp.mpf(mean), mp.mpf(shape), mp.mpf(x)
+    s = mp.sqrt(lam / x)
+    return mp.ncdf(-s * (x / m - 1)) - mp.exp(2 * lam / m) * mp.ncdf(-s * (x / m + 1))
+
+
 def _mp_inverse_gaussian_isf(mean, shape, p, guess):
-    """x with P(X > x) = p, at 50 digits, where the two-term difference keeps its digits."""
-    m, lam = mp.mpf(mean), mp.mpf(shape)
-
-    def sf(x):
-        s = mp.sqrt(lam / x)
-        return mp.ncdf(-s * (x / m - 1)) - mp.exp(2 * lam / m) * mp.ncdf(-s * (x / m + 1))
-
-    return mp.findroot(lambda x: sf(x) - p, guess)
+    """x with P(X > x) = p at the working precision."""
+    return mp.findroot(lambda x: _mp_inverse_gaussian_sf(mean, shape, x) - p, guess)
 
 
 class TestRatePosteriorQuantiles:
@@ -181,6 +182,24 @@ class TestRatePosteriorQuantiles:
                 got = -posterior.ppf(p)
                 assert got == pytest.approx(
                     float(_mp_inverse_gaussian_isf(mean, shape, p, got)), rel=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "mean, shape", [(0.5, 3.0), (2.0, 3.0), (1000.0, 1.0), (1.0, 1e4), (1e-3, 1e-3)]
+    )
+    def test_inverse_gaussian_deep_upper_tail(self, mean, shape):
+        # above the mean the two sf terms share one exp(-a^2/2); rounding the
+        # exponent 2 lam/m + log Phi(-b) on its own cost up to 7.5e-8 at p = 1e-300
+        rel = 1e-10 if shape / mean < 1e-2 else 1e-12
+        dist = InverseGaussianDist(mean, shape)
+        with mp.workdps(80):
+            for p in (1e-5, 1e-17, 1e-100, 1e-300):
+                x = dist.isf(p)
+                assert dist._tail_inside(x, -1.0) == pytest.approx(
+                    float(_mp_inverse_gaussian_sf(mean, shape, x)), rel=rel, abs=0.0
+                )
+                assert x == pytest.approx(
+                    float(_mp_inverse_gaussian_isf(mean, shape, p, x)), rel=rel
                 )
 
     def test_small_p_keeps_its_digits(self):
@@ -296,10 +315,80 @@ class TestPoissonExponentialDist:
         assert np.all(np.diff(values) >= -1e-15)
 
     def test_large_poisson_rate_cdf(self):
-        # window-truncated Poisson mixture must stay accurate at lambda >> 30
+        # the noncentral chi-squared form must put the median near the mean at lambda >> 30
         dist = PoissonExponentialDist(2000.0, 0.01)  # lambda = 1e5
         mid = dist.cdf(dist.mean)
         assert 0.3 < mid < 0.7
+
+    # P(Y <= t) for Poisson(lam) many Exp(1) jumps at t = max(lam + z sd, 1),
+    # sd = sqrt(2 lam), z in (-6, 0, 4), by 40-digit quadrature of the Bessel density:
+    #
+    #     mp.mp.dps = 40
+    #     def ref(lam, t):
+    #         lam, t = mp.mpf(lam), mp.mpf(t)
+    #         r = mp.sqrt(lam)
+    #         g = lambda u: mp.exp(-u - lam) * r / mp.sqrt(u) * mp.besseli(1, 2 * r * mp.sqrt(u))
+    #         sd = mp.sqrt(2 * lam)
+    #         cuts = [lam + k * sd for k in (-60, -30, -15, -8, -4, -2, -1, 0,
+    #                                        1, 2, 4, 8, 15, 30, 60)]
+    #         return mp.exp(-lam) + mp.quad(g, [0] + [c for c in cuts if 0 < c < t] + [t])
+    CLOSED_FORM_REFERENCE = [
+        (31.0, 1.0, 1.2630174910119876e-10),
+        (31.0, 31.0, 0.52538440581303551),
+        (31.0, 62.496031496047245, 0.99960901738648871),
+        (1e4, 9151.471862576143, 4.4114073186846125e-10),
+        (1e4, 1e4, 0.50141048277457958),
+        (1e4, 10565.685424949239, 0.99996067291000663),
+        (1e8, 99915147.18625762, 9.7909375447359312e-10),
+        (1e8, 1e8, 0.50001410473959751),
+        (1e8, 100056568.54249492, 0.99996825772942269),
+    ]
+
+    @pytest.mark.parametrize("lam, t, reference", CLOSED_FORM_REFERENCE)
+    def test_closed_form_against_mpmath(self, lam, t, reference):
+        # rate 1 makes the Poisson rate kappa / 2 = lam and t = rate * x = x exact
+        assert PoissonExponentialDist(2.0 * lam, 1.0).cdf(t) == pytest.approx(
+            reference, rel=2e-12, abs=0.0
+        )
+
+    def test_branches_meet_at_lambda_30(self):
+        # the sum just below the cut against the closed form extrapolated
+        # linearly from just above it (curvature over 2e-9 is below 1e-17)
+        eps = 1e-9
+        below, above, further = (
+            PoissonExponentialDist(2.0 * lam, 1.0)
+            for lam in (30.0 - eps, 30.0 + eps, 30.0 + 3.0 * eps)
+        )
+        for x in (5.0, 20.0, 30.0, 45.0):
+            extrapolated = 2.0 * above.cdf(x) - further.cdf(x)
+            assert extrapolated == pytest.approx(below.cdf(x), rel=1e-14, abs=0.0)
+
+    # (kappa, rate) -> cdf at x = 0.1, 1, 5, 40 from the lam <= 30 sum, whose bits
+    # the CLI goldens pin; (60, 1) sits on the cut, lam = 30
+    SUM_BRANCH_BITS = [
+        ((0.01, 3.0), (0.9987660229511517, 0.9999168832745321, 0.999999999484195, 1.0)),
+        (
+            (2.0, 1.0),
+            (0.4037579646786113, 0.6542541612768356, 0.9766500547706444, 0.9999999999999903),
+        ),
+        (
+            (2.0, 0.25),
+            (0.020170033335551594, 0.03885343404085409, 0.15746965741829022, 0.9628766673853497),
+        ),
+        (
+            (20.0, 0.5),
+            (4.628785485165462e-09, 1.3174797890025258e-07, 3.747106421139179e-05, 0.5316391399376158),
+        ),
+        (
+            (60.0, 1.0),
+            (6.366015092935012e-13, 2.897617874432765e-10, 3.639279496664218e-06, 0.8958894078688936),
+        ),
+    ]
+
+    @pytest.mark.parametrize("params, bits", SUM_BRANCH_BITS)
+    def test_sum_branch_keeps_its_bits(self, params, bits):
+        dist = PoissonExponentialDist(*params)
+        assert tuple(dist.cdf(x) for x in (0.1, 1.0, 5.0, 40.0)) == bits
 
     def test_monte_carlo_atom_and_mean(self):
         # compound Poisson(lambda=1) of Exp(1): kappa = 2 lambda beta = 2

@@ -1,6 +1,7 @@
 """Tests for the interval constructions and coverage simulation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,20 @@ class TestPoissonExponentialConfidence:
         )
         dist = PoissonExponentialDist(m * kappa, result.upper)
         assert dist.cdf(m * xbar) == pytest.approx(level, abs=1e-10)
+
+    # the beta solving P_beta(S <= m xbar) = 0.9 at kappa 2, xbar 1.00001: mpmath's
+    # secant method on the 40-digit quadrature cdf of test_distributions.py
+    # (CLOSED_FORM_REFERENCE) with lam = m / beta and t = beta m xbar
+    LARGE_M_ROOTS = [(10**8, 1.0000856203438903775), (10**9, 1.0000236563473388694)]
+
+    @pytest.mark.parametrize("m, root", LARGE_M_ROOTS)
+    def test_large_m_endpoint(self, m, root):
+        started = time.perf_counter()
+        result = poisson_exp_confidence(2.0, ObservationBatch(n=m, xbar=1.00001), 0.9)
+        assert time.perf_counter() - started < 1.0
+        # against the root, not the residual: dF/dbeta is about 2500 at m = 1e8,
+        # so a residual of 1e-10 is a root error of 4e-14
+        assert result.upper == pytest.approx(root, rel=1e-12, abs=0.0)
 
     def test_differs_from_credible(self):
         kappa, level, tol = 2.0, 0.9, 1e-10
