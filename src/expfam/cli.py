@@ -4,13 +4,15 @@ Subcommands: density, predict, interval, coverage, verify.  Output is a
 JSON object (or array) or RFC-4180 CSV on stdout; identical inputs and
 seeds produce byte-identical output.  Exit codes: 0 success, 1 failed
 verification, 2 input/domain error, 3 numerical non-convergence,
-4 degenerate data.
+4 degenerate data, 141 stdout closed by the reader (128 + SIGPIPE, what
+shells report for a process that SIGPIPE ended).
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -45,6 +47,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_DEGENERATE = 4
+EXIT_BROKEN_PIPE = 141
 
 #: --family name -> (family class, the option that holds its parameter)
 FAMILIES = {
@@ -411,7 +414,15 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     fmt = _resolve(args, config, "format", "json", str)
-    _emit(records, fmt, sys.stdout)
+    try:
+        _emit(records, fmt, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``expfam verify | head -1``); point stdout at
+        # devnull so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -130,6 +130,15 @@ class Family(ParamsMixin):
         """
         return None
 
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        """ln of the Jeffreys predictive density of ``future`` after n points of mean xbar.
+
+        Returns the closed form as a ratio, with no term of order n
+        subtracted, on checked arguments (``future`` a 1-d array), or None
+        where the predictive is the difference of two evidences.
+        """
+        return None
+
     def conjugate(self):
         """The conjugated exponential family; see ``families.conjugate_family``."""
         raise DomainError(f"no conjugation rule for {type(self).__name__}")

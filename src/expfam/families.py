@@ -169,6 +169,32 @@ class GaussianLocationFamily(Family):
             - 0.5 * self._logdet
         )
 
+    def _log_jeffreys(self, theta):
+        # J(theta) = det(B)^(1/2) does not depend on theta
+        return 0.5 * self._logdet
+
+    def _log_jeffreys_evidence(self, n, xbar):
+        # J is constant, so the Laplace integral is exact at every d:
+        # (tau/n)^(d/2) exp(n A*(xbar))
+        log_laplace = 0.5 * self.d * (math.log(TAU) - math.log(n))
+        return log_laplace + n * self._convex_conjugate(xbar)
+
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        # N(xbar, B/n) posterior of the mean: with k futures of mean ybar the
+        # predictive is the evidence ratio written without its O(n) terms
+        if self.d != 1:
+            return None
+        B = self._rows[0][0]
+        k = future.shape[0]
+        ybar = float(future.mean())
+        spread = float(np.sum((future - ybar) ** 2))
+        shrunk = n * k / (n + k) * (ybar - xbar) ** 2
+        return (
+            -0.5 * math.log1p(k / n)
+            - 0.5 * k * math.log(TAU * B)
+            - (spread + shrunk) / (2.0 * B)
+        )
+
     def bregman(self, theta2, theta1):
         """0.5 t2.B.t2 - 0.5 t1.B.t1 - (t2 - t1).B t1, clipped at zero.
 

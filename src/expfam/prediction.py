@@ -5,9 +5,10 @@ observed prefix, then query log predictive densities of future suffixes.
 
 * ``JeffreysPredictor`` integrates the likelihood of the suffix against
   the (numerically normalized) posterior built from the unnormalized
-  Jeffreys prior.  The prior cannot be normalized for the half-line
-  families, but the posterior is proper for any prefix of length >= 1
-  whose mean statistic is interior.
+  Jeffreys prior, or takes the family's closed-form predictive where it
+  has one.  The prior cannot be normalized for the half-line families,
+  but the posterior is proper for any prefix of length >= 1 whose mean
+  statistic is interior.
 * ``CnmlPredictor`` normalizes the hindsight maximum-likelihood density of
   the completed sequence over all possible futures.  Writing the hindsight
   likelihood through the conjugate pins the computation down to
@@ -170,6 +171,9 @@ class JeffreysPredictor(_PredictorBase):
 
     def _log_predictive(self, future):
         batch = self.batch_
+        closed = self.family._log_jeffreys_predictive(batch.n, float(batch.xbar), future)
+        if closed is not None:
+            return closed, 0.0
         k = future.shape[0]
         n_new = batch.n + k
         xbar_new = (batch.n * float(batch.xbar) + float(future.sum())) / n_new

@@ -22,23 +22,49 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
 
 
+def _subprocess_env():
+    """The environment for a child interpreter that imports expfam from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_import_leaves_out_quadrature_and_root_finding():
     """``import expfam.cli`` loads neither scipy.integrate nor scipy.optimize.
 
     ``numerics`` imports them on first use, so commands without quadrature
     or root finding never pay for them.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     probe = (
         "import sys, expfam.cli; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    """A reader that has gone (``expfam verify | head -1``) is not a failed check.
+
+    The read end of stdout is closed before the child writes, so its first
+    write meets a broken pipe: no traceback, and 128 + SIGPIPE, not 1.
+    """
+    child = subprocess.Popen(
+        [sys.executable, "-m", "expfam.cli", "verify", "--suite", "lemma1"],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert stderr == b""
 
 
 def run_cli(argv, capsys):

@@ -223,12 +223,20 @@ class TestPoissonExponentialSeries:
             for x in (0.01, 0.7, 3.0, 40.0):
                 oracle = (
                     0.5 * math.log(z / x)
-                    + math.log(special.ive(1, 2.0 * math.sqrt(z * x)))
+                    + math.log(special.i1e(2.0 * math.sqrt(z * x)))
                     + 2.0 * math.sqrt(z * x)
                 )
                 assert pe_log_series_factor(kappa, x) == pytest.approx(
                     oracle, abs=1e-12
                 )
+
+    def test_matches_bessel_identity_far(self):
+        # u = 2 sqrt(z x) = 2e9 lies above 2^30, where special.ive(1, u) is NaN
+        kappa, x = 2.0, 1e18
+        z = kappa / 2.0
+        u = 2.0 * math.sqrt(z * x)
+        oracle = 0.5 * math.log(z / x) + math.log(special.i1e(u)) + u
+        assert pe_log_series_factor(kappa, x) == pytest.approx(oracle, rel=1e-15, abs=0.0)
 
     def test_support_error(self):
         with pytest.raises(SupportError):

@@ -107,7 +107,8 @@ class TestJeffreysPredictor:
     @pytest.mark.parametrize(
         "family",
         [GammaFamily(0.5), GammaFamily(2.0), PoissonExponentialFamily(0.5),
-         PoissonExponentialFamily(2.0)],
+         PoissonExponentialFamily(2.0), GaussianLocationFamily(0.5),
+         GaussianLocationFamily(1.3)],
     )
     def test_ratio_integral_matches_closed_evidence(self, family):
         # evidence = n A*(xbar) + ln R wherever the family has a closed form
@@ -128,6 +129,58 @@ class TestJeffreysPredictor:
             assert predictor.log_predictive([y]) == pytest.approx(
                 math.log(gaussian_pdf(y, xbar, 2.0)), abs=1e-9
             )
+
+    @pytest.mark.parametrize("cov", [0.5, 1.3])
+    @pytest.mark.parametrize("future", [(1.7,), (1.7, -0.4, 2.9)])
+    def test_gaussian_predictive_against_mpmath(self, cov, future):
+        # the reference is the evidence difference at 50 digits, where its
+        # O(n) terms cancel without loss; a float evidence difference is off
+        # by up to 2e-8 on this grid
+        xbar = 0.37
+        with mp.workdps(50):
+            B, k = mp.mpf(cov), len(future)
+
+            def log_evidence(n, xbar):
+                return (mp.log(2 * mp.pi) - mp.log(n)) / 2 + n * xbar**2 / (2 * B)
+
+            ys = [mp.mpf(y) for y in future]
+            carriers = sum(-(y**2) / (2 * B) - mp.log(2 * mp.pi * B) / 2 for y in ys)
+            for n in (1, 10, 10**4, 10**6, 10**8, 10**9):
+                x = mp.mpf(xbar)
+                ref = (
+                    log_evidence(n + k, (n * x + sum(ys)) / (n + k))
+                    - log_evidence(n, x)
+                    + carriers
+                )
+                predictor = JeffreysPredictor(GaussianLocationFamily(cov))
+                value = predictor.fit(ObservationBatch(n=n, xbar=xbar)).predictive_value(
+                    list(future)
+                )
+                assert value.log_density == pytest.approx(float(ref), rel=0.0, abs=1e-13), n
+                assert value.normalizer_error == 0.0
+
+    def test_gaussian_joint_equals_chained(self):
+        # p(y1, y2, y3 | x) = p(y1 | x) p(y2 | x, y1) p(y3 | x, y1, y2)
+        family, n, xbar = GaussianLocationFamily(1.3), 7, -0.6
+        future = [0.9, -2.1, 0.35]
+        joint = JeffreysPredictor(family).fit(ObservationBatch(n=n, xbar=xbar))
+        chained = 0.0
+        for j, y in enumerate(future):
+            seen = ObservationBatch(n=n + j, xbar=(n * xbar + sum(future[:j])) / (n + j))
+            chained += JeffreysPredictor(family).fit(seen).log_predictive([y])
+        assert joint.log_predictive(future) == pytest.approx(chained, rel=0.0, abs=1e-14)
+
+    def test_gaussian_evidence_d2_matches_cubature(self):
+        # evidence = n A*(xbar) + ln R, R = tau^(d/2) times the saddle-point
+        # normalizer, here from renormalize's box cubature
+        family = GaussianLocationFamily([[1.0, 0.3], [0.3, 0.8]])
+        for n, xbar in ((1, [0.4, -1.2]), (50, [2.0, 0.5])):
+            xbar = np.array(xbar)
+            profile = renormalize(family, n, family.mle(xbar), tol=1e-10)
+            log_r = math.log(TAU) + math.log(profile.normalizer)
+            expected = n * family.convex_conjugate(xbar) + log_r
+            got = family._log_jeffreys_evidence(n, xbar)
+            assert got == pytest.approx(expected, rel=1e-9, abs=0.0), n
 
     @staticmethod
     def _one_step_mass(predictor):
@@ -224,7 +277,7 @@ class TestCnmlPredictor:
             return 0.5 * math.log(2.0 * math.pi / n) - n * math.sqrt(2.0 * kappa * xbar)
 
         u = 2.0 * math.sqrt(kappa / 2.0 * y)
-        log_carrier = 0.5 * math.log(kappa / 2.0 / y) + math.log(special.ive(1, u)) + u
+        log_carrier = 0.5 * math.log(kappa / 2.0 / y) + math.log(special.i1e(u)) + u
         expected = log_evidence(2, (x + y) / 2.0) - log_evidence(1, x) + log_carrier
         assert math.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
