@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ParamsMixin
-from .errors import DomainError, NonIntegrableError, SupportError
-from .numerics import DEFAULT_TOL, integrate
+from .errors import DomainError, SupportError
+from .numerics import DEFAULT_TOL, integrate, integrate_trapezoid
 
 TAU = 2.0 * math.pi
 
@@ -74,8 +74,9 @@ class Family(ParamsMixin):
 
     Subclasses supply each closed form once, as a kernel on validated
     values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
-    ``_mle`` and ``_log_carrier``, and ``_log_jeffreys`` where the default
-    would overflow.  A point is a float when d == 1 and a vector (d,)
+    ``_mle`` and ``_log_carrier``, ``_log_jeffreys`` where the default
+    would overflow, and ``_ratio_exponent`` at d == 1 for the ratio
+    integral.  A point is a float when d == 1 and a vector (d,)
     otherwise.  Each public method checks its arguments and calls the
     kernel of the same name; quadrature integrands, whose arguments are
     checked once before the integral, call the kernels directly.
@@ -129,6 +130,17 @@ class Family(ParamsMixin):
         evidence must be integrated.
         """
         return None
+
+    def _ratio_exponent(self, n, theta_hat, v):
+        """g(v), the log of Lemma 1's integrand relative to its value at v = 0.
+
+        The integrand is exp(-n D(theta, theta_hat)) J(theta) |dtheta/dv| at
+        theta = theta_hat e^v on the negative half line and theta_hat + v on
+        R (see ``_log_ratio_integral``).  Array in, array out, written with
+        no terms of order n that cancel; d == 1 families that integrate the
+        ratio supply it.
+        """
+        raise NotImplementedError
 
     def _log_jeffreys_predictive(self, n, xbar, future):
         """ln of the Jeffreys predictive density of ``future`` after n points of mean xbar.
@@ -294,48 +306,48 @@ class Family(ParamsMixin):
         return math.exp(-self._bregman(theta, theta_hat))
 
 
-# -- natural-domain quadrature helpers --------------------------------------
+# -- quadrature helpers --------------------------------------------------------
 
 
-def integrate_over_natural(family, g, tol=DEFAULT_TOL, split_thetas=()):
-    """Integrate ``g(theta)`` over the family's natural domain (d == 1 only).
-
-    Half-line domains are handled in the rate coordinate beta = -theta;
-    ``split_thetas`` are interior mode hints.
-    """
-    if family.d != 1:
-        raise DomainError("natural-domain quadrature is one-dimensional only")
-    if family.natural_domain == NEGATIVE_HALF_LINE:
-        points = [-float(t) for t in split_thetas]
-        return integrate(lambda b: g(-b), 0.0, math.inf, tol=tol, points=points)
-    points = [float(t) for t in split_thetas]
-    return integrate(g, -math.inf, math.inf, tol=tol, points=points)
-
-
-def _log_ratio_integral(family, n, xbar, theta_hat, tol):
+def _log_ratio_integral(family, n, theta_hat, tol):
     """(ln R, relative error) for R = integral of exp(-n D(theta, theta_hat)) J(theta).
 
     R is Lemma 1's ratio integral; the Jeffreys evidence is
     exp(n A*(xbar)) R and the d == 1 saddle-point normalizer R / sqrt(tau).
-    The integrand exp(n (theta xbar - A(theta)) + ln J(theta)) is shifted
-    by its value at ``theta_hat``, the MLE of ``xbar``, so it peaks at 1
-    and ln J(theta_hat) is the only term added back.  Arguments are checked
-    by the callers (d == 1).
+    On the negative half line theta = theta_hat e^v and
+    R = J(theta_hat) (-theta_hat) * integral of exp(g(v)) dv; on R,
+    theta = theta_hat + v and R = J(theta_hat) * integral of exp(g(v)) dv.
+    The family's ``_ratio_exponent`` gives g, with g(0) = 0.
+
+    The trapezoid rule runs in t with v = s sinh(t), s = min(sigma, 1),
+    where sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat))) is the width of
+    the peak in v.  Near the peak t is then the standardized coordinate
+    v / sigma, and the sinh turns exponential tails into double-exponential
+    ones; the cap keeps the unit-scale turns of e^v in g resolved when
+    n A'' is small.  ``theta_hat`` may be a 1-d array of estimates sharing
+    the nodes, which gives arrays back.  Arguments are checked by the
+    callers (d == 1).  A relative error above ``tol`` raises
+    :class:`NonConvergenceError`.
     """
-    log_j_hat = family._log_jeffreys(theta_hat)
-    shift = n * (theta_hat * xbar - family._cumulant(theta_hat)) + log_j_hat
+    thetas = np.atleast_1d(theta_hat)
+    half_line = family.natural_domain == NEGATIVE_HALF_LINE
+    jacobian = -thetas if half_line else np.ones_like(thetas)
+    width = 1.0 / (jacobian * np.sqrt(n * family._covariance(thetas)))
+    scale = np.minimum(width, 1.0)[:, None]
+    column = thetas[:, None]
 
     def integrand(t):
-        return math.exp(
-            n * (t * xbar - family._cumulant(t)) + family._log_jeffreys(t) - shift
-        )
+        v = scale * np.sinh(t)
+        return scale * np.cosh(t) * np.exp(family._ratio_exponent(n, column, v))
 
-    result = integrate_over_natural(family, integrand, tol=tol, split_thetas=[theta_hat])
-    if not result.value > 0:  # integrate has already rejected a non-finite value
-        raise NonIntegrableError(
-            f"ratio integral is {result.value} at xbar={xbar}, n={n}; it must be positive"
-        )
-    return log_j_hat + math.log(result.value), result.error_estimate / result.value
+    with np.errstate(over="ignore"):
+        result = integrate_trapezoid(integrand, tol=tol)
+    log_prefactor = [family._log_jeffreys(t) for t in thetas.tolist()] + np.log(jacobian)
+    log_r = log_prefactor + np.log(result.value)
+    rel_err = result.error_estimate / result.value
+    if np.ndim(theta_hat) == 0:
+        return float(log_r[0]), float(rel_err[0])
+    return log_r, rel_err
 
 
 def integrate_over_support(family, g, tol=DEFAULT_TOL, split_points=()):

@@ -74,6 +74,10 @@ class GammaFamily(Family):
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.alpha) - math.log(-theta)
 
+    def _ratio_exponent(self, n, theta_hat, v):
+        # n D = n alpha (e^v - 1 - v) and J(theta) |dtheta/dv| = sqrt(alpha)
+        return -n * self.alpha * (np.expm1(v) - v)
+
     def _log_jeffreys_evidence(self, n, xbar):
         # the posterior of the rate is Gamma(n alpha, n xbar)
         a = self.alpha
@@ -173,6 +177,10 @@ class GaussianLocationFamily(Family):
         # J(theta) = det(B)^(1/2) does not depend on theta
         return 0.5 * self._logdet
 
+    def _ratio_exponent(self, n, theta_hat, v):
+        # d == 1: n D = n B v^2 / 2 and J is constant
+        return -0.5 * n * self._rows[0][0] * v * v
+
     def _log_jeffreys_evidence(self, n, xbar):
         # J is constant, so the Laplace integral is exact at every d:
         # (tau/n)^(d/2) exp(n A*(xbar))
@@ -255,6 +263,11 @@ class InverseGaussianFamily(Family):
             -theta
         )
 
+    def _ratio_exponent(self, n, theta_hat, v):
+        # n D = n sqrt(2 kappa beta_hat) (e^(v/2) - 1)^2 / 2, J(theta) |dtheta/dv| ~ e^(v/4)
+        c = 0.5 * n * np.sqrt(-2.0 * self.kappa * theta_hat)
+        return -c * np.expm1(0.5 * v) ** 2 + 0.25 * v
+
     def conjugate(self):
         return PoissonExponentialFamily(self.kappa)
 
@@ -299,6 +312,11 @@ class PoissonExponentialFamily(Family):
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.kappa) - 1.5 * math.log(-theta)
+
+    def _ratio_exponent(self, n, theta_hat, v):
+        # n D = n kappa / (2 beta_hat) (e^v - 1)^2 e^-v = 2 n kappa / beta_hat sinh(v/2)^2,
+        # J(theta) |dtheta/dv| ~ e^(-v/2)
+        return -2.0 * n * self.kappa / (-theta_hat) * np.sinh(0.5 * v) ** 2 - 0.5 * v
 
     def _log_jeffreys_evidence(self, n, xbar):
         # sqrt(kappa) * integral of beta^-3/2 exp(-n xbar beta - n kappa/(2 beta))

@@ -160,7 +160,7 @@ class JeffreysPredictor(_PredictorBase):
         closed = fam._log_jeffreys_evidence(n, xbar)
         if closed is not None:
             return closed, 0.0
-        log_r, rel_err = _log_ratio_integral(fam, n, xbar, fam._mle(xbar), self.tol)
+        log_r, rel_err = _log_ratio_integral(fam, n, fam._mle(xbar), self.tol)
         return n * fam._convex_conjugate(xbar) + log_r, rel_err
 
     def _prepare(self):
@@ -381,18 +381,23 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
     if family.d != 1:
         raise DomainError("constancy quadrature is univariate only")
     prior_scale = check_positive(prior_scale, "prior_scale")
-    values = []
+    theta_hats = []
     for seq in sequences:
         batch = seq if isinstance(seq, ObservationBatch) else as_batch(family, seq)
         if batch.n != n:
             raise DomainError(f"sequence has n={batch.n}, expected {n}")
-        xbar = float(batch.xbar)
-        log_r, _ = _log_ratio_integral(family, n, xbar, family.mle(xbar), tol)
-        values.append(prior_scale * math.exp(log_r))
-    if not values:
+        theta_hats.append(family.mle(float(batch.xbar)))
+    if not theta_hats:
         raise DomainError("lemma1_constancy needs at least one sequence")
-    values = tuple(values)
-    spread = (max(values) - min(values)) / float(np.median(values))
+    log_r, _ = _log_ratio_integral(family, n, np.array(theta_hats), tol)
+    values = tuple((prior_scale * np.exp(log_r)).tolist())
+    median = float(np.median(values))
+    if not median > 0:
+        raise NonConvergenceError(
+            f"ratio integrals times prior_scale={prior_scale} underflow to 0; "
+            "their spread is undefined"
+        )
+    spread = (max(values) - min(values)) / median
     return Lemma1Report(values=values, relative_spread=spread)
 
 

@@ -81,8 +81,7 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     n = _check_n(n)
     theta_hat = family._check_natural(theta_hat)
     if family.d == 1:
-        xbar = family._mean_from_natural(theta_hat)
-        log_r, rel_err = _log_ratio_integral(family, n, xbar, theta_hat, tol)
+        log_r, rel_err = _log_ratio_integral(family, n, theta_hat, tol)
         normalizer = math.exp(log_r - 0.5 * math.log(TAU))
         error = rel_err * normalizer
     else:

@@ -47,7 +47,13 @@ def _timed(check, statistic, threshold, detail, started):
 
 
 def suite_lemma1(tol=DEFAULT_TOL, seed=0, trials=None):
-    """Constancy of the likelihood-ratio integral across data sequences."""
+    """Constancy of the likelihood-ratio integral across data sequences.
+
+    In the coordinate of ``core._log_ratio_integral`` the Gamma and
+    Gaussian integrands do not depend on xbar, so their spreads read 0 up
+    to rounding of the prefactor; the Gamma closed-form check and the
+    Poisson-exponential spread are the ones that test the quadrature.
+    """
     reports = []
     half_line, real_line = np.geomspace(0.25, 4.0, 12), np.linspace(-3.0, 3.0, 12)
     cases = [

@@ -20,7 +20,7 @@ from expfam import (
     self_conjugacy_defect,
     tweedie_variance_function,
 )
-from expfam.core import REAL_LINE, integrate_over_natural
+from expfam.core import REAL_LINE
 from expfam.distributions import _log_series_factor, pe_log_series_factor
 from expfam.errors import DomainError, SupportError
 from expfam.numerics import integrate
@@ -151,8 +151,10 @@ class TestGammaPosterior:
                 family.log_likelihood(theta, batch) + family.log_jeffreys(theta)
             )
 
-        norm = integrate_over_natural(
-            family, unnormalized, tol=1e-12, split_thetas=[family.mle(xbar)]
+        # in the rate coordinate beta = -theta, split at the MLE
+        norm = integrate(
+            lambda b: unnormalized(-b), 0.0, math.inf, tol=1e-12,
+            points=[-family.mle(xbar)],
         ).value
         for beta in np.geomspace(0.3, 8.0, 50):
             oracle = unnormalized(-beta) / norm
@@ -187,8 +189,10 @@ class TestPoissonExponentialPosterior:
                 family.log_likelihood(theta, batch) + family.log_jeffreys(theta)
             )
 
-        norm = integrate_over_natural(
-            family, unnormalized, tol=1e-12, split_thetas=[family.mle(xbar)]
+        # in the rate coordinate beta = -theta, split at the MLE
+        norm = integrate(
+            lambda b: unnormalized(-b), 0.0, math.inf, tol=1e-12,
+            points=[-family.mle(xbar)],
         ).value
         for beta in np.geomspace(0.2, 5.0, 50):
             oracle = unnormalized(-beta) / norm

@@ -18,6 +18,7 @@ from expfam.numerics import (
     bracket_by_doubling,
     find_root,
     integrate,
+    integrate_trapezoid,
     inv_reg_gamma_lower,
     log_gamma,
     reg_gamma_lower,
@@ -220,6 +221,67 @@ class TestIntegrateBox:
             integrate(f, [0.0, 1.0], [1.0, 1.0])
         with pytest.raises(DomainError):
             integrate(f, [0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+class TestIntegrateTrapezoid:
+    def test_gaussian_exact_to_rounding(self):
+        # the trapezoid error on exp(-x^2/2) at step h is 2 sqrt(tau) exp(-2 pi^2/h^2)
+        result = integrate_trapezoid(lambda x: np.exp(-0.5 * (x - 0.3) ** 2))
+        assert abs(result.value - math.sqrt(2.0 * math.pi)) <= 4e-16 * result.value
+        assert result.error_estimate <= 1e-10 * result.value
+
+    def test_sech_squared(self):
+        # integral of sech^2 = 2; poles at +-i pi/2, tails exp(-2|x|) widen the window
+        result = integrate_trapezoid(lambda x: 1.0 / np.cosh(x) ** 2, tol=1e-12)
+        assert result.value == pytest.approx(2.0, rel=1e-13)
+
+    def test_evaluations_count_rows(self):
+        rows = []
+
+        def f(x):
+            rows.append(x.shape[0])
+            return np.exp(-x * x)
+
+        result = integrate_trapezoid(f, tol=1e-12)
+        assert result.value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert result.evaluations == sum(rows)
+        assert len(rows) > 1  # the window widened or the step halved
+
+    def test_tails_that_underflow_to_zero(self):
+        # exp(-256 x^4) is exactly 0 beyond |x| = 1.7; its integral is Gamma(1/4) / 8
+        f = lambda x: np.exp(-256.0 * x**4)
+        assert f(np.array([3.0]))[0] == 0.0
+        result = integrate_trapezoid(f, tol=1e-12)
+        assert result.value == pytest.approx(math.gamma(0.25) / 8.0, rel=1e-13)
+
+    def test_algebraic_tail_raises(self):
+        # 1/(1 + x^2) is still 1e-7 at |x| = 3e3: no window within the budget holds it
+        with pytest.raises(NonConvergenceError):
+            integrate_trapezoid(lambda x: 1.0 / (1.0 + x * x))
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NonConvergenceError):
+            integrate_trapezoid(lambda x: np.where(x == 0.0, np.nan, np.exp(-x * x)))
+
+    def test_stack_equals_elementwise(self):
+        integrands = [
+            lambda x: np.exp(-0.5 * (x - 0.3) ** 2),
+            lambda x: 1.0 / np.cosh(x) ** 2,
+            lambda x: np.exp(-256.0 * x**4),
+            lambda x: np.exp(-0.5 * x * x / 9.0),
+        ]
+        stacked = integrate_trapezoid(
+            lambda x: np.stack([f(x) for f in integrands]), tol=1e-12
+        )
+        assert stacked.value.shape == stacked.error_estimate.shape == (4,)
+        for f, value, error in zip(integrands, stacked.value, stacked.error_estimate):
+            alone = integrate_trapezoid(f, tol=1e-12)
+            assert value == pytest.approx(alone.value, rel=1e-15)
+            assert error <= 1e-12 * value
+
+    def test_bad_tol(self):
+        with pytest.raises(DomainError):
+            integrate_trapezoid(lambda x: np.exp(-x * x), tol=0.0)
 
 
 def _bisect(f, lo, hi, iterations=80):

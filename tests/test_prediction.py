@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from expfam import (
@@ -22,6 +24,7 @@ from expfam.core import TAU, Family, _log_ratio_integral, integrate_over_support
 from expfam.errors import (
     DegenerateDataError,
     DomainError,
+    ExpfamError,
     NonConvergenceError,
     NonNormalizableError,
 )
@@ -62,6 +65,86 @@ def _mp_inverse_gaussian_log_evidence(kappa, n, xbar):
         + b**2 / (8 * a)
         + mp.log(mp.pcfd(-half, -b / mp.sqrt(2 * a)))
     )
+
+
+def _mp_log_ratio(family, n, xbar):
+    """ln R at 50 digits, R = integral of exp(-n D(theta, theta_hat)) J(theta).
+
+    Gamma: sqrt(alpha) Gamma(c) e^c / c^c with c = n alpha.  Poisson-exponential
+    and Gaussian: sqrt(tau / n).  Inverse Gaussian: the parabolic-cylinder
+    evidence minus n A*(xbar) = n kappa / (2 xbar), subtracted at 50 digits.
+    """
+    with mp.workdps(50):
+        if isinstance(family, GammaFamily):
+            c = n * mp.mpf(family.alpha)
+            return float(mp.log(family.alpha) / 2 + mp.loggamma(c) + c - c * mp.log(c))
+        if isinstance(family, InverseGaussianFamily):
+            kappa, x = mp.mpf(family.kappa), mp.mpf(xbar)
+            log_evidence = _mp_inverse_gaussian_log_evidence(kappa, n, x)
+            return float(log_evidence - n * kappa / (2 * x))
+        return float((mp.log(2 * mp.pi) - mp.log(n)) / 2)
+
+
+class TestRatioIntegralLargeN:
+    """ln R against 50-digit references, with no n A*(xbar) subtracted in float."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [GammaFamily(1e-3), GammaFamily(1.0), GammaFamily(1e4),
+         PoissonExponentialFamily(1e-3), PoissonExponentialFamily(2.0),
+         PoissonExponentialFamily(1e4), GaussianLocationFamily(1e-3),
+         GaussianLocationFamily(1.0), GaussianLocationFamily(1e4)],
+    )
+    def test_closed_forms_n_up_to_1e9(self, family):
+        for n in (1, 3, 10**3, 10**6, 10**9):
+            for xbar in (1e-3, 0.25, 4.0, 1e3):
+                log_r, rel_err = _log_ratio_integral(family, n, family.mle(xbar), 1e-10)
+                ref = _mp_log_ratio(family, n, xbar)
+                assert abs(log_r - ref) <= 1e-10 * max(1.0, abs(ref)), (n, xbar)
+                assert rel_err <= 1e-10
+
+    def test_lemma1_gamma_at_a_million(self):
+        # the QUADPACK split at theta_hat returned half of this value
+        n = 10**6
+        report = lemma1_constancy(GammaFamily(1.0), n, [ObservationBatch(n=n, xbar=4.0)])
+        ref = math.exp(_mp_log_ratio(GammaFamily(1.0), n, 4.0))
+        assert report.values[0] == pytest.approx(ref, rel=1e-10)
+        assert report.values[0] == pytest.approx(0.0025066, rel=1e-4)
+
+    def test_inverse_gaussian_renormalize_at_1e9(self):
+        # the QUADPACK normalizer was 5.5e-68 with error 1.1e-67
+        family, n, xbar = InverseGaussianFamily(1.0), 10**9, 1.0
+        profile = renormalize(family, n, family.mle(xbar))
+        ref = math.exp(_mp_log_ratio(family, n, xbar)) / math.sqrt(TAU)
+        assert profile.normalizer == pytest.approx(ref, rel=1e-10)
+        assert profile.normalizer == pytest.approx(3.162e-5, rel=1e-3)
+        assert profile.normalizer_error <= 1e-10 * profile.normalizer
+
+    def test_inverse_gaussian_jeffreys_error_within_tol_at_1e9(self):
+        # the QUADPACK evidence reported a normalizer_error of 3.98
+        fitted = JeffreysPredictor(InverseGaussianFamily(1.0)).fit(
+            ObservationBatch(n=10**9, xbar=1.3)
+        )
+        assert fitted.predictive_value([1.0]).normalizer_error <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_n=st.floats(0.0, 9.0),
+        log_xbar=st.floats(-8.0, 8.0),
+        log_shape=st.floats(-3.0, 4.0),
+        make=st.sampled_from(
+            [GammaFamily, PoissonExponentialFamily, InverseGaussianFamily,
+             GaussianLocationFamily]
+        ),
+    )
+    def test_within_tol_or_raises(self, log_n, log_xbar, log_shape, make):
+        family, n, xbar = make(10.0**log_shape), round(10.0**log_n), 10.0**log_xbar
+        try:
+            log_r, _ = _log_ratio_integral(family, n, family.mle(xbar), 1e-10)
+        except ExpfamError:
+            return
+        ref = _mp_log_ratio(family, n, xbar)
+        assert abs(log_r - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestJeffreysPredictor:
@@ -114,7 +197,7 @@ class TestJeffreysPredictor:
         # evidence = n A*(xbar) + ln R wherever the family has a closed form
         for n in (1, 3, 20, 1000):
             for xbar in (0.05, 1.0, 20.0):
-                log_r, _ = _log_ratio_integral(family, n, xbar, family.mle(xbar), 1e-12)
+                log_r, _ = _log_ratio_integral(family, n, family.mle(xbar), 1e-12)
                 ref = family._log_jeffreys_evidence(n, xbar)
                 got = n * family.convex_conjugate(xbar) + log_r
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, xbar)
@@ -435,12 +518,12 @@ class TestLemma1Constancy:
         )
 
     def test_underflowing_values_raise(self):
-        # at n = 2e8 every ratio integral underflows to 0: the spread would
-        # divide by a zero median
+        # at n = 2e8 each R is 1.8e-4, so prior_scale * R underflows to 0:
+        # the spread would divide by a zero median
         n = 200_000_000
         batches = [ObservationBatch(n=n, xbar=x) for x in (0.5, 1.0, 2.0)]
         with pytest.raises(NonConvergenceError):
-            lemma1_constancy(GammaFamily(2.0), n, batches, tol=1e-6)
+            lemma1_constancy(GammaFamily(2.0), n, batches, tol=1e-6, prior_scale=1e-320)
 
     @pytest.mark.parametrize(
         "family",
@@ -598,15 +681,20 @@ class TestValidationCost:
         for name in ("_check_natural", "_check_mean", "_check_support"):
             counted_check(name, Family)
         counted_check("_points", GaussianLocationFamily)
-        original_integrate = core.integrate
 
-        def integrate_counted(*args, **kwargs):
-            result = original_integrate(*args, **kwargs)
-            counts["integrals"] += 1
-            counts["evaluations"] += result.evaluations
-            return result
+        def counted_rule(name):
+            original = getattr(core, name)
 
-        monkeypatch.setattr(core, "integrate", integrate_counted)
+            def rule(*args, **kwargs):
+                result = original(*args, **kwargs)
+                counts["integrals"] += 1
+                counts["evaluations"] += result.evaluations
+                return result
+
+            monkeypatch.setattr(core, name, rule)
+
+        for name in ("integrate", "integrate_trapezoid"):
+            counted_rule(name)
         run()
         monkeypatch.undo()
         return counts

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,9 +16,10 @@ from expfam import (
     gamma_posterior,
     poisson_exponential_posterior,
 )
-from expfam.core import TAU, integrate_over_natural
+from expfam.core import NEGATIVE_HALF_LINE, TAU
 from expfam.distributions import GammaPosterior
 from expfam.errors import DomainError
+from expfam.numerics import integrate
 from expfam.saddlepoint import (
     _log_profile,
     exactness_report,
@@ -28,6 +30,16 @@ from expfam.saddlepoint import (
 #: non-diagonal covariances for the d > 1 Gaussian location family
 COV_2D = np.array([[2.0, 0.4], [0.4, 1.0]])
 COV_3D = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.0]])
+
+
+def _integrate_natural(family, g, tol, theta_hat):
+    """Integrate g(theta) over the natural domain by QUADPACK, split at theta_hat.
+
+    Half-line domains are integrated in the rate coordinate beta = -theta.
+    """
+    if family.natural_domain == NEGATIVE_HALF_LINE:
+        return integrate(lambda b: g(-b), 0.0, math.inf, tol=tol, points=[-theta_hat])
+    return integrate(g, -math.inf, math.inf, tol=tol, points=[theta_hat])
 
 
 class TestUnnormalizedProfile:
@@ -85,9 +97,7 @@ class TestRenormalize:
         ):
             tol = 1e-10
             profile = renormalize(family, 3, theta_hat, tol=tol)
-            mass = integrate_over_natural(
-                family, profile.density, tol=tol, split_thetas=[theta_hat]
-            )
+            mass = _integrate_natural(family, profile.density, tol, theta_hat)
             assert mass.value == pytest.approx(1.0, abs=2.0 * tol + 1e-10)
 
     def test_variance_decreases_with_n(self):
@@ -100,20 +110,39 @@ class TestRenormalize:
             variances = []
             for n in (1, 2, 4, 8):
                 profile = renormalize(family, n, theta_hat, tol=1e-11)
-                mean = integrate_over_natural(
-                    family,
-                    lambda t: t * profile.density(t),
-                    tol=1e-10,
-                    split_thetas=[theta_hat],
+                mean = _integrate_natural(
+                    family, lambda t: t * profile.density(t), 1e-10, theta_hat
                 ).value
-                second = integrate_over_natural(
-                    family,
-                    lambda t: t * t * profile.density(t),
-                    tol=1e-10,
-                    split_thetas=[theta_hat],
+                second = _integrate_natural(
+                    family, lambda t: t * t * profile.density(t), 1e-10, theta_hat
                 ).value
                 variances.append(second - mean * mean)
             assert all(a > b for a, b in zip(variances, variances[1:])), family
+
+
+class TestRenormalizeLargeN:
+    """The d = 1 normalizer R / sqrt(tau) against 50-digit closed forms at large n."""
+
+    def test_gamma_at_a_million(self):
+        # sqrt(alpha) Gamma(n) e^n / n^n / sqrt(tau); QUADPACK split at theta_hat
+        # returned half of it and reported an error of 4e-16
+        n = 10**6
+        with mp.workdps(50):
+            ref = float(mp.exp(mp.loggamma(n) + n - n * mp.log(n)) / mp.sqrt(2 * mp.pi))
+        profile = renormalize(GammaFamily(1.0), n, -0.25)
+        assert profile.normalizer == pytest.approx(ref, rel=1e-10)
+        assert profile.normalizer_error <= 1e-10 * profile.normalizer
+
+    @pytest.mark.parametrize(
+        "family,theta_hat",
+        [(GammaFamily(2.0), -0.5), (PoissonExponentialFamily(2.0), -1.5),
+         (GaussianLocationFamily(1.0), 0.3)],
+    )
+    def test_n_1e9(self, family, theta_hat):
+        # QUADPACK raised here; the Gamma constant is 1/sqrt(n) to 1 + 1/(12 n alpha)
+        n = 10**9
+        profile = renormalize(family, n, theta_hat)
+        assert profile.normalizer == pytest.approx(n**-0.5, rel=1e-10)
 
 
 class TestRenormalizeHigherDimensions:
