@@ -75,11 +75,11 @@ class Family(ParamsMixin):
     Subclasses supply each closed form once, as a kernel on validated
     values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
     ``_mle`` and ``_log_carrier``, ``_log_jeffreys`` where the default
-    would overflow, and ``_ratio_exponent`` at d == 1 for the ratio
-    integral.  A point is a float when d == 1 and a vector (d,)
-    otherwise.  Each public method checks its arguments and calls the
-    kernel of the same name; quadrature integrands, whose arguments are
-    checked once before the integral, call the kernels directly.
+    would overflow, and ``_ratio_exponent`` for the ratio integral.  A
+    point is a float when d == 1 and a vector (d,) otherwise.  Each
+    public method checks its arguments and calls the kernel of the same
+    name; quadrature integrands, whose arguments are checked once before
+    the integral, call the kernels directly.
 
     The natural domain is either the negative half line (Gamma, inverse
     Gaussian, Poisson-exponential) or all of R^d (Gaussian location).
@@ -137,8 +137,8 @@ class Family(ParamsMixin):
         The integrand is exp(-n D(theta, theta_hat)) J(theta) |dtheta/dv| at
         theta = theta_hat e^v on the negative half line and theta_hat + v on
         R (see ``_log_ratio_integral``).  Array in, array out, written with
-        no terms of order n that cancel; d == 1 families that integrate the
-        ratio supply it.
+        no terms of order n that cancel; families that integrate the ratio
+        supply it.  At d > 1 theta = theta_hat + v, with v a stack (..., d).
         """
         raise NotImplementedError
 
@@ -313,39 +313,60 @@ def _log_ratio_integral(family, n, theta_hat, tol):
     """(ln R, relative error) for R = integral of exp(-n D(theta, theta_hat)) J(theta).
 
     R is Lemma 1's ratio integral; the Jeffreys evidence is
-    exp(n A*(xbar)) R and the d == 1 saddle-point normalizer R / sqrt(tau).
-    On the negative half line theta = theta_hat e^v and
-    R = J(theta_hat) (-theta_hat) * integral of exp(g(v)) dv; on R,
-    theta = theta_hat + v and R = J(theta_hat) * integral of exp(g(v)) dv.
-    The family's ``_ratio_exponent`` gives g, with g(0) = 0.
+    exp(n A*(xbar)) R and the saddle-point normalizer R / tau^(d/2).  The
+    family's ``_ratio_exponent`` gives the log g(v) of the integrand in a
+    coordinate v with g(0) = 0, and the trapezoid rule runs in t, one
+    sinh map per axis, which turns exponential tails into
+    double-exponential ones:
 
-    The trapezoid rule runs in t with v = s sinh(t), s = min(sigma, 1),
-    where sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat))) is the width of
-    the peak in v.  Near the peak t is then the standardized coordinate
-    v / sigma, and the sinh turns exponential tails into double-exponential
-    ones; the cap keeps the unit-scale turns of e^v in g resolved when
-    n A'' is small.  ``theta_hat`` may be a 1-d array of estimates sharing
-    the nodes, which gives arrays back.  Arguments are checked by the
-    callers (d == 1).  A relative error above ``tol`` raises
-    :class:`NonConvergenceError`.
+    * d == 1: on the negative half line theta = theta_hat e^v and
+      R = J(theta_hat) (-theta_hat) * integral of exp(g(v)) dv; on R,
+      theta = theta_hat + v and R = J(theta_hat) * integral of exp(g(v)) dv.
+      Here v = s sinh(t), s = min(sigma, 1), where
+      sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat))) is the width of the
+      peak in v: near the peak t is the standardized coordinate v / sigma,
+      and the cap keeps the unit-scale turns of e^v in g resolved when
+      n A'' is small.
+    * d > 1 (on R^d): theta = theta_hat + v with v = L sinh(t), L the
+      Cholesky factor of (n Cov(theta_hat))^-1, so t is whitened and
+      R = J(theta_hat) |det L| * integral of exp(g(v)) prod cosh(t_i) dt.
+
+    ``theta_hat`` may stack estimates along a leading axis (a 1-d array at
+    d == 1, (S, d) at d > 1); they share the nodes and give arrays back.
+    Arguments are checked by the callers.  A relative error above ``tol``
+    raises :class:`NonConvergenceError`.
     """
-    thetas = np.atleast_1d(theta_hat)
-    half_line = family.natural_domain == NEGATIVE_HALF_LINE
-    jacobian = -thetas if half_line else np.ones_like(thetas)
-    width = 1.0 / (jacobian * np.sqrt(n * family._covariance(thetas)))
-    scale = np.minimum(width, 1.0)[:, None]
-    column = thetas[:, None]
+    d = family.d
+    thetas = np.asarray(theta_hat, dtype=float).reshape(-1, d)
+    if d == 1:
+        half_line = family.natural_domain == NEGATIVE_HALF_LINE
+        jacobian = -thetas[:, 0] if half_line else np.ones(len(thetas))
+        width = 1.0 / (jacobian * np.sqrt(n * family._covariance(thetas[:, 0])))
+        det = scale = np.minimum(width, 1.0)[:, None]
+        center, points = thetas, thetas[:, 0].tolist()
+
+        def coordinates(t):
+            return scale * np.sinh(t), np.cosh(t)
+    else:
+        jacobian = np.ones(len(thetas))
+        cov = np.broadcast_to(family._covariance(thetas), (len(thetas), d, d))
+        factor = np.linalg.cholesky(np.linalg.inv(n * cov))  # L, one per estimate
+        det = np.prod(np.diagonal(factor, axis1=-2, axis2=-1), axis=-1)[:, None]
+        center, points = thetas[:, None, :], list(thetas)
+
+        def coordinates(t):
+            return np.sinh(t) @ factor.mT, np.cosh(t).prod(axis=-1)
 
     def integrand(t):
-        v = scale * np.sinh(t)
-        return scale * np.cosh(t) * np.exp(family._ratio_exponent(n, column, v))
+        v, stretch = coordinates(t)
+        return det * stretch * np.exp(family._ratio_exponent(n, center, v))
 
     with np.errstate(over="ignore"):
-        result = integrate_trapezoid(integrand, tol=tol)
-    log_prefactor = [family._log_jeffreys(t) for t in thetas.tolist()] + np.log(jacobian)
+        result = integrate_trapezoid(integrand, tol=tol, d=d)
+    log_prefactor = [family._log_jeffreys(t) for t in points] + np.log(jacobian)
     log_r = log_prefactor + np.log(result.value)
     rel_err = result.error_estimate / result.value
-    if np.ndim(theta_hat) == 0:
+    if np.ndim(theta_hat) < (1 if d == 1 else 2):
         return float(log_r[0]), float(rel_err[0])
     return log_r, rel_err
 

@@ -53,10 +53,27 @@ class GammaPosterior:
         check_positive(self.rate, "rate")
 
     def log_pdf(self, x):
+        """ln(b^a x^(a-1) e^(-bx) / Gamma(a)) with no terms of order a ln a.
+
+        It is a ln a - a - lgamma(a) - bd0 - ln x, where
+        bd0 = a ln(a/(bx)) + bx - a is summed from the exact product bx
+        near bx = a (Loader 2000, *Fast and accurate computation of
+        binomial probabilities*) and, for a >= 15, a ln a - a - lgamma(a)
+        is (ln a - ln tau)/2 less Stirling's remainder series.
+        """
         if x <= 0:
             raise SupportError(f"gamma support is x > 0, got {x}")
         a, b = self.shape, self.rate
-        return a * math.log(b) + (a - 1.0) * math.log(x) - b * x - math.lgamma(a)
+        if a >= 15.0:
+            r = 1.0 / a
+            q = r * r
+            remainder = r * (
+                1 / 12 - q * (1 / 360 - q * (1 / 1260 - q * (1 / 1680 - q / 1188)))
+            )
+            head = 0.5 * (math.log(a) - _LOG_TAU) - remainder
+        else:
+            head = a * math.log(a) - a - math.lgamma(a)
+        return head - _bd0(a, b, x) - math.log(x)
 
     def pdf(self, x):
         return math.exp(self.log_pdf(x))
@@ -81,6 +98,40 @@ class GammaPosterior:
     @property
     def variance(self):
         return self.shape / self.rate**2
+
+
+_LOG_TAU = math.log(2.0 * math.pi)
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _bd0(a, b, x):
+    """a ln(a/(bx)) + bx - a, as a series in v = (a - bx)/(a + bx) near bx = a."""
+    m = b * x
+    if abs(a - m) >= 0.1 * (a + m):
+        return a * math.log(a / m) + (m - a)
+    m, low = _two_product(b, x)
+    excess = (m - a) + low  # bx - a to rounding: m - a is exact here
+    v = -excess / (a + m)
+    # bd0 = (a - bx) v + 2a (v^3/3 + v^5/5 + ...): the first term is
+    # positive and the series is below |v|/3 of it, so nothing cancels
+    total, term, q, j = -excess * v, 2.0 * a * v, v * v, 3
+    while True:
+        term *= q
+        nxt = total + term / j
+        if nxt == total:
+            return total
+        total, j = nxt, j + 2
 
 
 @dataclass(frozen=True)
@@ -261,7 +312,8 @@ class PoissonExponentialDist:
     def cdf(self, x):
         """P(Y <= x): the atom plus the Poisson-weighted gamma distribution functions.
 
-        For lam <= 30 the sum runs over k = 1..lam+45, term by term.  Above,
+        For lam <= 30 the sum runs over k = 1..lam+45, term by term, or
+        further until a geometric bound puts the rest below half an ulp.  Above,
         2 beta Y is noncentral chi-squared with zero degrees of freedom and
         noncentrality 2 lam (Siegel 1979), so with t = beta x and independent
         Poisson counts N_t, N_lam
@@ -283,8 +335,17 @@ class PoissonExponentialDist:
             ) * float(_scisp.i0e(2.0 * root_lam * root_t))
         else:
             k = np.arange(1, int(lam + 45) + 1, dtype=float)
-            log_w = -lam + k * math.log(lam) - _scisp.gammaln(k + 1.0)
-            out = math.exp(-lam) + float(np.sum(np.exp(log_w) * _scisp.gammainc(k, t)))
+            out = math.exp(-lam)
+            while True:
+                log_w = -lam + k * math.log(lam) - _scisp.gammaln(k + 1.0)
+                terms = np.exp(log_w) * _scisp.gammainc(k, t)
+                out += float(np.sum(terms))
+                # later terms shrink by lam/(k+1) <= r each: their sum is below
+                # terms[-1] r / (1 - r), which must fall under half an ulp of out
+                r = lam / (k[-1] + 1.0)
+                if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
+                    break
+                k = k + len(k)
         return min(out, 1.0)
 
     def sample(self, rng, size):

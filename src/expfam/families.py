@@ -178,8 +178,10 @@ class GaussianLocationFamily(Family):
         return 0.5 * self._logdet
 
     def _ratio_exponent(self, n, theta_hat, v):
-        # d == 1: n D = n B v^2 / 2 and J is constant
-        return -0.5 * n * self._rows[0][0] * v * v
+        # n D = n v.B.v / 2 with v = theta - theta_hat, and J is constant
+        if self.d == 1:
+            return -0.5 * n * self._rows[0][0] * v * v
+        return -0.5 * n * self._dot(self._mul(self._rows, v), v)
 
     def _log_jeffreys_evidence(self, n, xbar):
         # J is constant, so the Laplace integral is exact at every d:

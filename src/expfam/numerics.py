@@ -7,13 +7,14 @@ random streams are explicit generator objects, never global state.
 Only this module calls scipy's quadrature and root finders, importing
 them on first use.  ``integrate`` runs QUADPACK (``scipy.integrate.quad``,
 which applies the standard half-line transform internally and
-extrapolates across integrable endpoint singularities) on an interval and
-``scipy.integrate.cubature`` on a box; ``integrate_trapezoid`` runs the
-trapezoid rule on the real line in numpy alone; ``find_root`` runs Brent's
-method (``scipy.optimize.brentq``) on a bracket and safeguarded Newton on
-a stack.
+extrapolates across integrable endpoint singularities) on an interval;
+there is no cubature: integrals over R^d go to ``integrate_trapezoid``,
+the trapezoid rule on a product grid in numpy alone.  ``find_root`` runs
+Brent's method (``scipy.optimize.brentq``) on a bracket and safeguarded
+Newton on a stack.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,17 @@ DEFAULT_TOL = 1e-10
 # subinterval this keeps each call far below a 1e6 evaluation budget.
 _QUAD_LIMIT = 200
 
-# Trapezoid rule on the real line: first step, first window [-w, w], the
-# edge value (relative to the peak, in units of tol) below which the window
-# stops doubling, and the node budget.
+# Trapezoid rule on R^d: first step, first window [-w, w] on each axis,
+# the face value (relative to the peak, in units of tol) below which the
+# window stops doubling, the node budget per axis and in all, and the most
+# nodes passed to one call of the integrand at d > 1.
 _TRAPEZOID_STEP = 1.0 / 16.0
 _TRAPEZOID_WINDOW = 3.0
 _TRAPEZOID_EDGE = 1e-3
 _TRAPEZOID_NODES = 8192
+_TRAPEZOID_GRID = 1 << 23
+_TRAPEZOID_SLAB = 1 << 16
+_BUDGET = f"{_TRAPEZOID_NODES} nodes per axis and {_TRAPEZOID_GRID} in all"
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps  # the least relative tolerance brentq takes
 
@@ -118,9 +123,7 @@ def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):
 
     ``points`` lists interior locations (modes, kinks) where the domain is
     split before integrating; this is how callers steer the rule toward
-    narrow peaks on unbounded domains.  When ``lo`` and ``hi`` are
-    length-d arrays the domain is the box between them, ``f`` maps an
-    (N, d) array of points to N values, and ``evaluations`` counts points.
+    narrow peaks on unbounded domains.
 
     Raises :class:`NonConvergenceError` when the rule gives up or the
     reported error exceeds ``max(tol, tol * |value|)``.
@@ -128,19 +131,9 @@ def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):
     from scipy import integrate as _sciint
 
     tol = check_positive(tol, "tol")
-    if np.ndim(lo):
-        value, err, neval = _cubature(_sciint, f, lo, hi, tol)
-    else:
-        value, err, neval = _quadpack(_sciint, f, float(lo), float(hi), tol, points)
-    if not math.isfinite(value) or err < 0 or err > max(tol, tol * abs(value)):
-        raise NonConvergenceError(
-            f"quadrature did not converge: value={value}, "
-            f"error_estimate={err}, tol={tol}, evaluations={neval}"
-        )
-    return QuadratureResult(value=value, error_estimate=err, evaluations=neval)
-
-
-def _quadpack(_sciint, f, lo, hi, tol, points):
+    if np.ndim(lo) or np.ndim(hi):
+        raise DomainError("integrate takes an interval; R^d goes to integrate_trapezoid")
+    lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise DomainError(f"empty integration domain [{lo}, {hi}]")
     edges = [lo, *sorted({float(p) for p in points or () if lo < p < hi}), hi]
@@ -159,84 +152,140 @@ def _quadpack(_sciint, f, lo, hi, tol, points):
         value += out[0]
         err += out[1]
         neval += out[2]["neval"]
-    return value, err, neval
+    if not math.isfinite(value) or err < 0 or err > max(tol, tol * abs(value)):
+        raise NonConvergenceError(
+            f"quadrature did not converge: value={value}, "
+            f"error_estimate={err}, tol={tol}, evaluations={neval}"
+        )
+    return QuadratureResult(value=value, error_estimate=err, evaluations=neval)
 
 
-def _cubature(_sciint, f, lo, hi, tol):
-    # an unconverged cubature leaves error > tol * (1 + |value|), which integrate rejects
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape or not np.all(lo < hi):
-        raise DomainError(f"integration box needs lo < hi, got {lo}, {hi}")
-    rows = []
-    out = _sciint.cubature(
-        lambda x: rows.append(len(x)) or f(x), lo, hi, rtol=tol, atol=tol
-    )
-    return float(out.estimate), float(out.error), sum(rows)
+def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
+    """The integral of f over R^d by the trapezoid rule on a product grid.
 
+    At d == 1 ``f`` maps a 1-d array of N nodes to N values, or to a stack
+    (..., N) of integrands sharing the nodes; at d > 1 it maps an (N, d)
+    array of points the same way.  ``evaluations`` counts the nodes passed
+    in.  For an f analytic in a strip around each real axis that decays at
+    least exponentially, the rule converges geometrically in the step
+    (Trefethen & Weideman 2014, *The exponentially convergent trapezoidal
+    rule*, SIAM Review 56).  It starts at step 1/16 on [-3, 3] on each
+    axis; the window doubles while a value on a face of the grid exceeds
+    1e-3 tol of the peak, then the step halves, on new nodes only, until
+    the error estimate |T_h - T_2h| is at most ``tol |T_h|``.  Each
+    integrand of a stack keeps the value of the first step that meets
+    this, so it agrees with its own integral to rounding.  At d > 1 the
+    nodes go to ``f`` in slabs along the first axis of at most 2^16
+    points, so the memory beyond the grid's values stays bounded.
 
-def integrate_trapezoid(f, tol=DEFAULT_TOL):
-    """The integral of f over the real line by the trapezoid rule.
-
-    ``f`` maps a 1-d array of N nodes to N values, or to a stack (..., N)
-    of integrands sharing the nodes; ``evaluations`` counts the nodes
-    passed in.  For an f analytic in a strip around the real axis that
-    decays at least exponentially, the rule converges geometrically in the
-    step (Trefethen & Weideman 2014, *The exponentially convergent
-    trapezoidal rule*, SIAM Review 56).  It starts at step 1/16 on
-    [-3, 3]; the window doubles while an edge value exceeds 1e-3 tol of
-    the peak, then the step halves, on new nodes only, until the error
-    estimate |T_h - T_2h| is at most ``tol |T_h|``.  Each integrand of a
-    stack keeps the value of the first step that meets this, so it agrees
-    with its own integral to rounding.
-
-    Raises :class:`NonConvergenceError` on a non-finite value or once
-    the nodes would exceed 8192.
+    Raises :class:`NonConvergenceError` on a non-finite value or once the
+    nodes would exceed 8192 on an axis or 2^23 in all.
     """
     tol = check_positive(tol, "tol")
     h = _TRAPEZOID_STEP
-    k = round(_TRAPEZOID_WINDOW / h)  # the nodes are j h for |j| <= k
-    y = f(np.arange(-k, k + 1) * h)
+    k = round(_TRAPEZOID_WINDOW / h)  # the nodes are j h for |j| <= k on each axis
+    grid_axes = -1 if d == 1 else tuple(range(-d, 0))
+    y = _grid_values(f, _nodes(k, h), d)
     while True:
         size = np.abs(y)
-        edge = _TRAPEZOID_EDGE * tol * size.max(axis=-1)
-        if not ((size[..., 0] > edge) | (size[..., -1] > edge)).any():
+        edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes)
+        if not _reaches_faces(size, edge, d).any():
             break
-        if 4 * k + 1 > _TRAPEZOID_NODES:
+        if _over_budget(4 * k + 1, d):
             raise NonConvergenceError(
                 f"trapezoid window [-{k * h}, {k * h}] cuts off the integrand "
-                f"and cannot double within {_TRAPEZOID_NODES} nodes"
+                f"and cannot double within {_BUDGET}"
             )
-        flanks = f(np.concatenate([np.arange(-2 * k, -k), np.arange(k + 1, 2 * k + 1)]) * h)
-        y = np.concatenate([flanks[..., :k], y, flanks[..., k:]], axis=-1)
+        y = _grid_values(f, _nodes(2 * k, h), d, slice(k, 3 * k + 1), y)
         k *= 2
-    value, error = _trapezoid_sums(y, h)
+    value, error = _trapezoid_sums(y, h, d)
     done = error <= tol * np.abs(value)
     while not done.all():
         if not np.isfinite(value).all():
             raise NonConvergenceError(f"trapezoid sum is not finite: {value}")
-        if 4 * k + 1 > _TRAPEZOID_NODES:
+        if _over_budget(4 * k + 1, d):
             raise NonConvergenceError(
-                f"trapezoid rule did not converge within {_TRAPEZOID_NODES} nodes: "
+                f"trapezoid rule did not converge within {_BUDGET}: "
                 f"value={value}, error_estimate={error}, tol={tol}"
             )
         h, k = 0.5 * h, 2 * k
-        finer = np.empty(y.shape[:-1] + (2 * k + 1,))
-        finer[..., ::2] = y
-        finer[..., 1::2] = f(np.arange(1 - k, k, 2) * h)
-        y = finer
-        fine, fine_error = _trapezoid_sums(y, h)
+        y = _grid_values(f, _nodes(k, h), d, slice(None, None, 2), y)
+        fine, fine_error = _trapezoid_sums(y, h, d)
         value = np.where(done, value, fine)
         error = np.where(done, error, fine_error)
         done = error <= tol * np.abs(value)
     if value.ndim == 0:
         value, error = float(value), float(error)
-    return QuadratureResult(value=value, error_estimate=error, evaluations=y.shape[-1])
+    return QuadratureResult(
+        value=value, error_estimate=error, evaluations=(2 * k + 1) ** d
+    )
 
 
-def _trapezoid_sums(y, h):
-    """T_h over the nodes y (last axis) and |T_h - T_2h|; the first node's index is even."""
-    fine = h * y.sum(axis=-1)
-    return fine, np.abs(fine - 2.0 * h * y[..., ::2].sum(axis=-1))
+@functools.lru_cache(maxsize=64)  # the node budget allows a few dozen (k, h) pairs
+def _nodes(k, h):
+    """The nodes j h, |j| <= k, of one axis, read-only: every call shares them."""
+    x = np.arange(-k, k + 1) * h
+    x.flags.writeable = False
+    return x
+
+
+def _over_budget(m, d):
+    """Whether a grid of m nodes on each of d axes exceeds the node budget."""
+    return m > _TRAPEZOID_NODES or m**d > _TRAPEZOID_GRID
+
+
+def _grid_values(f, x, d, kept=None, old=None):
+    """f on the product grid x^d, held in the last d axes.
+
+    ``old`` holds the values at the nodes whose every index lies in the
+    slice ``kept``; f is evaluated at the other nodes only.
+    """
+    if old is None and d == 1:
+        return f(x)
+    m = x.size
+    fresh = np.ones((m,) * d, dtype=bool)
+    if old is not None:
+        fresh[(kept,) * d] = False
+    if d == 1:
+        y = np.empty(old.shape[:-1] + (m,))
+        y[..., kept] = old
+        y[..., fresh] = f(x[fresh])
+        return y
+    rows = max(1, _TRAPEZOID_SLAB // m ** (d - 1))
+    y = None
+    for first in range(0, m, rows):
+        index = np.nonzero(fresh[first : first + rows])
+        index = (index[0] + first,) + index[1:]
+        values = f(np.stack([x[i] for i in index], axis=-1))
+        if y is None:
+            y = np.empty(values.shape[:-1] + (m,) * d)
+            if old is not None:
+                y[(Ellipsis,) + (kept,) * d] = old
+        y[(Ellipsis,) + index] = values
+    return y
+
+
+def _reaches_faces(size, edge, d):
+    """Whether a value on a face of the grid (last d axes of ``size``) exceeds ``edge``."""
+    if d == 1:
+        return (size[..., 0] > edge) | (size[..., -1] > edge)
+    out = False
+    for after in range(d):  # the face's axis has ``after`` grid axes behind it
+        for j in (0, -1):
+            face = size[(Ellipsis, j) + (slice(None),) * after]
+            out = out | (face.max(axis=tuple(range(1 - d, 0))) > edge)
+    return out
+
+
+def _trapezoid_sums(y, h, d):
+    """T_h over the nodes y (last d axes) and |T_h - T_2h|; the first index is even."""
+    if d == 1:
+        fine = h * y.sum(axis=-1)
+        return fine, np.abs(fine - 2.0 * h * y[..., ::2].sum(axis=-1))
+    axes = tuple(range(-d, 0))
+    fine = h**d * y.sum(axis=axes)
+    coarse = y[(Ellipsis,) + (slice(None, None, 2),) * d]
+    return fine, np.abs(fine - (2.0 * h) ** d * coarse.sum(axis=axes))
 
 
 def find_root(f, bracket, tol=1e-12, fprime=None):

@@ -375,18 +375,16 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
 
     which depends on the data only through the hindsight estimate; its
     relative spread (max-min over the median) across sequences is the
-    constancy statistic.
+    constancy statistic.  All sequences share one ratio integral, at any d.
     """
     check_positive(tol, "tol")
-    if family.d != 1:
-        raise DomainError("constancy quadrature is univariate only")
     prior_scale = check_positive(prior_scale, "prior_scale")
     theta_hats = []
     for seq in sequences:
         batch = seq if isinstance(seq, ObservationBatch) else as_batch(family, seq)
         if batch.n != n:
             raise DomainError(f"sequence has n={batch.n}, expected {n}")
-        theta_hats.append(family.mle(float(batch.xbar)))
+        theta_hats.append(family.mle(batch.xbar))
     if not theta_hats:
         raise DomainError("lemma1_constancy needs at least one sequence")
     log_r, _ = _log_ratio_integral(family, n, np.array(theta_hats), tol)

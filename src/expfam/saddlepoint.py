@@ -15,11 +15,9 @@ worst relative deviation over a grid.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import TAU, Family, ObservationBatch, _log_ratio_integral
-from .errors import DomainError, NonIntegrableError
-from .numerics import DEFAULT_TOL, integrate
+from .errors import DomainError
+from .numerics import DEFAULT_TOL
 
 __all__ = [
     "SaddlepointProfile",
@@ -77,31 +75,21 @@ class SaddlepointProfile:
 
 
 def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
-    """Integrate the profile over the natural domain and package the result."""
+    """Integrate the profile over the natural domain and package the result.
+
+    The normalizer is R / tau^(d/2), R the ratio integral of
+    ``core._log_ratio_integral``, at every d.
+    """
     n = _check_n(n)
     theta_hat = family._check_natural(theta_hat)
-    if family.d == 1:
-        log_r, rel_err = _log_ratio_integral(family, n, theta_hat, tol)
-        normalizer = math.exp(log_r - 0.5 * math.log(TAU))
-        error = rel_err * normalizer
-    else:
-        # 12 Laplace widths each way: the peak's covariance is Cov(theta_hat)^-1/n
-        half = 12.0 * np.sqrt(np.diag(np.linalg.inv(family._covariance(theta_hat))) / n)
-        lo, hi = theta_hat - half, theta_hat + half
-        result = integrate(
-            lambda t: np.exp(_log_profile(family, n, theta_hat, t)), lo, hi, tol=tol
-        )
-        if not result.value > 0:  # integrate has already rejected a non-finite value
-            raise NonIntegrableError(
-                f"saddle-point normalizer is not positive: {result.value}"
-            )
-        normalizer, error = result.value, result.error_estimate
+    log_r, rel_err = _log_ratio_integral(family, n, theta_hat, tol)
+    normalizer = math.exp(log_r - 0.5 * family.d * math.log(TAU))
     return SaddlepointProfile(
         family=family,
         n=int(n),
         theta_hat=theta_hat,
         normalizer=normalizer,
-        normalizer_error=error,
+        normalizer_error=rel_err * normalizer,
     )
 
 

@@ -40,6 +40,27 @@ class TestGammaPosterior:
         assert post.mean == pytest.approx(4.0)
         assert post.variance == pytest.approx(6.0 / 1.5**2)
 
+    def test_log_pdf_at_large_shape(self):
+        # the Gamma (alpha 1) Jeffreys posterior at n = 1e9, xbar = 1: the
+        # order a ln a form was up to 2.2e-6 off at its 5-95% quantiles
+        a = b = 1e9
+        post = GammaPosterior(a, b)
+        with mp.workdps(50):
+            for p in (0.05, 0.25, 0.5, 0.75, 0.95):
+                x = post.ppf(p)
+                ref = a * mp.log(b) + (a - 1) * mp.log(x) - b * mp.mpf(x) - mp.loggamma(a)
+                assert abs(post.log_pdf(x) - float(ref)) <= 1e-12, p
+
+    @pytest.mark.parametrize("a, b", [(1e-3, 5.0), (3.0, 2.0), (14.9, 1.0), (15.0, 1.0),
+                                      (1e4, 2e4), (2.5e9, 7e8)])
+    def test_log_pdf_against_mpmath(self, a, b):
+        # both sides of the Stirling cut, near the mode and far in both tails
+        post = GammaPosterior(a, b)
+        with mp.workdps(50):
+            for x in (1e-3 * a / b, 0.3 * a / b, a / b * (1 + 1e-4), 3 * a / b, 50 * a / b):
+                ref = a * mp.log(b) + (a - 1) * mp.log(x) - b * mp.mpf(x) - mp.loggamma(a)
+                assert abs(post.log_pdf(x) - float(ref)) <= 4e-15 * max(1.0, abs(float(ref)))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GammaPosterior(0.0, 1.0)
@@ -370,6 +391,21 @@ class TestPoissonExponentialDist:
         for x in (5.0, 20.0, 30.0, 45.0):
             extrapolated = 2.0 * above.cdf(x) - further.cdf(x)
             assert extrapolated == pytest.approx(below.cdf(x), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x", [80.0, 100.0])
+    def test_sum_branch_upper_tail_at_lambda_30(self, x):
+        # a sum stopped at k = lam + 45 dropped Poisson mass of order 1e-12 here:
+        # the complement, 6e-11 at x = 100, was 2.5% off
+        with mp.workdps(50):
+            lam = mp.mpf(30)
+            reference = mp.exp(-lam) + mp.fsum(
+                mp.exp(k * mp.log(lam) - lam - mp.loggamma(k + 1))
+                * mp.gammainc(k, 0, x, regularized=True)
+                for k in range(1, 250)
+            )
+        cdf = PoissonExponentialDist(60.0, 1.0).cdf(x)
+        assert cdf == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+        assert 1.0 - cdf == pytest.approx(float(1 - reference), rel=1e-3, abs=0.0)
 
     # (kappa, rate) -> cdf at x = 0.1, 1, 5, 40 from the lam <= 30 sum, whose bits
     # the CLI goldens pin; (60, 1) sits on the cut, lam = 30

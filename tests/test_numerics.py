@@ -195,32 +195,68 @@ class TestIntegrate:
             integrate(math.exp, 1.0, 1.0)
 
 
-class TestIntegrateBox:
+class TestIntegrateTrapezoidProduct:
+    """The trapezoid rule on the product grid of R^d, d > 1."""
+
     def test_separable_gaussian(self):
-        # exp(-(x^2 + 2 y^2)) over a box wide enough to hold all its mass
+        # exp(-(x^2 + 2 y^2)) over the plane is pi / sqrt(2)
         f = lambda x: np.exp(-(x[:, 0] ** 2) - 2.0 * x[:, 1] ** 2)
-        result = integrate(f, [-9.0, -7.0], [9.0, 7.0], tol=1e-11)
-        assert result.value == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-11)
-        assert result.error_estimate <= 1e-11 * result.value
+        result = integrate_trapezoid(f, tol=1e-12, d=2)
+        assert result.value == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
+        assert result.error_estimate <= 1e-12 * result.value
 
-    def test_evaluations_count_rows(self):
-        rows = []
-        f = lambda x: rows.append(x.shape[0]) or np.ones(x.shape[0])
-        result = integrate(f, np.zeros(3), np.array([1.0, 2.0, 3.0]), tol=1e-10)
-        assert result.value == pytest.approx(6.0, rel=1e-12)
-        assert result.evaluations == sum(rows) > len(rows)
+    def test_evaluations_count_nodes(self):
+        def counted(f, d):
+            rows = []
 
-    def test_pole_cannot_meet_tol(self):
-        # 1/|x|^2 diverges at the center of the box, a node of the rule
-        with np.errstate(divide="ignore"), pytest.raises(NonConvergenceError):
-            integrate(lambda x: 1.0 / np.sum(x * x, axis=1), -np.ones(2), np.ones(2))
+            def g(x):
+                assert x.shape[1:] == (d,)
+                rows.append(x.shape[0])
+                return f(x)
 
-    def test_bad_box(self):
-        f = lambda x: np.ones(x.shape[0])
+            return rows, g
+
+        # d = 3 on the first grid, 97^3 nodes: slabs along the first axis bound the memory
+        rows, f = counted(lambda x: np.exp(-4.0 * np.sum(x * x, axis=-1)), 3)
+        result = integrate_trapezoid(f, tol=1e-12, d=3)
+        assert result.value == pytest.approx((math.pi / 4.0) ** 1.5, rel=1e-13)
+        assert result.evaluations == sum(rows) == 97**3
+        assert len(rows) > 1 and max(rows) <= 1 << 16
+        # sech^2 tails widen the window: only the new nodes are evaluated
+        rows, f = counted(lambda x: np.prod(1.0 / np.cosh(x) ** 2, axis=-1), 2)
+        result = integrate_trapezoid(f, tol=1e-12, d=2)
+        assert result.value == pytest.approx(4.0, rel=1e-13)
+        assert result.evaluations == sum(rows) > 97**2
+
+    def test_nan_and_budget_raise(self):
+        nan_at_origin = lambda x: np.where(
+            np.all(x == 0.0, axis=-1), np.nan, np.exp(-np.sum(x * x, axis=-1))
+        )
+        with pytest.raises(NonConvergenceError):
+            integrate_trapezoid(nan_at_origin, d=2)
+        # an algebraic tail never lets the window stop doubling
+        with pytest.raises(NonConvergenceError):
+            integrate_trapezoid(lambda x: 1.0 / (1.0 + np.sum(x * x, axis=-1)) ** 2, d=2)
+
+    def test_stack_equals_rows(self):
+        integrands = [
+            lambda x: np.exp(-0.5 * (x[:, 0] - 0.3) ** 2 - x[:, 1] ** 2),
+            lambda x: 1.0 / (np.cosh(x[:, 0]) * np.cosh(x[:, 1])) ** 2,
+            lambda x: np.exp(-0.5 * (x[:, 0] ** 2 + x[:, 0] * x[:, 1] + x[:, 1] ** 2) / 9.0),
+        ]
+        stacked = integrate_trapezoid(
+            lambda x: np.stack([f(x) for f in integrands]), tol=1e-12, d=2
+        )
+        assert stacked.value.shape == stacked.error_estimate.shape == (3,)
+        for f, value, error in zip(integrands, stacked.value, stacked.error_estimate):
+            alone = integrate_trapezoid(f, tol=1e-12, d=2)
+            assert value == pytest.approx(alone.value, rel=1e-15)
+            assert error <= 1e-12 * value
+
+    def test_box_bounds_rejected(self):
+        # integrate is one-dimensional: there is no box cubature
         with pytest.raises(DomainError):
-            integrate(f, [0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            integrate(f, [0.0, 0.0], [1.0, 1.0, 1.0])
+            integrate(lambda x: 1.0, [0.0, 0.0], [1.0, 1.0])
 
 
 class TestIntegrateTrapezoid:

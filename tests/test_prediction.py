@@ -253,9 +253,9 @@ class TestJeffreysPredictor:
             chained += JeffreysPredictor(family).fit(seen).log_predictive([y])
         assert joint.log_predictive(future) == pytest.approx(chained, rel=0.0, abs=1e-14)
 
-    def test_gaussian_evidence_d2_matches_cubature(self):
+    def test_gaussian_evidence_d2_matches_ratio_integral(self):
         # evidence = n A*(xbar) + ln R, R = tau^(d/2) times the saddle-point
-        # normalizer, here from renormalize's box cubature
+        # normalizer, here from the whitened trapezoid ratio integral
         family = GaussianLocationFamily([[1.0, 0.3], [0.3, 0.8]])
         for n, xbar in ((1, [0.4, -1.2]), (50, [2.0, 0.5])):
             xbar = np.array(xbar)
@@ -477,6 +477,11 @@ class TestRegret:
             regret(GammaFamily(1.0), "cnml", [1.0, 2.0], 2)
 
 
+#: non-diagonal covariances for the d > 1 Gaussian location family
+COV_2D = np.array([[1.0, 0.3], [0.3, 0.8]])
+COV_3D = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.0]])
+
+
 class TestLemma1Constancy:
     def test_gamma_closed_form_constant(self):
         # integral = Gamma(n) e^n / n^n, independent of the data
@@ -498,6 +503,25 @@ class TestLemma1Constancy:
         assert report.values[0] == pytest.approx(
             math.sqrt(2.0 * math.pi / 3.0), abs=1e-9
         )
+
+    @pytest.mark.parametrize("cov", [COV_2D, COV_3D], ids=["d2", "d3"])
+    @pytest.mark.parametrize("n", [1, 3, 10**3, 10**9])
+    def test_gaussian_constant_above_d1(self, cov, n):
+        # R = (tau/n)^(d/2) whatever the data; the stack shares one ratio integral
+        family = GaussianLocationFamily(cov)
+        d = family.d
+        xbars = (np.linspace(-1.0, 2.0, d), np.full(d, 1e3), -np.arange(1.0, d + 1.0))
+        batches = [ObservationBatch(n=n, xbar=x) for x in xbars]
+        report = lemma1_constancy(family, n, batches)
+        for value in report.values:
+            assert value == pytest.approx((TAU / n) ** (d / 2), rel=1e-12, abs=0)
+        assert report.relative_spread <= 1e-12
+
+    def test_raw_sequences_at_d2(self):
+        family = GaussianLocationFamily(COV_2D)
+        sequences = ([[0.1, 0.2], [0.3, -0.5]], [[2.0, 1.0], [-1.0, 4.0]])
+        report = lemma1_constancy(family, 2, sequences, prior_scale=3.0)
+        assert report.values == pytest.approx([3.0 * TAU / 2.0] * 2, rel=1e-12)
 
     def test_poisson_exponential_constant(self):
         family = PoissonExponentialFamily(2.0)

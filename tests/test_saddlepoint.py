@@ -2,10 +2,13 @@
 
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expfam import (
     GammaFamily,
@@ -18,7 +21,7 @@ from expfam import (
 )
 from expfam.core import NEGATIVE_HALF_LINE, TAU
 from expfam.distributions import GammaPosterior
-from expfam.errors import DomainError
+from expfam.errors import DomainError, ExpfamError
 from expfam.numerics import integrate
 from expfam.saddlepoint import (
     _log_profile,
@@ -146,7 +149,7 @@ class TestRenormalizeLargeN:
 
 
 class TestRenormalizeHigherDimensions:
-    """Gaussian location at d = 2 and 3: the box cubature of the profile."""
+    """Gaussian location at d = 2 and 3: the ratio integral in whitened coordinates."""
 
     @pytest.mark.parametrize("cov", [COV_2D, COV_3D], ids=["d2", "d3"])
     def test_normalizer_and_exactness(self, cov):
@@ -163,6 +166,50 @@ class TestRenormalizeHigherDimensions:
         grid = [theta_hat + scale @ z for z in steps]
         assert exactness_report(family, n, theta_hat, grid) <= 1e-8
         assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("cov", [COV_2D, COV_3D], ids=["d2", "d3"])
+    @pytest.mark.parametrize("n", [1, 5, 10**3, 10**9])
+    def test_normalizer_is_n_to_minus_half_d(self, cov, n):
+        # the box cubature was 6.5e-9 off at d = 2 and 1.8% off at d = 3 for
+        # n = 1e9, while reporting errors of 5.5e-13 and 1.7e-14
+        family = GaussianLocationFamily(cov)
+        profile = renormalize(family, n, family.mle(np.linspace(0.3, -0.2, family.d)))
+        assert profile.normalizer == pytest.approx(n ** (-family.d / 2), rel=1e-12, abs=0)
+        assert profile.normalizer_error <= 1e-10
+
+    def test_d3_memory_and_time(self):
+        family = GaussianLocationFamily(COV_3D)
+        theta_hat = family.mle(np.array([0.2, -0.1, 0.4]))
+        tracemalloc.start()
+        try:
+            renormalize(family, 10**9, theta_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        started = time.perf_counter()
+        renormalize(family, 7, theta_hat)
+        assert time.perf_counter() - started < 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        log_n=st.floats(0.0, 9.0),
+        seed=st.integers(0, 2**32 - 1),
+        log_eigs=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    )
+    def test_random_covariance_within_tol_or_raises(self, d, log_n, seed, log_eigs):
+        # a random rotation of eigenvalues 1e-2..1e2, and xbar in [-1e3, 1e3]^d
+        rng = np.random.default_rng(seed)
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cov = rotation @ np.diag(10.0 ** np.array(log_eigs[:d])) @ rotation.T
+        n = 10.0**log_n
+        try:
+            family = GaussianLocationFamily(0.5 * (cov + cov.T))
+            profile = renormalize(family, n, family.mle(rng.uniform(-1e3, 1e3, size=d)))
+        except ExpfamError:
+            return
+        assert profile.normalizer == pytest.approx(n ** (-d / 2), rel=1e-10, abs=0)
 
     def test_stacked_profile_equals_rows(self):
         family = GaussianLocationFamily(COV_3D)
