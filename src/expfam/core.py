@@ -355,7 +355,7 @@ def _log_ratio_integral(family, n, theta_hat, tol):
         center, points = thetas[:, None, :], list(thetas)
 
         def coordinates(t):
-            return np.sinh(t) @ factor.mT, np.cosh(t).prod(axis=-1)
+            return np.sinh(t) @ np.swapaxes(factor, -1, -2), np.cosh(t).prod(axis=-1)
 
     def integrand(t):
         v, stretch = coordinates(t)

@@ -101,6 +101,7 @@ class GammaPosterior:
 
 
 _LOG_TAU = math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -116,11 +117,18 @@ def _two_product(a, b):
 
 
 def _bd0(a, b, x):
-    """a ln(a/(bx)) + bx - a, as a series in v = (a - bx)/(a + bx) near bx = a."""
+    """a ln(a/(bx)) + bx - a, as a series in v = (a - bx)/(a + bx) near bx = a.
+
+    bx may overflow to inf or underflow to 0, so ln(a/(bx)) and the exact
+    product bx are formed from the binary mantissas and exponents of a, b
+    and x, where nothing overflows.
+    """
+    (ma, ea), (mb, eb), (mx, ex) = math.frexp(a), math.frexp(b), math.frexp(x)
     m = b * x
     if abs(a - m) >= 0.1 * (a + m):
-        return a * math.log(a / m) + (m - a)
-    m, low = _two_product(b, x)
+        return a * (math.log(ma / (mb * mx)) + (ea - eb - ex) * _LOG_2) + (m - a)
+    m, low = _two_product(mb, mx)
+    m, low = math.ldexp(m, eb + ex), math.ldexp(low, eb + ex)
     excess = (m - a) + low  # bx - a to rounding: m - a is exact here
     v = -excess / (a + m)
     # bd0 = (a - bx) v + 2a (v^3/3 + v^5/5 + ...): the first term is

@@ -14,7 +14,6 @@ Brent's method (``scipy.optimize.brentq``) on a bracket and safeguarded
 Newton on a stack.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -184,12 +183,17 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
     tol = check_positive(tol, "tol")
     h = _TRAPEZOID_STEP
     k = round(_TRAPEZOID_WINDOW / h)  # the nodes are j h for |j| <= k on each axis
-    grid_axes = -1 if d == 1 else tuple(range(-d, 0))
+    if _over_budget(2 * k + 1, d):
+        raise NonConvergenceError(
+            f"the first trapezoid grid, {2 * k + 1} nodes on each of {d} axes, "
+            f"exceeds {_BUDGET}"
+        )
+    grid_axes = tuple(range(-d, 0))
     y = _grid_values(f, _nodes(k, h), d)
     while True:
         size = np.abs(y)
-        edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes)
-        if not _reaches_faces(size, edge, d).any():
+        edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes, keepdims=True)
+        if _below_on_faces(size, edge, grid_axes):
             break
         if _over_budget(4 * k + 1, d):
             raise NonConvergenceError(
@@ -198,7 +202,7 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
             )
         y = _grid_values(f, _nodes(2 * k, h), d, slice(k, 3 * k + 1), y)
         k *= 2
-    value, error = _trapezoid_sums(y, h, d)
+    value, error = _trapezoid_sums(y, h, grid_axes)
     done = error <= tol * np.abs(value)
     while not done.all():
         if not np.isfinite(value).all():
@@ -210,7 +214,7 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
             )
         h, k = 0.5 * h, 2 * k
         y = _grid_values(f, _nodes(k, h), d, slice(None, None, 2), y)
-        fine, fine_error = _trapezoid_sums(y, h, d)
+        fine, fine_error = _trapezoid_sums(y, h, grid_axes)
         value = np.where(done, value, fine)
         error = np.where(done, error, fine_error)
         done = error <= tol * np.abs(value)
@@ -221,12 +225,12 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
     )
 
 
-@functools.lru_cache(maxsize=64)  # the node budget allows a few dozen (k, h) pairs
 def _nodes(k, h):
-    """The nodes j h, |j| <= k, of one axis, read-only: every call shares them."""
-    x = np.arange(-k, k + 1) * h
-    x.flags.writeable = False
-    return x
+    """The nodes j h, |j| <= k, of one axis.
+
+    h is a power of two, so the float range's start + i h is j h exactly.
+    """
+    return np.arange(-k * h, (k + 0.5) * h, h)
 
 
 def _over_budget(m, d):
@@ -240,17 +244,22 @@ def _grid_values(f, x, d, kept=None, old=None):
     ``old`` holds the values at the nodes whose every index lies in the
     slice ``kept``; f is evaluated at the other nodes only.
     """
-    if old is None and d == 1:
-        return f(x)
+    if d == 1:  # f takes the nodes themselves, and the new ones are slices of x
+        if old is None:
+            return f(x)
+        y = np.empty(old.shape[:-1] + x.shape)
+        y[..., kept] = old
+        start, stop, step = kept.indices(x.size)
+        if step == 2:  # the step halved: the new nodes are the odd ones
+            y[..., 1::2] = f(x[1::2])
+        else:  # the window doubled: the new nodes flank the old ones
+            flanks = f(np.concatenate([x[:start], x[stop:]]))
+            y[..., :start], y[..., stop:] = flanks[..., :start], flanks[..., start:]
+        return y
     m = x.size
     fresh = np.ones((m,) * d, dtype=bool)
     if old is not None:
         fresh[(kept,) * d] = False
-    if d == 1:
-        y = np.empty(old.shape[:-1] + (m,))
-        y[..., kept] = old
-        y[..., fresh] = f(x[fresh])
-        return y
     rows = max(1, _TRAPEZOID_SLAB // m ** (d - 1))
     y = None
     for first in range(0, m, rows):
@@ -265,24 +274,17 @@ def _grid_values(f, x, d, kept=None, old=None):
     return y
 
 
-def _reaches_faces(size, edge, d):
-    """Whether a value on a face of the grid (last d axes of ``size``) exceeds ``edge``."""
-    if d == 1:
-        return (size[..., 0] > edge) | (size[..., -1] > edge)
-    out = False
-    for after in range(d):  # the face's axis has ``after`` grid axes behind it
-        for j in (0, -1):
-            face = size[(Ellipsis, j) + (slice(None),) * after]
-            out = out | (face.max(axis=tuple(range(1 - d, 0))) > edge)
-    return out
+def _below_on_faces(size, edge, axes):
+    """Whether no value on a face of the grid (``axes`` of ``size``) exceeds ``edge``."""
+    for axis in axes:
+        if (size.take((0, -1), axis=axis) > edge).any():
+            return False
+    return True
 
 
-def _trapezoid_sums(y, h, d):
-    """T_h over the nodes y (last d axes) and |T_h - T_2h|; the first index is even."""
-    if d == 1:
-        fine = h * y.sum(axis=-1)
-        return fine, np.abs(fine - 2.0 * h * y[..., ::2].sum(axis=-1))
-    axes = tuple(range(-d, 0))
+def _trapezoid_sums(y, h, axes):
+    """T_h over the nodes y (grid ``axes``) and |T_h - T_2h|; the first index is even."""
+    d = len(axes)
     fine = h**d * y.sum(axis=axes)
     coarse = y[(Ellipsis,) + (slice(None, None, 2),) * d]
     return fine, np.abs(fine - (2.0 * h) ** d * coarse.sum(axis=axes))

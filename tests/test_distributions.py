@@ -61,6 +61,20 @@ class TestGammaPosterior:
                 ref = a * mp.log(b) + (a - 1) * mp.log(x) - b * mp.mpf(x) - mp.loggamma(a)
                 assert abs(post.log_pdf(x) - float(ref)) <= 4e-15 * max(1.0, abs(float(ref)))
 
+    @pytest.mark.parametrize("a, b, x", [(2.0, 10.0, 1e-300), (2.0, 10.0, 5e-324),
+                                         (0.5, 1e-300, 1e-10), (20.0, 1e-300, 2e301),
+                                         (1e3, 1e300, 2e-297), (2.0, 1e300, 1e-300)])
+    def test_log_pdf_where_bx_leaves_the_normal_range(self, a, b, x):
+        # bx overflows, underflows or splits past the largest float here
+        with mp.workdps(50):
+            ref = a * mp.log(b) + (a - 1) * mp.log(x) - b * mp.mpf(x) - mp.loggamma(a)
+        assert abs(GammaPosterior(a, b).log_pdf(x) - float(ref)) <= 4e-15 * abs(float(ref))
+
+    def test_log_pdf_is_minus_inf_once_bx_overflows(self):
+        # b x = 1e309: the density is 0 to every digit a float holds
+        assert GammaPosterior(2.0, 10.0).log_pdf(1e308) == -math.inf
+        assert GammaPosterior(2.0, 10.0).pdf(1e308) == 0.0
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GammaPosterior(0.0, 1.0)

@@ -238,6 +238,15 @@ class TestIntegrateTrapezoidProduct:
         with pytest.raises(NonConvergenceError):
             integrate_trapezoid(lambda x: 1.0 / (1.0 + np.sum(x * x, axis=-1)) ** 2, d=2)
 
+    def test_first_grid_over_budget_raises_before_evaluating(self):
+        # 97 nodes per axis: 97^3 fits the 2^23 budget, 97^4 does not
+        def never(x):
+            raise AssertionError("the integrand was evaluated")
+
+        for d in (4, 5):
+            with pytest.raises(NonConvergenceError):
+                integrate_trapezoid(never, d=d)
+
     def test_stack_equals_rows(self):
         integrands = [
             lambda x: np.exp(-0.5 * (x[:, 0] - 0.3) ** 2 - x[:, 1] ** 2),

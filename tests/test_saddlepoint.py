@@ -191,6 +191,19 @@ class TestRenormalizeHigherDimensions:
         renormalize(family, 7, theta_hat)
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_beyond_the_grid_budget_raises(self, d):
+        # the first product grid would hold 97^d nodes, past the 2^23 budget
+        family = GaussianLocationFamily(np.eye(d) + 0.25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpfamError):
+                renormalize(family, 3, family.mle(np.zeros(d)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     @settings(max_examples=25, deadline=None)
     @given(
         d=st.sampled_from([2, 3]),
