@@ -60,15 +60,12 @@ FAMILIES = {
 
 def _parse_matrix(text):
     try:
-        rows = [
-            [float(entry) for entry in row.split(",")]
-            for row in text.strip().split(";")
-        ]
-    except ValueError as exc:
+        matrix = np.asarray(
+            [[float(entry) for entry in row.split(",")] for row in text.strip().split(";")]
+        )
+    except ValueError as exc:  # an entry that is no float, or ragged rows
         raise DomainError(f"cannot parse matrix {text!r}: {exc}") from None
-    if len(rows) == 1 and len(rows[0]) == 1:
-        return rows[0][0]
-    return np.asarray(rows)
+    return matrix.item() if matrix.size == 1 else matrix
 
 
 def _parse_vector(text):
@@ -99,7 +96,7 @@ def _load_config(path):
 
 
 def _resolve(args, config, key, default, convert):
-    value = getattr(args, key, None)
+    value = getattr(args, key)
     if value is not None:
         return value
     if key in config:
@@ -136,8 +133,6 @@ def _load_observations(path, d=1):
 
 
 def _make_family(args):
-    if args.family is None:
-        raise DomainError("--family is required")
     cls, option = FAMILIES[args.family]
     value = getattr(args, option)
     if option == "cov":
@@ -201,8 +196,6 @@ def _jsonable(value):
 
 def cmd_density(args, config):
     family = _make_family(args)
-    if args.x is None:
-        raise DomainError("density needs --x")
     x = _parse_vector(args.x)
     theta = _theta_for(args, family)
     record = {"family": args.family, "x": _jsonable(x)}
@@ -212,17 +205,16 @@ def cmd_density(args, config):
     else:
         log_value = family.log_density(theta, x)
         record["value_type"] = "density"
-    record["value"] = math.exp(log_value)
+    try:
+        record["value"] = math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"density above the float range: log_value {log_value!r}") from None
     record["log_value"] = log_value
     return [record], EXIT_OK
 
 
 def cmd_predict(args, config):
     family = _make_family(args)
-    if args.data is None:
-        raise DomainError("predict needs --data")
-    if args.future is None:
-        raise DomainError("predict needs --future")
     tol = _resolve(args, config, "tol", DEFAULT_TOL, float)
     prefix = _load_observations(args.data, family.d)
     future = np.atleast_1d(_parse_vector(args.future))
@@ -274,8 +266,6 @@ def _interval_record(result):
 
 def cmd_interval(args, config):
     family = _make_family(args)
-    if args.data is None:
-        raise DomainError("interval needs --data")
     level = _resolve(args, config, "level", 0.9, float)
     data = _load_observations(args.data, family.d)
     batch = as_batch(family, data)
@@ -327,93 +317,99 @@ def cmd_verify(args, config):
     return records, code
 
 
+#: option -> its ``add_argument`` keywords; each subcommand takes the ones
+#: that ``COMMANDS`` lists for it
+OPTIONS = {
+    "family": {"choices": FAMILIES, "required": True},
+    "shape": {"type": float, "help": "gamma shape alpha"},
+    "kappa": {"type": float, "help": "shape of the IG/compound family"},
+    "cov": {"help": "gaussian covariance, e.g. '1' or '2,0.3;0.3,0.5'"},
+    "rate": {"type": float, "help": "rate beta (gamma, poisson-exp)"},
+    "mu": {"help": "location / mean parameter"},
+    "x": {"required": True, "help": "evaluation point"},
+    "data": {"required": True, "help": "file with one observation per line"},
+    "future": {"required": True, "help": "future point(s), comma separated"},
+    "compare": {"action": "store_true", "help": "report CNML and Jeffreys side by side"},
+    "tol": {"type": float},
+    "seed": {"type": int},
+    "level": {"type": float},
+    "m": {"type": int},
+    "trials": {"type": int},
+    "suite": {"choices": available_suites(), "default": "all"},
+    "timing": {"action": "store_true", "help": "include per-check runtimes"},
+    "format": {"choices": ("json", "csv")},
+    "config": {"help": "flat key=value config file"},
+}
+
+_FAMILY_OPTIONS = ("family", "shape", "kappa", "cov")
+_INTERVAL_METHODS = ("credible", "confidence", "divergence-ball")
+
+#: subcommand -> (help, --method choices with the default first, the options
+#: its handler reads); ``main`` reads --format and --config for every one
+COMMANDS = {
+    "density": (
+        "evaluate a density or atom mass", (), (*_FAMILY_OPTIONS, "rate", "mu", "x")
+    ),
+    "predict": (
+        "log predictive density of a suffix",
+        ("cnml", "jeffreys", "plugin"),
+        (*_FAMILY_OPTIONS, "data", "future", "compare", "tol"),
+    ),
+    "interval": (
+        "one-sided interval or ball", _INTERVAL_METHODS, (*_FAMILY_OPTIONS, "data", "level")
+    ),
+    "coverage": (
+        "Monte Carlo coverage simulation",
+        _INTERVAL_METHODS,
+        (*_FAMILY_OPTIONS, "rate", "mu", "level", "trials", "seed", "m"),
+    ),
+    "verify": ("run a verification suite", (), ("suite", "timing", "tol", "seed", "trials")),
+}
+
+
 def build_parser():
+    """The parser; a subcommand rejects any option it does not read (exit 2).
+
+    Abbreviated options are off, so that no undeclared ``--m`` is taken
+    for a declared ``--mu`` or ``--method``.
+    """
     parser = argparse.ArgumentParser(
         prog="expfam",
         description="Exponential-family densities, prediction, intervals and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--shape", type=float, help="gamma shape alpha")
-        p.add_argument("--kappa", type=float, help="shape of the IG/compound family")
-        p.add_argument("--cov", help="gaussian covariance, e.g. '1' or '2,0.3;0.3,0.5'")
-        p.add_argument("--rate", type=float, help="rate beta (gamma, poisson-exp)")
-        p.add_argument("--mu", help="location / mean parameter")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--level", type=float)
-        p.add_argument("--m", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--data", help="file with one observation per line")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--config", help="flat key=value config file")
-
-    p_density = sub.add_parser("density", help="evaluate a density or atom mass")
-    add_common(p_density)
-    p_density.add_argument("--x", help="evaluation point")
-    p_density.set_defaults(handler=cmd_density)
-
-    p_predict = sub.add_parser("predict", help="log predictive density of a suffix")
-    add_common(p_predict)
-    p_predict.add_argument(
-        "--method", choices=("cnml", "jeffreys", "plugin"), default="cnml"
-    )
-    p_predict.add_argument("--future", help="future point(s), comma separated")
-    p_predict.add_argument(
-        "--compare", action="store_true", help="report CNML and Jeffreys side by side"
-    )
-    p_predict.set_defaults(handler=cmd_predict)
-
-    p_interval = sub.add_parser("interval", help="one-sided interval or ball")
-    add_common(p_interval)
-    p_interval.add_argument(
-        "--method",
-        choices=("credible", "confidence", "divergence-ball"),
-        default="credible",
-    )
-    p_interval.set_defaults(handler=cmd_interval)
-
-    p_coverage = sub.add_parser("coverage", help="Monte Carlo coverage simulation")
-    add_common(p_coverage)
-    p_coverage.add_argument(
-        "--method",
-        choices=("credible", "confidence", "divergence-ball"),
-        default="credible",
-    )
-    p_coverage.set_defaults(handler=cmd_coverage)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    add_common(p_verify)
-    p_verify.add_argument("--suite", choices=available_suites(), default="all")
-    p_verify.add_argument(
-        "--timing", action="store_true", help="include per-check runtimes"
-    )
-    p_verify.set_defaults(handler=cmd_verify)
+    for name, (summary, methods, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for option in (*options, "format", "config"):
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        if methods:
+            p.add_argument("--method", choices=methods, default=methods[0])
+        # looked up now, not at import, so that whatever the name is bound
+        # to when the parser is built (a tracing wrapper, say) sees the call
+        p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
+def _fail(exc, code):
+    """Report ``exc`` on one line of stderr, whatever reprs it holds; return ``code``."""
+    print("error:", " ".join(str(exc).split()), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
+        config = _load_config(args.config) if args.config else {}
+        fmt = _resolve(args, config, "format", "json", str)
+        if fmt not in OPTIONS["format"]["choices"]:
+            raise DomainError(f"format must be json or csv, got {fmt!r}")
         records, code = args.handler(args, config)
     except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (
-        NonNormalizableError,
-        NonConvergenceError,
-        ImproperPosteriorError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(exc, EXIT_DEGENERATE)
+    except (NonNormalizableError, NonConvergenceError, ImproperPosteriorError) as exc:
+        return _fail(exc, EXIT_NUMERIC)
     except (DomainError, SupportError, NoSignChangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    fmt = _resolve(args, config, "format", "json", str)
+        return _fail(exc, EXIT_INPUT)
     try:
         _emit(records, fmt, sys.stdout)
         sys.stdout.flush()

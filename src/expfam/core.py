@@ -47,7 +47,11 @@ def _inside(v, domain):
 
 @dataclass(frozen=True)
 class ObservationBatch:
-    """Sufficient summary of an iid sample: size and mean statistic."""
+    """Sufficient summary of an iid sample: size and mean statistic.
+
+    ``xbar`` is a float, a point (d,), or a stack of either along leading
+    axes (one mean per trial); it is checked finite here, once.
+    """
 
     n: int
     xbar: object
@@ -60,6 +64,8 @@ class ObservationBatch:
             object.__setattr__(self, "xbar", self.xbar.astype(float))
         else:
             object.__setattr__(self, "xbar", float(self.xbar))
+        if not _inside(self.xbar, REAL_LINE):
+            raise DomainError(f"batch mean must be finite, got {self.xbar!r}")
 
     @classmethod
     def from_observations(cls, X):

@@ -55,6 +55,10 @@ class GammaFamily(Family):
     def __init__(self, alpha):
         self.alpha = alpha
         check_positive(alpha, "alpha")
+        try:
+            math.lgamma(alpha)  # the carrier's normalizer
+        except OverflowError:
+            raise DomainError(f"alpha must be below 2.56e305, got {alpha}") from None
 
     def _cumulant(self, theta):
         return -self.alpha * math.log(-theta)
@@ -101,9 +105,10 @@ class GaussianLocationFamily(Family):
     """Gaussian with known covariance ``cov``; the mean varies.
 
     In natural form theta = B^-1 mu with cumulant theta.B.theta / 2, so the
-    mean map is theta -> B theta and the covariance is constant.  The
-    kernels take a stack of points as well as one point; ``mle`` and
-    ``bregman`` accept such stacks.
+    mean map is theta -> B theta and the covariance is constant.  Its public
+    methods take one point, like every family's.  The kernels also take a
+    stack of points (leading axes stack them); stacks stay internal, as in
+    the divergence ball over the trials of a coverage study.
     """
 
     natural_domain = REAL_LINE
@@ -134,25 +139,6 @@ class GaussianLocationFamily(Family):
         return np.stack(
             [sum(r[j] * t[..., j] for j in range(self.d)) for r in rows], axis=-1
         )
-
-    def _points(self, v, name):
-        """``v`` as one point or a stack of points, checked finite.
-
-        For d == 1 every entry is one point, and a scalar stays a float;
-        for d > 1 the last axis holds the coordinates and leading axes
-        stack points.  This is what lets ``mle`` and ``bregman`` take one
-        batch or a stack of trials.
-        """
-        if type(v) is float and self.d == 1:
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            return v
-        v = np.asarray(v, dtype=float)
-        if self.d > 1 and v.shape[-1:] != (self.d,):
-            raise DomainError(f"{name} must have shape (..., {self.d}), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-        return v.item() if v.ndim == 0 else v
 
     def _cumulant(self, theta):
         return 0.5 * self._dot(self._mul(self._rows, theta), theta)
@@ -204,19 +190,6 @@ class GaussianLocationFamily(Family):
             - 0.5 * k * math.log(TAU * B)
             - (spread + shrunk) / (2.0 * B)
         )
-
-    def bregman(self, theta2, theta1):
-        """0.5 t2.B.t2 - 0.5 t1.B.t1 - (t2 - t1).B t1, clipped at zero.
-
-        Either argument may stack points; a pair of single points gives a
-        float, and a stacked call agrees bit for bit with the calls for
-        its single points.
-        """
-        return self._bregman(self._points(theta2, "theta"), self._points(theta1, "theta"))
-
-    def mle(self, xbar):
-        """B^-1 xbar, for one mean or a stack of them."""
-        return self._mle(self._points(xbar, "mu"))
 
     def jeffreys_posterior(self, batch):
         """N(B^-1 xbar, B^-1/n): for B = I the textbook N(xbar, B/n) of the mean."""

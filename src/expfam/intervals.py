@@ -100,7 +100,8 @@ class DivergenceBallRegion:
     diagnostics: dict = field(default_factory=dict)
 
     def covers(self, theta):
-        return self.family.bregman(theta, self.center) <= self.radius
+        theta = self.family._check_natural(theta)
+        return self.family._bregman(theta, self.center) <= self.radius
 
     def covers_natural(self, theta):
         return self.covers(theta)
@@ -152,9 +153,11 @@ def gaussian_divergence_ball(cov, batch, level):
     level = check_unit_open(level, "level")
     family = cov if isinstance(cov, GaussianLocationFamily) else GaussianLocationFamily(cov)
     d = family.d
+    if d > 1 and np.shape(batch.xbar)[-1:] != (d,):
+        raise DomainError(f"xbar must have shape (..., {d}), got {np.shape(batch.xbar)}")
     chi2_quantile = 2.0 * inv_reg_gamma_lower(d / 2.0, level)
     radius = chi2_quantile / (2.0 * batch.n)
-    center = family.mle(batch.xbar)
+    center = family._mle(batch.xbar)
     return DivergenceBallRegion(
         family=family,
         center=center,

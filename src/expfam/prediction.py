@@ -314,11 +314,11 @@ class PlugInPredictor(_PredictorBase):
     method = "PlugIn"
 
     def _prepare(self):
-        self.theta_hat_ = self.family.mle(float(self.batch_.xbar))
+        self.theta_hat_ = self.family._mle(float(self.batch_.xbar))
 
     def _log_predictive(self, future):
-        total = sum(self.family.log_density(self.theta_hat_, float(y)) for y in future)
-        return total, 0.0
+        fam = self.family
+        return sum(fam._log_density(self.theta_hat_, y) for y in future.tolist()), 0.0
 
 
 _METHODS = {
@@ -344,20 +344,18 @@ def regret(family, method, sequence, m, tol=DEFAULT_TOL):
     The predictor codes x_{m+1..n} given the prefix; the expert codes the
     whole sequence with the hindsight MLE.  Natural logarithms.
     """
-    sequence = check_observations(sequence, 1)
-    n = sequence.shape[0]
-    m = int(m)
+    batch = as_batch(family, sequence)
+    sequence = np.ravel(np.asarray(sequence, dtype=float))
+    n, m = batch.n, int(m)
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     prefix, future = sequence[:m], sequence[m:]
-    predictor = make_predictor(method, family, horizon=n - m, tol=tol).fit(prefix)
-    log_pred = predictor.log_predictive(future)
-    batch = as_batch(family, sequence)
-    theta_hat = family.mle(float(batch.xbar))
-    log_hindsight = family.log_likelihood(theta_hat, batch) + sum(
-        family.log_carrier(float(x)) for x in sequence
-    )
-    return log_hindsight - log_pred
+    predictor = make_predictor(method, family, horizon=n - m, tol=tol)
+    predictor.fit(ObservationBatch.from_observations(prefix))
+    log_pred, _ = predictor._log_predictive(future)
+    theta_hat = family._mle(batch.xbar)
+    log_hindsight = n * (family._dot(theta_hat, batch.xbar) - family._cumulant(theta_hat))
+    return log_hindsight + sum(family._log_carrier(x) for x in sequence.tolist()) - log_pred
 
 
 @dataclass(frozen=True)

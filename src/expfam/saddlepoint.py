@@ -15,7 +15,9 @@ worst relative deviation over a grid.
 import math
 from dataclasses import dataclass
 
-from .core import TAU, Family, ObservationBatch, _log_ratio_integral
+import numpy as np
+
+from .core import NEGATIVE_HALF_LINE, TAU, Family, ObservationBatch, _log_ratio_integral
 from .errors import DomainError
 from .numerics import DEFAULT_TOL
 
@@ -45,9 +47,20 @@ def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
 
 
 def _log_profile(family, n, theta_hat, theta):
-    """``log_saddlepoint_unnormalized`` on checked arguments; d > 1 takes stacks."""
-    div = family._bregman(theta, theta_hat)
-    return -n * div + family._log_jeffreys(theta) - 0.5 * family.d * math.log(TAU)
+    """``log_saddlepoint_unnormalized`` on checked arguments; d > 1 takes stacks.
+
+    -n D(theta, theta_hat) + ln J(theta) is the ratio integrand's exponent
+    g(v) of ``core._log_ratio_integral`` plus ln J(theta_hat), less ln
+    |dtheta/dv| / |dtheta/dv|(0) = v on the half line, where theta =
+    theta_hat e^v.  The kernel has no terms of order n that cancel, where
+    n times a difference of cumulants loses digits as n grows.
+    """
+    if family.natural_domain == NEGATIVE_HALF_LINE:
+        v = np.log1p((theta - theta_hat) / theta_hat)
+        log_ratio = family._ratio_exponent(n, theta_hat, v) - v
+    else:
+        log_ratio = family._ratio_exponent(n, theta_hat, theta - theta_hat)
+    return log_ratio + family._log_jeffreys(theta_hat) - 0.5 * family.d * math.log(TAU)
 
 
 def saddlepoint_unnormalized(family, n, theta_hat, theta):
@@ -66,9 +79,10 @@ class SaddlepointProfile:
     normalizer_error: float
 
     def log_density(self, theta):
-        return log_saddlepoint_unnormalized(
-            self.family, self.n, self.theta_hat, theta
-        ) - math.log(self.normalizer)
+        theta = self.family._check_natural(theta)
+        return _log_profile(self.family, self.n, self.theta_hat, theta) - math.log(
+            self.normalizer
+        )
 
     def density(self, theta):
         return math.exp(self.log_density(theta))

@@ -424,6 +424,16 @@ class TestObservationBatch:
         with pytest.raises(DomainError):
             ObservationBatch(n=0, xbar=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        # the batch is where a mean enters; constructions take its xbar unchecked
+        with pytest.raises(DomainError):
+            ObservationBatch(n=2, xbar=bad)
+        with pytest.raises(DomainError):
+            ObservationBatch(n=2, xbar=np.array([0.5, bad, 1.0]))
+        with pytest.raises(DomainError):
+            ObservationBatch(n=2, xbar=np.array([[0.5, 1.0], [bad, 1.0]]))
+
 
 class TestEstimatorParams:
     def test_get_params(self):

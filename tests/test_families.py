@@ -310,13 +310,17 @@ class TestValidationContract:
     def test_wrong_shape_rejected_at_d2(self):
         family = GaussianLocationFamily(np.diag([2.0, 0.5]))
 
-        def values(label, kind):
-            if label.startswith(("bregman", "mle")):
-                # these take stacks of points; only the last axis is fixed
-                return [np.ones(3), np.ones((4, 3))]
-            return [1.0, np.ones(3), np.ones((2, 2))]
+        # one point has shape (2,); stacks, as (4, 2), are for the kernels only
+        _assert_rejected(
+            family,
+            lambda label, kind: [1.0, np.ones(3), np.ones((2, 2)), np.ones((4, 3))],
+        )
 
-        _assert_rejected(family, values)
+    def test_gamma_shape_past_lgamma_overflow_rejected(self):
+        # lgamma(alpha) in the carrier raised a raw OverflowError above 2.56e305
+        assert GammaFamily(2.5e305).alpha == 2.5e305
+        with pytest.raises(DomainError):
+            GammaFamily(2.6e305)
 
     def test_atom_and_length_one_vectors_are_points(self):
         assert PoissonExponentialFamily(2.0).log_carrier(np.array(0.0)) == 0.0

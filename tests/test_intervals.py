@@ -121,6 +121,20 @@ class TestGaussianDivergenceBall:
             chi2_quantile, abs=1e-9
         )
 
+    def test_stack_of_wrong_dimension_rejected(self):
+        family = GaussianLocationFamily(np.diag([2.0, 0.5]))
+        for xbar in (np.zeros((5, 3)), np.zeros(3), 0.5):
+            with pytest.raises(DomainError):
+                gaussian_divergence_ball(family, ObservationBatch(n=2, xbar=xbar), 0.9)
+
+    def test_covers_checks_theta(self):
+        family = GaussianLocationFamily(np.diag([2.0, 0.5]))
+        ball = gaussian_divergence_ball(family, ObservationBatch(n=2, xbar=np.zeros(2)), 0.9)
+        assert ball.covers(np.zeros(2))
+        for theta in (np.zeros(3), np.array([0.0, math.nan]), np.zeros((4, 2))):
+            with pytest.raises(DomainError):
+                ball.covers(theta)
+
     def test_posterior_mass_one_dim(self):
         # posterior N(xbar, 1/n): mass of the ball by direct quadrature
         n, level, xbar = 4, 0.9, 0.5
@@ -506,13 +520,13 @@ class TestStackedConstructions:
         means = _stacked_means(family, theta, 4, 200, 6)
         stacked = fn(ObservationBatch(n=4, xbar=means))
         covers = stacked.covers_natural(theta)
-        divergences = family.bregman(theta, stacked.center)
+        divergences = family._bregman(theta, stacked.center)
         assert covers.shape == (means.shape[0],)
         for i, xbar in enumerate(means):
             single = fn(ObservationBatch(n=4, xbar=xbar if family.d > 1 else float(xbar)))
             assert np.array_equal(stacked.center[i], single.center)
             assert stacked.radius == single.radius
-            assert divergences[i] == family.bregman(theta, single.center)
+            assert divergences[i] == family._bregman(theta, single.center)
             assert covers[i] == single.covers_natural(theta)
 
     @pytest.mark.parametrize("name", ["poisson-exp-credible", "poisson-exp-confidence"])

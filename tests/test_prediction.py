@@ -704,7 +704,6 @@ class TestValidationCost:
 
         for name in ("_check_natural", "_check_mean", "_check_support"):
             counted_check(name, Family)
-        counted_check("_points", GaussianLocationFamily)
 
         def counted_rule(name):
             original = getattr(core, name)
@@ -722,6 +721,14 @@ class TestValidationCost:
         run()
         monkeypatch.undo()
         return counts
+
+    def test_regret_checks_each_point_once(self, monkeypatch):
+        # the sequence was checked point by point up to three times (19 checks)
+        sequence = [0.5, 1.0, 2.0, 1.5]
+        counts = self._count(
+            monkeypatch, lambda: regret(GammaFamily(1.0), "plugin", sequence, 2)
+        )
+        assert counts["checks"] == len(sequence)
 
     def test_checks_bounded_by_grid_not_by_nodes(self, monkeypatch):
         family = GaussianLocationFamily(1.0)
