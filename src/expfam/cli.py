@@ -11,7 +11,6 @@ shells report for a process that SIGPIPE ended).
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -38,7 +37,7 @@ from .intervals import (
     coverage_simulation,
     interval_construction,
 )
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, exp_density
 from .prediction import as_batch, make_predictor
 from .verify import available_suites, run_suite
 
@@ -199,16 +198,10 @@ def cmd_density(args, config):
     x = _parse_vector(args.x)
     theta = _theta_for(args, family)
     record = {"family": args.family, "x": _jsonable(x)}
-    if family.has_atom and np.ndim(x) == 0 and float(x) == family.atom_point:
-        log_value = family.log_density(theta, float(x))
-        record["value_type"] = "atom"
-    else:
-        log_value = family.log_density(theta, x)
-        record["value_type"] = "density"
-    try:
-        record["value"] = math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"density above the float range: log_value {log_value!r}") from None
+    atom = family.has_atom and np.ndim(x) == 0 and float(x) == family.atom_point
+    log_value = family.log_density(theta, x)
+    record["value_type"] = "atom" if atom else "density"
+    record["value"] = exp_density(log_value)
     record["log_value"] = log_value
     return [record], EXIT_OK
 

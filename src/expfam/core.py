@@ -26,7 +26,8 @@ import numpy as np
 
 from .base import ParamsMixin
 from .errors import DomainError, SupportError
-from .numerics import DEFAULT_TOL, integrate, integrate_trapezoid
+from .numerics import DEFAULT_TOL, exp_density, integrate, integrate_trapezoid
+from .validation import check_count
 
 TAU = 2.0 * math.pi
 
@@ -57,21 +58,16 @@ class ObservationBatch:
     xbar: object
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise DomainError(f"batch size must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        if isinstance(self.xbar, np.ndarray):
-            object.__setattr__(self, "xbar", self.xbar.astype(float))
-        else:
-            object.__setattr__(self, "xbar", float(self.xbar))
-        if not _inside(self.xbar, REAL_LINE):
+        object.__setattr__(self, "n", check_count(self.n, "batch size"))
+        xbar = self.xbar
+        xbar = xbar.astype(float) if isinstance(xbar, np.ndarray) else float(xbar)
+        object.__setattr__(self, "xbar", xbar)
+        if not _inside(xbar, REAL_LINE):
             raise DomainError(f"batch mean must be finite, got {self.xbar!r}")
 
     @classmethod
     def from_observations(cls, X):
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return cls(n=X.shape[0], xbar=float(X.mean()))
         return cls(n=X.shape[0], xbar=X.mean(axis=0))
 
 
@@ -94,7 +90,7 @@ class Family(ParamsMixin):
     natural_domain = NEGATIVE_HALF_LINE
     mean_domain = POSITIVE_HALF_LINE
     support_domain = POSITIVE_HALF_LINE
-    #: True when the carrier measure places an atom at ``atom_point``.
+    #: True when the carrier places an atom at ``atom_point``, the support's lower end.
     has_atom = False
     atom_point = 0.0
     d = 1
@@ -221,9 +217,7 @@ class Family(ParamsMixin):
         return _inside(mu, self.mean_domain)
 
     def in_support(self, x):
-        return _inside(x, self.support_domain) or (
-            self.has_atom and x == self.atom_point
-        )
+        return _inside(x, self.support_domain) or self.has_atom and x == self.atom_point
 
     def _checked(self, v, inside, error, what):
         """``v`` as one point: a float when d == 1, else a vector (d,).
@@ -246,15 +240,24 @@ class Family(ParamsMixin):
         return v
 
     def _check_natural(self, theta):
-        return self._checked(
-            theta, self.in_natural_domain, DomainError, "natural domain"
-        )
+        return self._checked(theta, self.in_natural_domain, DomainError, "natural domain")
 
     def _check_mean(self, mu):
         return self._checked(mu, self.in_mean_domain, DomainError, "mean domain")
 
     def _check_support(self, x):
         return self._checked(x, self.in_support, SupportError, "support")
+
+    def _check_sample(self, X):
+        """A sample (m,) or (m, d), checked by its least and greatest entries.
+
+        argmin and argmax pick any NaN, and an atom sits at the support's lower end,
+        so the two decide; on failure only, the first point outside is found and named.
+        """
+        low, high = X.item(X.argmin()), X.item(X.argmax())
+        if not (self.in_support(low) and self.in_support(high)):
+            self._check_support(next(x for x in X if not self.in_support(x)))
+        return X
 
     # -- public closed forms: check, then kernel -------------------------------
 
@@ -298,7 +301,7 @@ class Family(ParamsMixin):
         return self._log_density(self._check_natural(theta), self._check_support(x))
 
     def density(self, theta, x):
-        return math.exp(self.log_density(theta, x))
+        return exp_density(self.log_density(theta, x))
 
     def log_likelihood(self, theta, batch):
         """Carrier-free part of the log likelihood, n*(theta.xbar - A(theta))."""

@@ -32,6 +32,7 @@ __all__ = [
     "inv_reg_gamma_lower",
     "std_normal_cdf",
     "std_normal_quantile",
+    "exp_density",
     "integrate",
     "integrate_trapezoid",
     "find_root",
@@ -115,6 +116,14 @@ def std_normal_quantile(p):
     """Inverse of Phi on (0, 1)."""
     p = check_unit_open(p, "p")
     return float(_scisp.ndtri(p))
+
+
+def exp_density(log_value):
+    """exp(log_value); a density above the float range raises DomainError."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"density above the float range: log_value {log_value!r}") from None
 
 
 def integrate(f, lo, hi, tol=DEFAULT_TOL, points=None):

@@ -75,16 +75,20 @@ class PredictiveValue:
 def as_batch(family, X):
     """Coerce raw observations (or a ready batch) into an ObservationBatch.
 
-    Every observation must lie in the support and the mean statistic must
-    be interior to the mean domain; an all-atom compound-Poisson sample is
-    reported as degenerate.
+    Every observation must be finite and lie in the support, and the mean
+    statistic must be interior to the mean domain; an all-atom
+    compound-Poisson sample is reported as degenerate.
     """
     if isinstance(X, ObservationBatch):
         batch = X
     else:
         X = check_observations(X, family.d)
-        for x in X:
-            family._check_support(x if family.d > 1 else float(x))
+        try:
+            family._check_sample(X)
+        except SupportError:
+            if not np.isfinite(X).all():
+                raise DomainError("observations must be finite") from None
+            raise
         batch = ObservationBatch.from_observations(X)
     if not family.in_mean_domain(batch.xbar):
         if family.has_atom and np.all(np.atleast_1d(batch.xbar) == family.atom_point):
@@ -98,12 +102,10 @@ def as_batch(family, X):
 
 
 def _check_suffix(family, future):
-    future = np.atleast_1d(np.asarray(future, dtype=float))
+    future = np.array(future, dtype=float, ndmin=1, copy=None)
     if future.ndim != 1 or future.shape[0] < 1:
         raise DomainError("future suffix must be a nonempty 1-d sequence")
-    for y in future:
-        family._check_support(float(y))
-    return future
+    return family._check_sample(future)
 
 
 class _PredictorBase(ParamsMixin):

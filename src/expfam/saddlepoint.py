@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NEGATIVE_HALF_LINE, TAU, Family, ObservationBatch, _log_ratio_integral
-from .errors import DomainError
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, exp_density
+from .validation import check_count
 
 __all__ = [
     "SaddlepointProfile",
@@ -30,20 +30,10 @@ __all__ = [
 ]
 
 
-def _check_n(n):
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return n
-
-
 def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
     """Log of the unnormalized saddle-point value at theta around theta_hat."""
-    return _log_profile(
-        family,
-        _check_n(n),
-        family._check_natural(theta_hat),
-        family._check_natural(theta),
-    )
+    n, theta_hat = check_count(n), family._check_natural(theta_hat)
+    return _log_profile(family, n, theta_hat, family._check_natural(theta))
 
 
 def _log_profile(family, n, theta_hat, theta):
@@ -65,7 +55,7 @@ def _log_profile(family, n, theta_hat, theta):
 
 def saddlepoint_unnormalized(family, n, theta_hat, theta):
     """Unnormalized saddle-point value at theta around theta_hat."""
-    return math.exp(log_saddlepoint_unnormalized(family, n, theta_hat, theta))
+    return exp_density(log_saddlepoint_unnormalized(family, n, theta_hat, theta))
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,7 @@ class SaddlepointProfile:
         )
 
     def density(self, theta):
-        return math.exp(self.log_density(theta))
+        return exp_density(self.log_density(theta))
 
 
 def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
@@ -94,13 +84,13 @@ def renormalize(family, n, theta_hat, tol=DEFAULT_TOL):
     The normalizer is R / tau^(d/2), R the ratio integral of
     ``core._log_ratio_integral``, at every d.
     """
-    n = _check_n(n)
+    n = check_count(n)
     theta_hat = family._check_natural(theta_hat)
     log_r, rel_err = _log_ratio_integral(family, n, theta_hat, tol)
     normalizer = math.exp(log_r - 0.5 * family.d * math.log(TAU))
     return SaddlepointProfile(
         family=family,
-        n=int(n),
+        n=n,
         theta_hat=theta_hat,
         normalizer=normalizer,
         normalizer_error=rel_err * normalizer,

@@ -9,6 +9,7 @@ from .errors import DomainError
 __all__ = [
     "check_positive",
     "check_positive_array",
+    "check_count",
     "check_nonnegative",
     "check_unit_open",
     "check_finite_scalar",
@@ -49,6 +50,15 @@ def check_positive_array(value, name="value"):
     return value
 
 
+def check_count(value, name="n"):
+    """``value`` as an int >= 1; a fractional or non-finite one raises DomainError."""
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    if int(value) < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def check_nonnegative(value, name="value"):
     value = check_finite_scalar(value, name)
     if value < 0:
@@ -64,27 +74,19 @@ def check_unit_open(value, name="level"):
 
 
 def check_observations(X, d=1):
-    """Coerce raw observations to a finite float array of shape (m,) or (m, d).
+    """Coerce raw observations to a float array of shape (m,) or (m, d).
 
-    Accepts any sequence of scalars (d == 1) or of length-d vectors.
+    Accepts any sequence of scalars (d == 1) or of length-d vectors; the
+    values are checked by ``Family._check_sample``.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 0:
-        X = X.reshape(1)
-    if d == 1:
-        if X.ndim == 2 and X.shape[1] == 1:
-            X = X[:, 0]
-        if X.ndim != 1:
-            raise DomainError(f"expected 1-d observations, got shape {X.shape}")
-    else:
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.ndim != 2 or X.shape[1] != d:
-            raise DomainError(
-                f"expected observations of dimension {d}, got shape {X.shape}"
-            )
+    if X.ndim < 2:
+        X = X.reshape(-1) if d == 1 else X.reshape(1, -1)
+    elif d == 1 and X.shape[1:] == (1,):
+        X = X[:, 0]
+    if X.shape[1:] != ((d,) if d > 1 else ()):
+        what = "1-d observations" if d == 1 else f"observations of dimension {d}"
+        raise DomainError(f"expected {what}, got shape {X.shape}")
     if X.shape[0] == 0:
         raise DomainError("at least one observation is required")
-    if not np.all(np.isfinite(X)):
-        raise DomainError("observations must be finite")
     return X

@@ -340,6 +340,13 @@ class TestLogDensity:
             math.log(1.0 / math.sqrt(TAU)), abs=1e-12
         )
 
+    def test_density_above_the_float_range(self):
+        # det(cov)^(-1/2) is 1e450 here; exp raised a raw OverflowError
+        family = GaussianLocationFamily(np.eye(3) * 1e-300)
+        assert family.log_density(np.zeros(3), np.zeros(3)) > 709.0
+        with pytest.raises(DomainError, match="density above the float range"):
+            family.density(np.zeros(3), np.zeros(3))
+
     def test_support_errors(self):
         with pytest.raises(SupportError):
             GammaFamily(1.0).log_density(-1.0, 0.0)
@@ -423,6 +430,18 @@ class TestObservationBatch:
     def test_size_validated(self):
         with pytest.raises(DomainError):
             ObservationBatch(n=0, xbar=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.7, np.float64(0.5)])
+    def test_size_must_be_whole(self, bad):
+        # int(nan) leaked a raw ValueError, int(inf) an OverflowError, and 2.7
+        # was truncated to 2
+        with pytest.raises(DomainError):
+            ObservationBatch(n=bad, xbar=1.0)
+
+    @pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0), 10**20])
+    def test_integral_size_accepted(self, n):
+        batch = ObservationBatch(n=n, xbar=1.0)
+        assert batch.n == int(n) and type(batch.n) is int
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_rejected(self, bad):

@@ -723,12 +723,14 @@ class TestValidationCost:
         return counts
 
     def test_regret_checks_each_point_once(self, monkeypatch):
-        # the sequence was checked point by point up to three times (19 checks)
-        sequence = [0.5, 1.0, 2.0, 1.5]
-        counts = self._count(
-            monkeypatch, lambda: regret(GammaFamily(1.0), "plugin", sequence, 2)
-        )
-        assert counts["checks"] == len(sequence)
+        # the sequence was checked point by point up to three times (19 checks),
+        # then once per point; one array compare now checks it whole
+        def checks(sequence):
+            run = lambda: regret(GammaFamily(1.0), "plugin", sequence, 2)  # noqa: E731
+            return self._count(monkeypatch, run)["checks"]
+
+        short = [0.5, 1.0, 2.0, 1.5]
+        assert checks(short) == checks(short * 100) <= 1
 
     def test_checks_bounded_by_grid_not_by_nodes(self, monkeypatch):
         family = GaussianLocationFamily(1.0)

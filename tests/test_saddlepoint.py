@@ -1,5 +1,6 @@
 """Tests for the saddle-point profile and its exactness diagnostics."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -72,8 +73,31 @@ class TestUnnormalizedProfile:
         with pytest.raises(DomainError):
             saddlepoint_unnormalized(GammaFamily(1.0), 0, -1.0, -1.0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+    def test_n_must_be_whole(self, n):
+        # NaN and inf passed the old n >= 1 test, and a fractional n normalized
+        # the profile at n while the profile kept int(n)
+        with pytest.raises(DomainError, match="n must be a whole number"):
+            saddlepoint_unnormalized(GammaFamily(1.0), n, -1.0, -1.0)
+        with pytest.raises(DomainError, match="n must be a whole number"):
+            renormalize(GammaFamily(1.0), n, -1.0)
+
+    def test_value_above_the_float_range(self):
+        # J(theta_hat) = 1/|theta_hat| is e^744 here; exp raised a raw OverflowError
+        with pytest.raises(DomainError, match="density above the float range"):
+            saddlepoint_unnormalized(GammaFamily(1.0), 1, -5e-324, -5e-324)
+
 
 class TestRenormalize:
+    def test_density_above_the_float_range(self):
+        # a normalizer near the bottom of the float range puts the density above
+        # its top; exp raised a raw OverflowError
+        profile = renormalize(GammaFamily(1.0), 2, -1.0)
+        profile = dataclasses.replace(profile, normalizer=1e-320)
+        assert math.isfinite(profile.log_density(-1.0))
+        with pytest.raises(DomainError, match="density above the float range"):
+            profile.density(-1.0)
+
     def test_gaussian_normalizer_closed_form(self):
         family = GaussianLocationFamily(1.0)
         for n in (1, 2, 4):
