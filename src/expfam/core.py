@@ -217,7 +217,9 @@ class Family(ParamsMixin):
         return _inside(mu, self.mean_domain)
 
     def in_support(self, x):
-        return _inside(x, self.support_domain) or self.has_atom and x == self.atom_point
+        return _inside(x, self.support_domain) or (
+            self.has_atom and x == self.atom_point
+        )
 
     def _checked(self, v, inside, error, what):
         """``v`` as one point: a float when d == 1, else a vector (d,).
@@ -240,7 +242,9 @@ class Family(ParamsMixin):
         return v
 
     def _check_natural(self, theta):
-        return self._checked(theta, self.in_natural_domain, DomainError, "natural domain")
+        return self._checked(
+            theta, self.in_natural_domain, DomainError, "natural domain"
+        )
 
     def _check_mean(self, mu):
         return self._checked(mu, self.in_mean_domain, DomainError, "mean domain")

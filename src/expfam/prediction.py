@@ -102,7 +102,7 @@ def as_batch(family, X):
 
 
 def _check_suffix(family, future):
-    future = np.array(future, dtype=float, ndmin=1, copy=None)
+    future = np.array(future, dtype=float, ndmin=1)
     if future.ndim != 1 or future.shape[0] < 1:
         raise DomainError("future suffix must be a nonempty 1-d sequence")
     return family._check_sample(future)

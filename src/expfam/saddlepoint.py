@@ -32,8 +32,12 @@ __all__ = [
 
 def log_saddlepoint_unnormalized(family, n, theta_hat, theta):
     """Log of the unnormalized saddle-point value at theta around theta_hat."""
-    n, theta_hat = check_count(n), family._check_natural(theta_hat)
-    return _log_profile(family, n, theta_hat, family._check_natural(theta))
+    return _log_profile(
+        family,
+        check_count(n),
+        family._check_natural(theta_hat),
+        family._check_natural(theta),
+    )
 
 
 def _log_profile(family, n, theta_hat, theta):

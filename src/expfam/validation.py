@@ -80,13 +80,20 @@ def check_observations(X, d=1):
     values are checked by ``Family._check_sample``.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim < 2:
-        X = X.reshape(-1) if d == 1 else X.reshape(1, -1)
-    elif d == 1 and X.shape[1:] == (1,):
-        X = X[:, 0]
-    if X.shape[1:] != ((d,) if d > 1 else ()):
-        what = "1-d observations" if d == 1 else f"observations of dimension {d}"
-        raise DomainError(f"expected {what}, got shape {X.shape}")
+    if X.ndim == 0:
+        X = X.reshape(1)
+    if d == 1:
+        if X.ndim == 2 and X.shape[1] == 1:
+            X = X[:, 0]
+        if X.ndim != 1:
+            raise DomainError(f"expected 1-d observations, got shape {X.shape}")
+    else:
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if X.ndim != 2 or X.shape[1] != d:
+            raise DomainError(
+                f"expected observations of dimension {d}, got shape {X.shape}"
+            )
     if X.shape[0] == 0:
         raise DomainError("at least one observation is required")
     return X

@@ -27,6 +27,7 @@ from expfam.errors import (
     ExpfamError,
     NonConvergenceError,
     NonNormalizableError,
+    SupportError,
 )
 from expfam.numerics import integrate
 from expfam.prediction import (
@@ -731,6 +732,14 @@ class TestValidationCost:
 
         short = [0.5, 1.0, 2.0, 1.5]
         assert checks(short) == checks(short * 100) <= 1
+
+    def test_regret_still_rejects_a_bad_point(self):
+        # the count above would hold if regret checked nothing; it still rejects
+        with pytest.raises(SupportError, match=r"-1\.0 is outside the support"):
+            regret(GammaFamily(1.0), "plugin", [1.0, -1.0, 2.0], 2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="observations must be finite"):
+                regret(GammaFamily(1.0), "plugin", [1.0, bad, 2.0], 2)
 
     def test_checks_bounded_by_grid_not_by_nodes(self, monkeypatch):
         family = GaussianLocationFamily(1.0)
