@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def _load_config(path):
                     )
                 key, _, value = line.partition("=")
                 config[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from None
     return config
 
@@ -107,6 +108,25 @@ def _resolve(args, config, key, default, convert):
 
 
 def _load_observations(path, d=1):
+    """The observations in ``path``: an (m,) array at d == 1, else (m, d).
+
+    numpy parses the file in one call.  Whatever it rejects, an empty file
+    or a row that is not d numbers, goes to ``_walk_observations``, which
+    reads what ``float`` takes and numpy does not (``#`` lines, ``1_0``,
+    non-ASCII digits) and otherwise names the line at fault.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):
+        rows = None
+    if rows is not None and rows.shape[0] and rows.shape[1] == d:
+        return rows.ravel() if d == 1 else rows
+    return _walk_observations(path, d)
+
+
+def _walk_observations(path, d):
     rows = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -124,7 +144,7 @@ def _load_observations(path, d=1):
                         rows.append(entries)
                 except ValueError as exc:
                     raise DomainError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read data file {path}: {exc}") from None
     if not rows:
         raise DomainError(f"data file {path} contains no observations")

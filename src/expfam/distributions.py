@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _scisp
 
 from .errors import DomainError, SupportError
-from .numerics import bracket_by_doubling, find_root, std_normal_quantile
+from .numerics import _scisp, bracket_by_doubling, find_root, std_normal_quantile
 from .validation import (
     all_hold,
     check_nonnegative,

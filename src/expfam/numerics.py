@@ -4,21 +4,26 @@ Special functions, adaptive quadrature, bracketed root finding and seeded
 random streams.  Everything here is a pure function of its arguments; the
 random streams are explicit generator objects, never global state.
 
-Only this module calls scipy's quadrature and root finders, importing
-them on first use.  ``integrate`` runs QUADPACK (``scipy.integrate.quad``,
-which applies the standard half-line transform internally and
-extrapolates across integrable endpoint singularities) on an interval;
-there is no cubature: integrals over R^d go to ``integrate_trapezoid``,
-the trapezoid rule on a product grid in numpy alone.  ``find_root`` runs
-Brent's method (``scipy.optimize.brentq``) on a bracket and safeguarded
-Newton on a stack.
+Only this module imports scipy, and it loads each subpackage on first use:
+``scipy.special`` through the handle ``_scisp`` (which ``distributions``
+shares), ``scipy.integrate`` and ``scipy.optimize`` inside the functions
+that call them.  So ``import expfam`` loads no scipy module, and a
+closed-form density (Gamma, Gaussian, inverse Gaussian, the
+Poisson-exponential atom) never does.
+
+``integrate`` runs QUADPACK (``scipy.integrate.quad``, which applies the
+standard half-line transform internally and extrapolates across
+integrable endpoint singularities) on an interval; there is no cubature:
+integrals over R^d go to ``integrate_trapezoid``, the trapezoid rule on a
+product grid in numpy alone.  ``find_root`` runs Brent's method
+(``scipy.optimize.brentq``) on a bracket and safeguarded Newton on a
+stack.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _scisp
 
 from .errors import DomainError, NoSignChangeError, NonConvergenceError
 from .validation import all_hold, check_positive, check_positive_array, check_unit_open
@@ -59,6 +64,25 @@ _TRAPEZOID_SLAB = 1 << 16
 _BUDGET = f"{_TRAPEZOID_NODES} nodes per axis and {_TRAPEZOID_GRID} in all"
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps  # the least relative tolerance brentq takes
+
+
+class _LazySpecial:
+    """``scipy.special``, imported at the first attribute read.
+
+    Each function read is stored on the instance: it is the very same
+    ufunc, and a later read is a plain attribute lookup, with no import
+    statement and no call of ``__getattr__``.
+    """
+
+    def __getattr__(self, name):  # called only for names not yet stored
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+_scisp = _LazySpecial()
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,20 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expfam import cli
 from expfam.cli import main
+from expfam.errors import DomainError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
@@ -32,15 +37,11 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_import_leaves_out_quadrature_and_root_finding():
-    """``import expfam.cli`` loads neither scipy.integrate nor scipy.optimize.
-
-    ``numerics`` imports them on first use, so commands without quadrature
-    or root finding never pay for them.
-    """
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
     probe = (
-        "import sys, expfam.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        f"import sys\n{code}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -49,7 +50,54 @@ def test_import_leaves_out_quadrature_and_root_finding():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_quadrature_and_root_finding():
+    """Neither ``import expfam`` nor ``import expfam.cli`` loads any scipy module.
+
+    ``numerics`` imports scipy.special, scipy.integrate and scipy.optimize
+    on first use, so commands without them never pay for them.
+    """
+    assert _scipy_modules_after("import expfam") == "[]"
+    assert _scipy_modules_after("import expfam.cli") == "[]"
+
+
+#: density calls that are closed forms, and one that sums the Bessel series
+CLOSED_FORM_DENSITIES = [
+    "--family gamma --shape 1 --rate 1 --x 1",
+    "--family gaussian --mu 0 --x 1",
+    "--family inverse-gaussian --kappa 2 --mu 1 --x 1",
+    "--family poisson-exp --kappa 2 --rate 1 --x 0",
+]
+
+
+@pytest.mark.parametrize(
+    "args, loads",
+    [(args, False) for args in CLOSED_FORM_DENSITIES]
+    + [("--family poisson-exp --kappa 2 --rate 1 --x 0.5", True)],
+)
+def test_closed_form_density_leaves_out_scipy(args, loads):
+    argv = ["density", *args.split()]
+    code = f"from expfam import cli\nassert cli.main({argv!r}) == 0"
+    assert (_scipy_modules_after(code) != "[]") is loads
+
+
+def test_scipy_special_handle_returns_scipy_functions():
+    """Every ``_scisp`` name in the package is the scipy.special function itself,
+    and the handle keeps it after the first read."""
+    from scipy import special
+
+    from expfam import numerics
+
+    src = Path(numerics.__file__).parent
+    names = set()
+    for module in src.glob("*.py"):
+        names.update(re.findall(r"_scisp\.(\w+)", module.read_text()))
+    assert {"gammainc", "ndtri", "i1e", "chndtr"} <= names
+    for name in sorted(names):
+        assert getattr(numerics._scisp, name) is getattr(special, name), name
+        assert vars(numerics._scisp)[name] is getattr(special, name), name  # kept
 
 
 def test_closed_stdout_exits_141_without_traceback():
@@ -796,3 +844,111 @@ def test_any_declared_argv_exits_with_a_documented_code(call, data_path):
     *usage, last = report
     assert last.startswith("error: ") or last.startswith("expfam") and ": error: " in last
     assert all(line.startswith(("usage: ", " ")) for line in usage), report
+
+
+def _walk_reference(path, d=1):
+    """The line-at-a-time reader that ``cli._load_observations`` must match."""
+    rows = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    if d == 1:
+                        rows.append(float(line))
+                    else:
+                        entries = [float(v) for v in line.split(",")]
+                        if len(entries) != d:
+                            raise ValueError(f"expected {d} coordinates")
+                        rows.append(entries)
+                except ValueError as exc:
+                    raise DomainError(f"{path}:{lineno}: {exc}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read data file {path}: {exc}") from None
+    if not rows:
+        raise DomainError(f"data file {path} contains no observations")
+    return np.asarray(rows)
+
+
+def _outcome(load, path, d):
+    """(shape, dtype, bytes) of what ``load`` reads, or (error class, message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = load(path, d)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return rows.shape, rows.dtype, rows.tobytes()
+
+
+_FLOAT_TEXT = st.floats().flatmap(
+    lambda x: st.sampled_from((repr(x), f"{x:.17g}", f"{x:.6e}", f"{x:.25g}"))
+)
+_FIELD = st.one_of(
+    _FLOAT_TEXT,
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ("nan", "-nan", "+inf", "Infinity", "1e5000", "1_0", "١٢", "0x1p3",
+         "", "#", "# c", "1 # c", "1e", ".", "-0", "1 2")
+    ),
+    st.text(alphabet="019.,eE+-_# \t\x0b\x0c\x1c\x85\xa0١\x00infaINF", max_size=6),
+)
+_PAD = st.sampled_from(("", " ", "\t", "\x0c", "\xa0", "\x85"))
+
+
+@st.composite
+def _data_files(draw):
+    """(text, d): half the time every field is a float, half the time every row has d."""
+    d = draw(st.integers(1, 3))
+    field = st.tuples(_PAD, _FLOAT_TEXT if draw(st.booleans()) else _FIELD, _PAD).map("".join)
+    width = st.just(d) if draw(st.booleans()) else st.integers(1, 3)
+    line = width.flatmap(lambda k: st.lists(field, min_size=k, max_size=k).map(",".join))
+    lines = draw(st.lists(line, max_size=6))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=_data_files())
+@example(file=("1,2\n", 1))
+@example(file=("# c\n1.5\n", 1))
+@example(file=("1.5 # c\n", 1))
+@example(file=("1_0\n١\n", 1))
+@example(file=("", 2))
+@example(file=("# only a comment\n", 1))
+@example(file=(f"{0.1!r}\n{-0.0!r}\nnan\n-inf\n1e5000\n", 1))
+def test_data_file_reads_as_the_line_walk(file, data_path):
+    """Identical float bits, or the same error class and message, and no warning."""
+    text, d = file
+    data_path.write_bytes(text.encode("utf-8"))
+    new = _outcome(cli._load_observations, str(data_path), d)
+    assert new == _outcome(_walk_reference, str(data_path), d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_large_data_file_reads_as_the_line_walk(d, data_path):
+    values = np.random.default_rng(d).standard_normal((4000, d)) * 10.0 ** np.arange(d)
+    formats = (repr, "{:.17g}".format, "{:.6e}".format, "{:.25g}".format)
+    data_path.write_text(
+        "".join(",".join(formats[i % 4](v) for v in row) + "\n" for i, row in enumerate(values))
+    )
+    new = _outcome(cli._load_observations, str(data_path), d)
+    assert new == _outcome(_walk_reference, str(data_path), d)
+
+
+@pytest.mark.parametrize("option", ["--data", "--config"])
+def test_undecodable_file_is_an_input_error(option, tmp_path, gamma_data, capsys):
+    """A file that is not UTF-8 exits 2 with one error line, not a traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1.0\n\xff\xfe2.0\n")
+    argv = ["interval", "--family", "gamma", "--shape", "1", "--method", "credible"]
+    argv += ["--data", str(bad)] if option == "--data" else ["--data", gamma_data]
+    argv += ["--config", str(bad)] if option == "--config" else []
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    what = "data file" if option == "--data" else "config"
+    assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
