@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -108,25 +107,6 @@ def _resolve(args, config, key, default, convert):
 
 
 def _load_observations(path, d=1):
-    """The observations in ``path``: an (m,) array at d == 1, else (m, d).
-
-    numpy parses the file in one call.  Whatever it rejects, an empty file
-    or a row that is not d numbers, goes to ``_walk_observations``, which
-    reads what ``float`` takes and numpy does not (``#`` lines, ``1_0``,
-    non-ASCII digits) and otherwise names the line at fault.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file
-            rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):
-        rows = None
-    if rows is not None and rows.shape[0] and rows.shape[1] == d:
-        return rows.ravel() if d == 1 else rows
-    return _walk_observations(path, d)
-
-
-def _walk_observations(path, d):
     rows = []
     try:
         with open(path, encoding="utf-8") as handle:

@@ -14,17 +14,13 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expfam import cli
 from expfam.cli import main
-from expfam.errors import DomainError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
@@ -844,99 +840,6 @@ def test_any_declared_argv_exits_with_a_documented_code(call, data_path):
     *usage, last = report
     assert last.startswith("error: ") or last.startswith("expfam") and ": error: " in last
     assert all(line.startswith(("usage: ", " ")) for line in usage), report
-
-
-def _walk_reference(path, d=1):
-    """The line-at-a-time reader that ``cli._load_observations`` must match."""
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    if d == 1:
-                        rows.append(float(line))
-                    else:
-                        entries = [float(v) for v in line.split(",")]
-                        if len(entries) != d:
-                            raise ValueError(f"expected {d} coordinates")
-                        rows.append(entries)
-                except ValueError as exc:
-                    raise DomainError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise DomainError(f"cannot read data file {path}: {exc}") from None
-    if not rows:
-        raise DomainError(f"data file {path} contains no observations")
-    return np.asarray(rows)
-
-
-def _outcome(load, path, d):
-    """(shape, dtype, bytes) of what ``load`` reads, or (error class, message)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            rows = load(path, d)
-        except Exception as exc:
-            return type(exc), str(exc)
-    return rows.shape, rows.dtype, rows.tobytes()
-
-
-_FLOAT_TEXT = st.floats().flatmap(
-    lambda x: st.sampled_from((repr(x), f"{x:.17g}", f"{x:.6e}", f"{x:.25g}"))
-)
-_FIELD = st.one_of(
-    _FLOAT_TEXT,
-    st.integers(-(10**20), 10**20).map(str),
-    st.sampled_from(
-        ("nan", "-nan", "+inf", "Infinity", "1e5000", "1_0", "١٢", "0x1p3",
-         "", "#", "# c", "1 # c", "1e", ".", "-0", "1 2")
-    ),
-    st.text(alphabet="019.,eE+-_# \t\x0b\x0c\x1c\x85\xa0١\x00infaINF", max_size=6),
-)
-_PAD = st.sampled_from(("", " ", "\t", "\x0c", "\xa0", "\x85"))
-
-
-@st.composite
-def _data_files(draw):
-    """(text, d): half the time every field is a float, half the time every row has d."""
-    d = draw(st.integers(1, 3))
-    field = st.tuples(_PAD, _FLOAT_TEXT if draw(st.booleans()) else _FIELD, _PAD).map("".join)
-    width = st.just(d) if draw(st.booleans()) else st.integers(1, 3)
-    line = width.flatmap(lambda k: st.lists(field, min_size=k, max_size=k).map(",".join))
-    lines = draw(st.lists(line, max_size=6))
-    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines),
-                         max_size=len(lines)))
-    return "".join(line + end for line, end in zip(lines, ends)), d
-
-
-@settings(max_examples=400, deadline=None)
-@given(file=_data_files())
-@example(file=("1,2\n", 1))
-@example(file=("# c\n1.5\n", 1))
-@example(file=("1.5 # c\n", 1))
-@example(file=("1_0\n١\n", 1))
-@example(file=("", 2))
-@example(file=("# only a comment\n", 1))
-@example(file=(f"{0.1!r}\n{-0.0!r}\nnan\n-inf\n1e5000\n", 1))
-def test_data_file_reads_as_the_line_walk(file, data_path):
-    """Identical float bits, or the same error class and message, and no warning."""
-    text, d = file
-    data_path.write_bytes(text.encode("utf-8"))
-    new = _outcome(cli._load_observations, str(data_path), d)
-    assert new == _outcome(_walk_reference, str(data_path), d)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_large_data_file_reads_as_the_line_walk(d, data_path):
-    values = np.random.default_rng(d).standard_normal((4000, d)) * 10.0 ** np.arange(d)
-    formats = (repr, "{:.17g}".format, "{:.6e}".format, "{:.25g}".format)
-    data_path.write_text(
-        "".join(",".join(formats[i % 4](v) for v in row) + "\n" for i, row in enumerate(values))
-    )
-    new = _outcome(cli._load_observations, str(data_path), d)
-    assert new == _outcome(_walk_reference, str(data_path), d)
 
 
 @pytest.mark.parametrize("option", ["--data", "--config"])
