@@ -118,6 +118,8 @@ class GaussianLocationFamily(Family):
     def __init__(self, cov=1.0):
         self.cov = cov
         B = np.atleast_2d(np.asarray(cov, dtype=float))
+        if not np.all(np.isfinite(B)):
+            raise DomainError(f"cov must be finite, got {cov!r}")
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise DomainError(f"cov must be square, got shape {B.shape}")
         if not np.allclose(B, B.T, rtol=1e-12, atol=1e-12):

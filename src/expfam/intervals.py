@@ -241,6 +241,15 @@ class CoverageReport:
         return lo <= self.empirical_coverage <= hi
 
 
+#: Trials per ``interval_fn`` call in ``coverage_simulation``.  One call per
+#: stream costs a 5,000-trial study 16 calls of about 300 means, mostly
+#: per-call overhead; one call for all trials spills the arrays out of cache
+#: (slower at 100,000 trials) and holds every mean (more memory at 1e6).
+#: With 4,096, a study of 16 streams of 4,096 trials or more makes the
+#: per-stream calls as before.
+_STACK = 1 << 12
+
+
 def coverage_simulation(
     family, interval_fn, theta_true, m, level, trials, seed, n_streams=16
 ):
@@ -248,10 +257,13 @@ def coverage_simulation(
 
     Trials are partitioned across independent seeded streams and merged in
     stream order, so the result is deterministic for a fixed seed.  Each
-    stream draws one (trials, m) sample, forms the trial means, and calls
-    ``interval_fn`` once with a stacked ``ObservationBatch`` whose ``xbar``
-    carries a leading trial axis.  The object it returns must have a
-    ``covers_natural(theta)`` that gives one bool per trial.
+    stream draws one (trials, m) sample and forms the trial means.  The
+    means of consecutive streams are held until they reach ``_STACK``
+    trials (or the streams run out); then ``interval_fn`` is called once
+    with a stacked ``ObservationBatch`` whose ``xbar`` carries a leading
+    trial axis.  The object it returns must have a ``covers_natural(theta)``
+    that gives one bool per trial.  Every construction is elementwise over
+    the trial axis, so the grouping moves no endpoint.
 
     Trials whose mean sits on the boundary point 0 of a half-line support
     (the all-atom Poisson-exponential sample, or Gamma draws that all
@@ -266,12 +278,21 @@ def coverage_simulation(
     m = int(m)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    n_streams = min(int(n_streams), trials)
+    n_streams = int(n_streams)
+    if n_streams < 1:
+        raise DomainError(f"n_streams must be >= 1, got {n_streams}")
+    n_streams = min(n_streams, trials)
     per = [trials // n_streams] * n_streams
     for i in range(trials % n_streams):
         per[i] += 1
+
+    def count_hits(held):
+        result = interval_fn(ObservationBatch(n=m, xbar=np.concatenate(held)))
+        return int(np.count_nonzero(result.covers_natural(theta_true)))
+
     hits = 0
     degenerate = 0
+    held, n_held = [], 0
     for stream_id, chunk in enumerate(per):
         rng = rng_stream(seed, stream_id)
         data = np.asarray(family.sample(rng, theta_true, size=(chunk, m)))
@@ -280,10 +301,14 @@ def coverage_simulation(
             on_boundary = means == 0.0
             degenerate += int(np.count_nonzero(on_boundary))
             means = means[~on_boundary]
-        if means.shape[0] == 0:
-            continue
-        result = interval_fn(ObservationBatch(n=m, xbar=means))
-        hits += int(np.count_nonzero(result.covers_natural(theta_true)))
+        if means.shape[0]:
+            held.append(means)
+            n_held += means.shape[0]
+        if n_held >= _STACK:
+            hits += count_hits(held)
+            held, n_held = [], 0
+    if held:
+        hits += count_hits(held)
     valid = trials - degenerate
     if valid == 0:
         raise DegenerateDataError("every simulated dataset was degenerate")

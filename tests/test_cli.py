@@ -638,6 +638,16 @@ TRUTH = {
 }
 
 
+@pytest.mark.parametrize("cov", ["inf", "nan", "1,inf;inf,1"])
+def test_non_finite_covariance_exits_2(cov, gamma_data, capsys):
+    argv = ["interval", "--family", "gaussian", "--cov", cov, "--data", gamma_data,
+            "--method", "divergence-ball"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "cov must be finite" in err
+
+
 class TestUnsupportedMethods:
     @pytest.mark.parametrize("family_args, method", UNSUPPORTED_PAIRS)
     def test_interval_exit_code(self, family_args, method, gamma_data, capsys):

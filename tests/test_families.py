@@ -316,6 +316,21 @@ class TestValidationContract:
             lambda label, kind: [1.0, np.ones(3), np.ones((2, 2)), np.ones((4, 3))],
         )
 
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            math.inf,
+            -math.inf,
+            math.nan,
+            [[1.0, math.inf], [math.inf, 1.0]],
+            np.diag([1.0, math.nan]),
+        ],
+    )
+    def test_non_finite_covariance_rejected(self, cov):
+        # an infinite cov gave a ball centred at 0.0; nan was called asymmetric
+        with pytest.raises(DomainError, match="cov must be finite"):
+            GaussianLocationFamily(cov)
+
     def test_gamma_shape_past_lgamma_overflow_rejected(self):
         # lgamma(alpha) in the carrier raised a raw OverflowError above 2.56e305
         assert GammaFamily(2.5e305).alpha == 2.5e305

@@ -319,6 +319,10 @@ class TestCoverageSimulation:
             coverage_simulation(family, op, -1.0, 0, 0.9, 100, seed=1)
         with pytest.raises(DomainError):
             coverage_simulation(family, op, -1.0, 2, 0.9, 0, seed=1)
+        # 0 streams divided by zero and -3 streams returned no hits
+        for n_streams in (0, -3):
+            with pytest.raises(DomainError, match="n_streams"):
+                coverage_simulation(family, op, -1.0, 2, 0.9, 100, seed=1, n_streams=n_streams)
 
 
 class TestIntervalEstimators:
@@ -487,6 +491,63 @@ class TestBatchedCoverageMatchesLoop:
         for name in ("gamma-credible-tiny-shape", "poisson-exp-credible"):
             family, fn, theta, level, trials = CONSTRUCTIONS[name]
             assert coverage_simulation(family, fn, theta, 1, level, trials, 0).degenerate > 0
+
+
+def stream_coverage(family, interval_fn, theta_true, m, level, trials, seed, n_streams=16):
+    """``coverage_simulation`` with one ``interval_fn`` call per stream."""
+    theta_true = family._check_natural(theta_true)
+    per = [trials // n_streams + (i < trials % n_streams) for i in range(n_streams)]
+    hits = 0
+    degenerate = 0
+    for stream_id, chunk in enumerate(per):
+        rng = rng_stream(seed, stream_id)
+        data = np.asarray(family.sample(rng, theta_true, size=(chunk, m)))
+        means = data.mean(axis=1)
+        if family.support_domain != REAL_LINE:
+            degenerate += int(np.count_nonzero(means == 0.0))
+            means = means[means != 0.0]
+        result = interval_fn(ObservationBatch(n=m, xbar=means))
+        hits += int(np.count_nonzero(result.covers_natural(theta_true)))
+    valid = trials - degenerate
+    sigma = math.sqrt(level * (1.0 - level) / valid)
+    return CoverageReport(
+        trials=valid,
+        hits=hits,
+        empirical_coverage=hits / valid,
+        three_sigma_band=(level - 3.0 * sigma, level + 3.0 * sigma),
+        level=level,
+        degenerate=degenerate,
+    )
+
+
+class TestGroupedCoverage:
+    """Means of several streams go to one construction call of >= 4,096 trials."""
+
+    # 20,000 trials flush in mid-loop and at the end; at 100,000 every
+    # stream alone reaches 4,096 (but for Poisson-exponential dropouts)
+    @pytest.mark.parametrize(
+        "name", ["gamma-credible", "ball-d1", "ball-d2", "poisson-exp-credible"]
+    )
+    @pytest.mark.parametrize("trials", [20_000, 100_000])
+    def test_same_report_as_one_call_per_stream(self, name, trials):
+        family, fn, theta, level, _ = CONSTRUCTIONS[name]
+        grouped = coverage_simulation(family, fn, theta, 1, level, trials, 11)
+        assert grouped == stream_coverage(family, fn, theta, 1, level, trials, 11)
+
+    @pytest.mark.parametrize("trials", [1_500, 20_000, 100_000])
+    def test_calls_hold_at_least_4096_trials(self, trials):
+        family, fn, theta, level, _ = CONSTRUCTIONS["poisson-exp-credible"]
+        sizes = []
+
+        def counting(batch):
+            sizes.append(batch.xbar.shape[0])
+            return fn(batch)
+
+        report = coverage_simulation(family, counting, theta, 1, level, trials, 11)
+        assert sum(sizes) == report.trials
+        assert all(size >= 4096 for size in sizes[:-1])
+        if trials == 1_500:
+            assert len(sizes) == 1
 
 
 def _stacked_means(family, theta, m, trials, seed):
