@@ -15,6 +15,7 @@ functions for lambda <= 30 (the CLI goldens pin those bits) and above that the
 zero-degree noncentral chi-squared form of Siegel (1979, *Biometrika* 66).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -334,26 +335,7 @@ class PoissonExponentialDist:
         lam = self.poisson_rate
         if x == 0.0:
             return math.exp(-lam)
-        t = self.rate * x
-        if lam > 30.0:
-            root_lam, root_t = math.sqrt(lam), math.sqrt(t)
-            out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam)) + math.exp(
-                -((root_lam - root_t) ** 2)
-            ) * float(_scisp.i0e(2.0 * root_lam * root_t))
-        else:
-            k = np.arange(1, int(lam + 45) + 1, dtype=float)
-            out = math.exp(-lam)
-            while True:
-                log_w = -lam + k * math.log(lam) - _scisp.gammaln(k + 1.0)
-                terms = np.exp(log_w) * _scisp.gammainc(k, t)
-                out += float(np.sum(terms))
-                # later terms shrink by lam/(k+1) <= r each: their sum is below
-                # terms[-1] r / (1 - r), which must fall under half an ulp of out
-                r = lam / (k[-1] + 1.0)
-                if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
-                    break
-                k = k + len(k)
-        return min(out, 1.0)
+        return _pe_cdf(lam, self.rate * x)
 
     def sample(self, rng, size):
         counts = rng.poisson(self.poisson_rate, size=size)
@@ -362,3 +344,36 @@ class PoissonExponentialDist:
     @property
     def mean(self):
         return self.kappa / (2.0 * self.rate**2)
+
+
+@functools.cache
+def _log_factorials():
+    """gammaln(k + 1) for k = 1..150: the lam <= 30 sum of ``_pe_cdf`` stops
+    within two blocks of int(lam + 45) terms (the weight at the second's end
+    is below e^-90 of the atom)."""
+    return _scisp.gammaln(np.arange(2.0, 152.0))
+
+
+def _pe_cdf(lam, t):
+    """``PoissonExponentialDist.cdf`` at t = beta x > 0 for the Poisson rate
+    lam, on arguments its callers checked."""
+    if lam > 30.0:
+        root_lam, root_t = math.sqrt(lam), math.sqrt(t)
+        out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam)) + math.exp(
+            -((root_lam - root_t) ** 2)
+        ) * float(_scisp.i0e(2.0 * root_lam * root_t))
+    else:
+        k = np.arange(1, int(lam + 45) + 1, dtype=float)
+        out = math.exp(-lam)
+        while True:
+            log_k_factorial = _log_factorials()[int(k[0]) - 1 : int(k[-1])]
+            log_w = -lam + k * math.log(lam) - log_k_factorial
+            terms = np.exp(log_w) * _scisp.gammainc(k, t)
+            out += float(np.sum(terms))
+            # later terms shrink by lam/(k+1) <= r each: their sum is below
+            # terms[-1] r / (1 - r), which must fall under half an ulp of out
+            r = lam / (k[-1] + 1.0)
+            if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
+                break
+            k = k + len(k)
+    return min(out, 1.0)

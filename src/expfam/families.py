@@ -117,20 +117,26 @@ class GaussianLocationFamily(Family):
 
     def __init__(self, cov=1.0):
         self.cov = cov
-        B = np.atleast_2d(np.asarray(cov, dtype=float))
+        try:
+            B = np.atleast_2d(np.asarray(cov, dtype=float))
+        except (TypeError, ValueError):
+            raise DomainError(f"cov must be a matrix of numbers, got {cov!r}") from None
         if not np.all(np.isfinite(B)):
             raise DomainError(f"cov must be finite, got {cov!r}")
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise DomainError(f"cov must be square, got shape {B.shape}")
-        if not np.allclose(B, B.T, rtol=1e-12, atol=1e-12):
+        if not np.all(np.abs(B - B.T) <= 1e-12 * (1.0 + np.abs(B.T))):
             raise DomainError("cov must be symmetric")
-        eigvals = np.linalg.eigvalsh(B)
-        if np.min(eigvals) <= 0:
-            raise DomainError(f"cov must be positive definite, eigvals={eigvals}")
+        try:
+            np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"cov must be positive definite, got {cov!r}") from None
         self.d = B.shape[0]
         self._B = B
         self._B_inv = np.linalg.inv(B)
         self._logdet = float(np.linalg.slogdet(B)[1])
+        if not (np.all(np.isfinite(self._B_inv)) and math.isfinite(self._logdet)):
+            raise DomainError(f"cov is too near singular to invert in floats: {cov!r}")
         self._rows = B.tolist()
         self._inv_rows = self._B_inv.tolist()
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import ParamsMixin, check_is_fitted
 from .core import POSITIVE_HALF_LINE, ObservationBatch
-from .distributions import PoissonExponentialDist
+from .distributions import _pe_cdf
 from .errors import DegenerateDataError, DomainError
 from .families import (
     GammaFamily,
@@ -213,15 +213,18 @@ def poisson_exp_confidence(kappa, batch, level):
 
 
 def _cdf_inversion(kappa, m, xbar, level):
-    """The beta solving P_beta(S <= m xbar) = level for a sum of m draws."""
-    s_obs = m * xbar
+    """The beta solving P_beta(S <= m xbar) = level for a sum of m draws.
 
-    def cdf_at(beta):
-        return PoissonExponentialDist(m * kappa, beta).cdf(s_obs)
+    S is Poisson-exponential(m kappa, beta); lam and t are formed as its cdf forms them.
+    """
+    s_obs = check_positive(m * xbar, "the sum m xbar")
+    shape = m * kappa
+
+    def rising(beta):
+        return _pe_cdf(shape / (2.0 * beta), beta * s_obs) - level
 
     beta_hat = math.sqrt(kappa / (2.0 * xbar))
-    bracket = bracket_by_doubling(cdf_at, beta_hat, level)
-    return find_root(lambda b: cdf_at(b) - level, bracket, tol=1e-12)
+    return find_root(rising, bracket_by_doubling(rising, beta_hat, 0.0), tol=1e-12)
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,18 @@ random streams are explicit generator objects, never global state.
 
 Only this module imports scipy, and it loads each subpackage on first use:
 ``scipy.special`` through the handle ``_scisp`` (which ``distributions``
-shares), ``scipy.integrate`` and ``scipy.optimize`` inside the functions
-that call them.  So ``import expfam`` loads no scipy module, and a
-closed-form density (Gamma, Gaussian, inverse Gaussian, the
-Poisson-exponential atom) never does.
+shares) and ``scipy.integrate`` inside the function that calls it.  So
+``import expfam`` loads no scipy module, and a closed-form density
+(Gamma, Gaussian, inverse Gaussian, the Poisson-exponential atom) never
+does.
 
 ``integrate`` runs QUADPACK (``scipy.integrate.quad``, which applies the
 standard half-line transform internally and extrapolates across
 integrable endpoint singularities) on an interval; there is no cubature:
 integrals over R^d go to ``integrate_trapezoid``, the trapezoid rule on a
-product grid in numpy alone.  ``find_root`` runs Brent's method
-(``scipy.optimize.brentq``) on a bracket and safeguarded Newton on a
-stack.
+product grid in numpy alone.  ``find_root`` runs Brent's method (Brent
+1973, *Algorithms for Minimization without Derivatives*, ch. 4; a port of
+scipy's ``brentq``) on a bracket and safeguarded Newton on a stack.
 """
 
 import math
@@ -96,10 +96,12 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class Bracket:
-    """An interval [lo, hi] expected to enclose a sign change; arrays stack them."""
+    """An interval [lo, hi] expected to enclose a sign change, and f there if known."""
 
     lo: float
     hi: float
+    f_lo: float = None
+    f_hi: float = None
 
     def __post_init__(self):
         if not all_hold(self.lo < self.hi):
@@ -326,6 +328,8 @@ def _trapezoid_sums(y, h, axes):
 def find_root(f, bracket, tol=1e-12, fprime=None):
     """Root of f on a sign-changing bracket: Brent's method to ``xtol = tol``.
 
+    f is evaluated once at each point (at the ends only if the bracket lacks
+    their values); a value that is not finite raises NonConvergenceError.
     A stack of brackets goes to ``_newton_bisection``; ``f`` and ``fprime``
     then map arrays of the bracket's shape to arrays.
     """
@@ -333,12 +337,13 @@ def find_root(f, bracket, tol=1e-12, fprime=None):
         if fprime is None:
             raise DomainError("a stack of brackets needs the derivative fprime")
         tol = check_positive_array(tol, "tol")
-        return _newton_bisection(f, fprime, bracket.lo, bracket.hi, tol)
-    from scipy import optimize as _sciopt
-
+        return _newton_bisection(f, fprime, bracket, tol)
     tol = check_positive(tol, "tol")
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
+    lo, hi = float(bracket.lo), float(bracket.hi)
+    flo = float(f(lo) if bracket.f_lo is None else bracket.f_lo)
+    fhi = float(f(hi) if bracket.f_hi is None else bracket.f_hi)
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        raise NonConvergenceError(f"f is not finite at {lo} or {hi}: {flo}, {fhi}")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -347,15 +352,53 @@ def find_root(f, bracket, tol=1e-12, fprime=None):
         raise NoSignChangeError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    root, report = _sciopt.brentq(
-        f, lo, hi, xtol=tol, rtol=_BRENT_RTOL, maxiter=200, full_output=True
-    )
-    if not report.converged:
-        raise NonConvergenceError(f"root finding stalled on [{lo}, {hi}]")
-    return float(root)
+    return _brent(f, lo, hi, flo, fhi, tol)
 
 
-def _newton_bisection(f, fprime, lo, hi, tol):
+def _brent(f, xpre, xcur, fpre, fcur, xtol):
+    """Brent's method from ends xpre, xcur whose float values fpre, fcur differ in sign.
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``), so every
+    iterate matches it bit for bit; xcur is the best point, xblk the contrapoint.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; where C divides by zero, its inf or nan bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if not math.isfinite(fcur):
+            raise NonConvergenceError(f"f is not finite at {xcur}: {fcur}")
+    raise NonConvergenceError(f"root finding stalled after 200 steps at {xcur}")
+
+
+def _newton_bisection(f, fprime, bracket, tol):
     """Roots of an ``f`` rising through zero on each bracket; ``tol`` may be an array.
 
     A Newton step that leaves the bracket or exceeds half the step of two
@@ -364,8 +407,11 @@ def _newton_bisection(f, fprime, lo, hi, tol):
     below 1e-12 relative (quadratic convergence then puts it at rounding
     level) or once its bracket is narrower than ``tol`` plus Brent's floor.
     """
+    lo, hi = bracket.lo, bracket.hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if np.any((f(lo) > 0) | (f(hi) < 0)):
+        f_lo = f(lo) if bracket.f_lo is None else bracket.f_lo
+        f_hi = f(hi) if bracket.f_hi is None else bracket.f_hi
+        if np.any((f_lo > 0) | (f_hi < 0)):
             raise NoSignChangeError("f does not rise through zero on some brackets")
         x = 0.5 * (lo + hi)
         last = old = hi - lo
@@ -391,37 +437,43 @@ def bracket_by_doubling(f, start, target):
 
     From ``start`` > 0, halves until f(lo) < target and doubles until
     f(hi) > target, at most 200 times each; a function that never crosses
-    raises :class:`NonConvergenceError`.  An array ``start`` (with an ``f``
-    taking arrays of its shape) gives a stack of brackets, each element
-    halving and doubling on its own.
+    raises :class:`NonConvergenceError`.  The bracket carries f - target
+    at its ends, for ``find_root`` on f - target.  An array ``start``
+    (with an ``f`` taking arrays of its shape) gives a stack of brackets,
+    each element halving and doubling on its own.
     """
     if isinstance(start, np.ndarray):
-        return Bracket(_scale(f, start, target, 0.5), _scale(f, start, target, 2.0))
+        lo, f_lo = _scale(f, start, target, 0.5)
+        hi, f_hi = _scale(f, start, target, 2.0)
+        return Bracket(lo, hi, f_lo, f_hi)
     lo = hi = start
     for _ in range(200):
         lo *= 0.5
-        if f(lo) < target:
+        f_lo = f(lo) - target
+        if f_lo < 0:
             break
     else:
         raise NonConvergenceError(f"no value below {target} down to {lo}")
     for _ in range(200):
         hi *= 2.0
-        if f(hi) > target:
+        f_hi = f(hi) - target
+        if f_hi > 0:
             break
     else:
         raise NonConvergenceError(f"no value above {target} up to {hi}")
-    return Bracket(lo, hi)
+    return Bracket(lo, hi, f_lo, f_hi)
 
 
 def _scale(f, x, target, factor):
-    """Halve (double) the elements of x where f is not yet below (above) target."""
+    """Halve (double) x where f is not yet below (above) target: x, f(x) - target."""
     crossed = np.less if factor < 1.0 else np.greater
     pending = np.ones(x.shape, dtype=bool)
     for _ in range(200):
         x = np.where(pending, x * factor, x)
-        pending &= ~crossed(f(x), target)
+        fx = f(x) - target
+        pending &= ~crossed(fx, 0.0)
         if not pending.any():
-            return x
+            return x, fx
     raise NonConvergenceError(f"f never crosses {target} from {x} by factors {factor}")
 
 

@@ -52,11 +52,26 @@ def _scipy_modules_after(code):
 def test_import_leaves_out_quadrature_and_root_finding():
     """Neither ``import expfam`` nor ``import expfam.cli`` loads any scipy module.
 
-    ``numerics`` imports scipy.special, scipy.integrate and scipy.optimize
-    on first use, so commands without them never pay for them.
+    ``numerics`` imports scipy.special and scipy.integrate on first use, so
+    commands without them never pay for them.  Brent's method is its own, so
+    no command loads scipy.optimize: not the Poisson-exponential confidence
+    interval, whose endpoints are Brent solves, nor the coverage suite.
     """
     assert _scipy_modules_after("import expfam") == "[]"
     assert _scipy_modules_after("import expfam.cli") == "[]"
+    obs = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "obs.txt"
+    for argv in (
+        ["interval", "--family", "poisson-exp", "--kappa", "2", "--data", str(obs),
+         "--method", "confidence"],
+        ["verify", "--suite", "coverage"],
+    ):
+        code = (
+            "import contextlib, io\nfrom expfam import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+        )
+        loaded = _scipy_modules_after(code)
+        assert "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded
 
 
 #: density calls that are closed forms, and one that sums the Bessel series

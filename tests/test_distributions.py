@@ -12,16 +12,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
+from scipy.optimize import brentq  # the oracle of the Brent port
 
 from expfam.distributions import (
     GammaPosterior,
     InverseGaussianDist,
     PoissonExponentialDist,
     RatePosterior,
+    _pe_cdf,
     pe_log_series_factor,
 )
 from expfam.errors import DomainError, SupportError
-from expfam.numerics import Bracket, find_root, integrate, rng_stream
+from expfam.numerics import Bracket, bracket_by_doubling, find_root, integrate, rng_stream
 
 TAU = 2.0 * math.pi
 
@@ -156,6 +158,34 @@ class TestInverseGaussianCdf:
         for p in (0.05, 0.3, 0.5, 0.9):
             assert dist.isf(p) == pytest.approx(dist.ppf(1.0 - p), rel=1e-13)
         np.testing.assert_array_equal(dist.cdf(np.array([-1.0, 0.0])), [0.0, 0.0])
+
+    @staticmethod
+    def brentq_quantile(dist, p, sign):
+        """scipy's brentq on the bracket and tolerances of ``ppf`` (sign 1) or ``isf``."""
+        rising = lambda x: sign * (dist._tail_inside(x, sign) - p)
+        bracket = bracket_by_doubling(rising, dist.mean, 0.0)
+        return brentq(
+            rising, bracket.lo, bracket.hi, xtol=1e-15 * bracket.lo,
+            rtol=4.0 * np.finfo(float).eps, maxiter=200,
+        )
+
+    def test_scalar_quantiles_match_brentq(self):
+        # ppf and isf are scipy's brentq, bit for bit, on the same bracket
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            mean = 10.0 ** rng.uniform(-3.0, 3.0)
+            shape = 10.0 ** rng.uniform(-3.0, 4.0)
+            p = 10.0 ** rng.uniform(-12.0, -0.01)
+            dist = InverseGaussianDist(mean, shape)
+            assert dist.ppf(p) == self.brentq_quantile(dist, p, 1.0)
+            assert dist.isf(p) == self.brentq_quantile(dist, p, -1.0)
+
+    @pytest.mark.parametrize("mean, shape", [(0.5, 3.0), (1000.0, 1.0), (1e-3, 1e-3)])
+    def test_deep_upper_quantile_matches_brentq(self, mean, shape):
+        # at p = 1e-300 the extrapolation's denominator underflows to 0, where
+        # brentq's C step is inf or nan and bisects
+        dist = InverseGaussianDist(mean, shape)
+        assert dist.isf(1e-300) == self.brentq_quantile(dist, 1e-300, -1.0)
 
     def test_array_closed_forms_equal_scalar_calls(self):
         means = np.array([0.3, 1.0, 2.5])
@@ -405,6 +435,27 @@ class TestPoissonExponentialDist:
         for x in (5.0, 20.0, 30.0, 45.0):
             extrapolated = 2.0 * above.cdf(x) - further.cdf(x)
             assert extrapolated == pytest.approx(below.cdf(x), rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def sum_branch_reference(lam, t):
+        """The lam <= 30 sum with gammaln(k + 1) taken afresh for each block."""
+        k = np.arange(1, int(lam + 45) + 1, dtype=float)
+        out = math.exp(-lam)
+        while True:
+            log_w = -lam + k * math.log(lam) - special.gammaln(k + 1.0)
+            terms = np.exp(log_w) * special.gammainc(k, t)
+            out += float(np.sum(terms))
+            r = lam / (k[-1] + 1.0)
+            if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
+                return min(out, 1.0)
+            k = k + len(k)
+
+    def test_sum_branch_reads_log_factorials_from_a_table(self):
+        # the same ufunc on the same k, so the same bits, up to lam = 30 where
+        # the sum needs its second block
+        for lam in (1e-8, 0.3, 1.0, 7.5, 29.0, 29.99, 30.0):
+            for t in np.geomspace(1e-3, 400.0, 23):
+                assert _pe_cdf(lam, t) == self.sum_branch_reference(lam, float(t))
 
     @pytest.mark.parametrize("x", [80.0, 100.0])
     def test_sum_branch_upper_tail_at_lambda_30(self, x):

@@ -331,6 +331,23 @@ class TestValidationContract:
         with pytest.raises(DomainError, match="cov must be finite"):
             GaussianLocationFamily(cov)
 
+    def test_subnormal_covariance_rejected(self):
+        # 1e-320 passed the eigenvalue check, with an infinite inverse and a
+        # nan log carrier
+        with pytest.raises(DomainError):
+            GaussianLocationFamily(1e-320)
+
+    @pytest.mark.parametrize("cov", ["abc", [[1.0, "x"], ["x", 1.0]], {}])
+    def test_non_numeric_covariance_rejected(self, cov):
+        # numpy's ValueError (or TypeError) reached the caller raw
+        with pytest.raises(DomainError):
+            GaussianLocationFamily(cov)
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    def test_asymmetric_or_indefinite_covariance_rejected(self, cov):
+        with pytest.raises(DomainError):
+            GaussianLocationFamily(cov)
+
     def test_gamma_shape_past_lgamma_overflow_rejected(self):
         # lgamma(alpha) in the carrier raised a raw OverflowError above 2.56e305
         assert GammaFamily(2.5e305).alpha == 2.5e305

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq  # the oracle of the Brent port
 
 from expfam import (
     GammaFamily,
@@ -17,6 +18,7 @@ from expfam import (
 from expfam.core import REAL_LINE
 from expfam.distributions import InverseGaussianDist, PoissonExponentialDist
 from expfam.errors import DegenerateDataError, DomainError
+from expfam import intervals
 from expfam.intervals import (
     CoverageReport,
     GammaRateInterval,
@@ -32,6 +34,7 @@ from expfam.intervals import (
 )
 from expfam.numerics import (
     Bracket,
+    bracket_by_doubling,
     find_root,
     integrate,
     inv_reg_gamma_lower,
@@ -260,6 +263,36 @@ class TestPoissonExponentialConfidence:
         # against the root, not the residual: dF/dbeta is about 2500 at m = 1e8,
         # so a residual of 1e-10 is a root error of 4e-14
         assert result.upper == pytest.approx(root, rel=1e-12, abs=0.0)
+
+    def test_matches_brentq_on_the_distribution_cdf(self):
+        # the endpoint is scipy's brentq, bit for bit, on the cdf of a
+        # PoissonExponentialDist built per beta and the same doubled bracket
+        rng = np.random.default_rng(18)
+        for _ in range(150):
+            m = int(10.0 ** rng.uniform(0.0, 6.0))
+            kappa, xbar = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+            level = rng.uniform(0.5, 0.99)
+            rising = lambda b: PoissonExponentialDist(m * kappa, b).cdf(m * xbar) - level
+            bracket = bracket_by_doubling(rising, math.sqrt(kappa / (2.0 * xbar)), 0.0)
+            oracle = brentq(
+                rising, bracket.lo, bracket.hi, xtol=1e-12,
+                rtol=4.0 * np.finfo(float).eps, maxiter=200,
+            )
+            batch = ObservationBatch(n=m, xbar=xbar)
+            assert poisson_exp_confidence(kappa, batch, level).upper == oracle
+
+    @pytest.mark.parametrize("m, xbar", [(1, 0.3), (1, 1.0), (5, 2.0), (100, 0.7), (10**5, 1.1)])
+    def test_each_beta_evaluated_once(self, monkeypatch, m, xbar):
+        calls = []
+        kernel = intervals._pe_cdf
+
+        def counting(lam, t):
+            calls.append(t)  # t = beta m xbar: one t per beta
+            return kernel(lam, t)
+
+        monkeypatch.setattr(intervals, "_pe_cdf", counting)
+        poisson_exp_confidence(2.0, ObservationBatch(n=m, xbar=xbar), 0.9)
+        assert len(calls) == len(set(calls))
 
     def test_differs_from_credible(self):
         kappa, level, tol = 2.0, 0.9, 1e-10

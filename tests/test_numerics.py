@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq  # the oracle of the Brent port
 
 from expfam.errors import DomainError, NoSignChangeError, NonConvergenceError
 from expfam.numerics import (
@@ -368,6 +369,84 @@ class TestFindRoot:
     def test_determinism(self):
         f = lambda t: math.tanh(t) - 0.3
         assert find_root(f, Bracket(-2.0, 2.0)) == find_root(f, Bracket(-2.0, 2.0))
+
+
+BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the rtol find_root passes on
+
+
+def brentq_on(f, bracket, tol):
+    """scipy's brentq on find_root's bracket, tolerances and step limit."""
+    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=BRENTQ_RTOL, maxiter=200)
+
+
+class TestBrentPort:
+    """find_root's Brent loop takes scipy's brentq's iterates, so its roots."""
+
+    SHAPES = [
+        lambda c, a: lambda x: math.copysign(abs(x - c) ** a, x - c),
+        lambda c, a: lambda x: math.tanh(a * 10.0 * (x - c)),  # flat, then exactly +-1
+        lambda c, a: lambda x: math.expm1(a * (x - c)),
+        lambda c, a: lambda x: (x - c) ** 3 + a * (x - c),
+    ]
+
+    def test_matches_brentq_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(3000):
+            shape = self.SHAPES[rng.integers(len(self.SHAPES))]
+            f = shape(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0))
+            lo, hi = rng.uniform(-20.0, 20.0, size=2)
+            if f(min(lo, hi)) * f(max(lo, hi)) >= 0.0:
+                continue
+            bracket = Bracket(min(lo, hi), max(lo, hi))
+            tol = 10.0 ** rng.uniform(-15.0, -3.0)
+            assert find_root(f, bracket, tol) == brentq_on(f, bracket, tol)
+
+    def test_nan_at_an_end_raises(self):
+        # scipy raised a raw ValueError here
+        with pytest.raises(NonConvergenceError):
+            find_root(lambda x: math.nan if x > 0.6 else x - 0.7, Bracket(0.0, 1.0))
+        with pytest.raises(NonConvergenceError):
+            find_root(lambda x: x - 0.5, Bracket(0.0, 1.0, math.nan, 0.5))
+
+    def test_nan_at_an_iterate_raises(self):
+        # without the check, the loop walks to the edge of the nan and returns it
+        with pytest.raises(NonConvergenceError):
+            find_root(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7, Bracket(0.0, 1.0))
+
+    def test_infinite_value_raises(self):
+        with pytest.raises(NonConvergenceError):
+            find_root(lambda x: -math.inf if x == 0.0 else x - 0.5, Bracket(0.0, 1.0))
+
+    def test_each_point_evaluated_once(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return -math.expm1(-x)
+
+        bracket = bracket_by_doubling(f, 1e-3, 0.9)
+        root = find_root(lambda x: f(x) - 0.9, bracket, tol=1e-14)
+        assert root == pytest.approx(math.log(10.0), rel=1e-13)
+        assert len(seen) == len(set(seen))
+        assert bracket.lo in seen and bracket.hi in seen
+
+    def test_stack_reuses_the_values_at_its_ends(self):
+        scales = np.geomspace(1e-2, 1e2, 5)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -np.expm1(-x / scales) - 0.9
+
+        fprime = lambda x: np.exp(-x / scales) / scales
+        bracket = bracket_by_doubling(f, scales, 0.0)
+        del calls[:]
+        roots = find_root(f, bracket, tol=1e-15 * bracket.lo, fprime=fprime)
+        with_values = len(calls)
+        del calls[:]
+        again = find_root(f, Bracket(bracket.lo, bracket.hi), 1e-15 * bracket.lo, fprime)
+        assert len(calls) == with_values + 2
+        np.testing.assert_array_equal(roots, again)
 
 
 class TestBracketByDoubling:
