@@ -106,6 +106,14 @@ def _resolve(args, config, key, default, convert):
     return default
 
 
+def _whole_number(text):
+    """A count or seed from a config file; ``2.5`` raises rather than truncating."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"expected a whole number, got {text!r}")
+    return int(value)
+
+
 def _load_observations(path, d=1):
     rows = []
     try:
@@ -269,9 +277,9 @@ def cmd_interval(args, config):
 def cmd_coverage(args, config):
     family = _make_family(args)
     level = _resolve(args, config, "level", 0.9, float)
-    trials = int(_resolve(args, config, "trials", 100_000, float))
-    seed = int(_resolve(args, config, "seed", 0, float))
-    m = int(_resolve(args, config, "m", 1, float))
+    trials = _resolve(args, config, "trials", 100_000, _whole_number)
+    seed = _resolve(args, config, "seed", 0, _whole_number)
+    m = _resolve(args, config, "m", 1, _whole_number)
     theta_true = _theta_for(args, family)
     build = interval_construction(family, args.method, level)
     report = coverage_simulation(family, build, theta_true, m, level, trials, seed)
@@ -291,8 +299,8 @@ def cmd_coverage(args, config):
 
 def cmd_verify(args, config):
     tol = _resolve(args, config, "tol", DEFAULT_TOL, float)
-    seed = int(_resolve(args, config, "seed", 0, float))
-    trials = int(_resolve(args, config, "trials", 100_000, float))
+    seed = _resolve(args, config, "seed", 0, _whole_number)
+    trials = _resolve(args, config, "trials", 100_000, _whole_number)
     reports = run_suite(args.suite, tol=tol, seed=seed, trials=trials)
     records = []
     for report in reports:

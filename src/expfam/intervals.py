@@ -35,7 +35,7 @@ from .families import (
 )
 from .numerics import bracket_by_doubling, find_root, inv_reg_gamma_lower, rng_stream
 from .prediction import as_batch
-from .validation import all_hold, check_positive, check_unit_open
+from .validation import all_hold, check_count, check_positive, check_unit_open
 
 __all__ = [
     "METHOD_CREDIBLE",
@@ -252,18 +252,20 @@ class CoverageReport:
 #: per-stream calls as before.
 _STACK = 1 << 12
 
+#: Independent seeded streams of ``coverage_simulation`` (fewer when there
+#: are fewer trials); with the seed they fix every trial's draws.
+_STREAMS = 16
 
-def coverage_simulation(
-    family, interval_fn, theta_true, m, level, trials, seed, n_streams=16
-):
+
+def coverage_simulation(family, interval_fn, theta_true, m, level, trials, seed):
     """Simulate datasets, build intervals, count containment of the truth.
 
-    Trials are partitioned across independent seeded streams and merged in
-    stream order, so the result is deterministic for a fixed seed.  Each
-    stream draws one (trials, m) sample and forms the trial means.  The
-    means of consecutive streams are held until they reach ``_STACK``
-    trials (or the streams run out); then ``interval_fn`` is called once
-    with a stacked ``ObservationBatch`` whose ``xbar`` carries a leading
+    Trials are partitioned across ``_STREAMS`` independent seeded streams
+    and merged in stream order, so the result is deterministic for a fixed
+    seed.  Each stream draws one (trials, m) sample and forms the trial
+    means.  The means of consecutive streams are held until they reach
+    ``_STACK`` trials (or the streams run out); then ``interval_fn`` is
+    called once with a stacked ``ObservationBatch`` whose ``xbar`` carries a leading
     trial axis.  The object it returns must have a ``covers_natural(theta)``
     that gives one bool per trial.  Every construction is elementwise over
     the trial axis, so the grouping moves no endpoint.
@@ -275,16 +277,9 @@ def coverage_simulation(
     """
     theta_true = family._check_natural(theta_true)
     level = check_unit_open(level, "level")
-    trials = int(trials)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    n_streams = int(n_streams)
-    if n_streams < 1:
-        raise DomainError(f"n_streams must be >= 1, got {n_streams}")
-    n_streams = min(n_streams, trials)
+    trials = check_count(trials, "trials")
+    m = check_count(m, "m")
+    n_streams = min(_STREAMS, trials)
     per = [trials // n_streams] * n_streams
     for i in range(trials % n_streams):
         per[i] += 1

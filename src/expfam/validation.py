@@ -51,8 +51,12 @@ def check_positive_array(value, name="value"):
 
 
 def check_count(value, name="n"):
-    """``value`` as an int >= 1; a fractional or non-finite one raises DomainError."""
-    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+    """``value`` as an int >= 1; a fractional, non-finite or non-number raises DomainError."""
+    try:
+        whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    except (TypeError, ValueError):  # None, or a string that is no number
+        whole = False
+    if not whole:
         raise DomainError(f"{name} must be a whole number, got {value!r}")
     if int(value) < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")

@@ -546,6 +546,12 @@ class TestVerifyCommand:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
+    def test_zero_trials_exits_2(self, capsys):
+        # 0 trials used to run the coverage suite at 100,000 and exit 0
+        code, out, err = run_cli(["verify", "--suite", "coverage", "--trials", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be >= 1, got 0\n"
+
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         from expfam.verify import VerificationReport
         import expfam.cli as cli_module
@@ -633,6 +639,45 @@ class TestConfigPrecedence:
             capsys,
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "command, entry, message",
+        [
+            ("coverage", "trials=2.5", "bad config value for trials: expected a whole number"),
+            ("coverage", "m=3.9", "bad config value for m: expected a whole number"),
+            ("coverage", "seed=1.5", "bad config value for seed: expected a whole number"),
+            ("coverage", "trials=inf", "bad config value for trials: expected a whole number"),
+            ("coverage", "m=0", "m must be >= 1, got 0"),
+            ("coverage", "trials=-4", "trials must be >= 1, got -4"),
+            ("verify", "trials=2.5", "bad config value for trials: expected a whole number"),
+            ("verify", "seed=0.5", "bad config value for seed: expected a whole number"),
+            ("verify", "trials=0", "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_config_counts_are_whole_numbers(self, command, entry, message, tmp_path, capsys):
+        # trials=2.5 and m=3.9 used to run 2 trials at m = 3 and exit 0
+        config = tmp_path / "run.cfg"
+        config.write_text(entry + "\n")
+        argv = {
+            "coverage": ["coverage", "--family", "gamma", "--shape", "1", "--rate", "2"],
+            "verify": ["verify", "--suite", "lemma1"],
+        }[command]
+        code, out, err = run_cli([*argv, "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_config_counts_in_float_notation(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("trials=2e3\nm=3.0\nseed=11\n")
+        argv = ["coverage", "--family", "gamma", "--shape", "1", "--rate", "2"]
+        _, from_config, _ = run_cli([*argv, "--config", str(config)], capsys)
+        _, from_flags, _ = run_cli(
+            [*argv, "--trials", "2000", "--m", "3", "--seed", "11"], capsys
+        )
+        assert from_config == from_flags
+        assert json.loads(from_config)["trials"] == 2000
 
 
 #: (family options, method) pairs with no interval construction.

@@ -352,10 +352,11 @@ class TestCoverageSimulation:
             coverage_simulation(family, op, -1.0, 0, 0.9, 100, seed=1)
         with pytest.raises(DomainError):
             coverage_simulation(family, op, -1.0, 2, 0.9, 0, seed=1)
-        # 0 streams divided by zero and -3 streams returned no hits
-        for n_streams in (0, -3):
-            with pytest.raises(DomainError, match="n_streams"):
-                coverage_simulation(family, op, -1.0, 2, 0.9, 100, seed=1, n_streams=n_streams)
+        # a fractional count was truncated: 2.5 trials ran 2
+        with pytest.raises(DomainError, match="whole number"):
+            coverage_simulation(family, op, -1.0, 2, 0.9, 2.5, seed=1)
+        with pytest.raises(DomainError, match="whole number"):
+            coverage_simulation(family, op, -1.0, 3.9, 0.9, 100, seed=1)
 
 
 class TestIntervalEstimators:
