@@ -10,10 +10,8 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     ExpfamError,
-    ImproperPosteriorError,
     NoSignChangeError,
     NonConvergenceError,
-    NonIntegrableError,
     NonNormalizableError,
     SupportError,
 )
@@ -120,9 +118,7 @@ __all__ = [
     "SupportError",
     "NoSignChangeError",
     "NonConvergenceError",
-    "NonIntegrableError",
     "NonNormalizableError",
-    "ImproperPosteriorError",
     "DegenerateDataError",
     "__version__",
 ]

@@ -11,6 +11,7 @@ shells report for a process that SIGPIPE ended).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     DomainError,
-    ImproperPosteriorError,
     NoSignChangeError,
     NonConvergenceError,
     NonNormalizableError,
@@ -39,6 +39,7 @@ from .intervals import (
 )
 from .numerics import DEFAULT_TOL, exp_density
 from .prediction import as_batch, make_predictor
+from .validation import check_whole
 from .verify import available_suites, run_suite
 
 EXIT_OK = 0
@@ -107,11 +108,11 @@ def _resolve(args, config, key, default, convert):
 
 
 def _whole_number(text):
-    """A count or seed from a config file; ``2.5`` raises rather than truncating."""
-    value = float(text)
-    if not value.is_integer():
-        raise ValueError(f"expected a whole number, got {text!r}")
-    return int(value)
+    """A count or seed from a config file, by the library's own whole-number check."""
+    try:
+        return check_whole(text)
+    except DomainError:
+        raise ValueError(f"expected a whole number, got {text!r}") from None
 
 
 def _load_observations(path, d=1):
@@ -187,6 +188,18 @@ def _emit(records, fmt, out):
     writer.writeheader()
     for record in records:
         writer.writerow({k: _csv_cell(v) for k, v in record.items()})
+
+
+def _check_finite(value, key=None):
+    """Raise DomainError at a non-finite float in a record: JSON has no number for it."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, k)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_finite(v, key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{key} is {value}, outside the float range")
 
 
 def _jsonable(value):
@@ -405,9 +418,11 @@ def main(argv=None):
         if fmt not in OPTIONS["format"]["choices"]:
             raise DomainError(f"format must be json or csv, got {fmt!r}")
         records, code = args.handler(args, config)
+        if args.command != "verify":  # an inf statistic there marks a failed check
+            _check_finite(records)
     except DegenerateDataError as exc:
         return _fail(exc, EXIT_DEGENERATE)
-    except (NonNormalizableError, NonConvergenceError, ImproperPosteriorError) as exc:
+    except (NonNormalizableError, NonConvergenceError) as exc:
         return _fail(exc, EXIT_NUMERIC)
     except (DomainError, SupportError, NoSignChangeError) as exc:
         return _fail(exc, EXIT_INPUT)

@@ -27,7 +27,7 @@ import numpy as np
 from .base import ParamsMixin
 from .errors import DomainError, SupportError
 from .numerics import DEFAULT_TOL, exp_density, integrate, integrate_trapezoid
-from .validation import check_count
+from .validation import check_count, check_finite_scalar, float_array
 
 TAU = 2.0 * math.pi
 
@@ -60,10 +60,13 @@ class ObservationBatch:
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n, "batch size"))
         xbar = self.xbar
-        xbar = xbar.astype(float) if isinstance(xbar, np.ndarray) else float(xbar)
+        if isinstance(xbar, np.ndarray):
+            xbar = float_array(xbar, "batch mean").copy()
+            if not _inside(xbar, REAL_LINE):
+                raise DomainError(f"batch mean must be finite, got {self.xbar!r}")
+        else:
+            xbar = check_finite_scalar(xbar, "batch mean")
         object.__setattr__(self, "xbar", xbar)
-        if not _inside(xbar, REAL_LINE):
-            raise DomainError(f"batch mean must be finite, got {self.xbar!r}")
 
     @classmethod
     def from_observations(cls, X):
@@ -76,8 +79,9 @@ class Family(ParamsMixin):
 
     Subclasses supply each closed form once, as a kernel on validated
     values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
-    ``_mle`` and ``_log_carrier``, ``_log_jeffreys`` where the default
-    would overflow, and ``_ratio_exponent`` for the ratio integral.  A
+    ``_mle``, ``_log_carrier`` and ``_convolution_family``,
+    ``_log_jeffreys`` where the default would overflow, and
+    ``_ratio_exponent`` for the ratio integral.  A
     point is a float when d == 1 and a vector (d,) otherwise.  Each
     public method checks its arguments and calls the kernel of the same
     name; quadrature integrands, whose arguments are checked once before
@@ -157,13 +161,8 @@ class Family(ParamsMixin):
         """The conjugated exponential family; see ``families.conjugate_family``."""
         raise DomainError(f"no conjugation rule for {type(self).__name__}")
 
-    def convolution_family(self, k):
-        """The family of sums of k iid observations from this one.
-
-        Its carrier is the k-fold convolution of this family's carrier,
-        which is what multi-step normalizers integrate against.
-        """
-        if int(k) == 1:
+    def _convolution_family(self, k):
+        if k == 1:
             return self
         raise NotImplementedError(
             f"{type(self).__name__} does not define k-fold convolutions"
@@ -229,7 +228,7 @@ class Family(ParamsMixin):
         length-1 vector.
         """
         if type(v) is not float or self.d != 1:
-            v = np.asarray(v, dtype=float)
+            v = float_array(v, "a point")
             shapes = ((), (1,)) if self.d == 1 else ((self.d,),)
             if v.shape not in shapes:
                 raise error(
@@ -279,6 +278,14 @@ class Family(ParamsMixin):
 
     def log_carrier(self, x):
         return self._log_carrier(self._check_support(x))
+
+    def convolution_family(self, k):
+        """The family of sums of k iid observations from this one.
+
+        Its carrier is the k-fold convolution of this family's carrier,
+        which is what multi-step normalizers integrate against.
+        """
+        return self._convolution_family(check_count(k, "k"))
 
     def bregman(self, theta2, theta1):
         """Divergence generated by the cumulant: A(t2) - A(t1) - (t2-t1).grad A(t1)."""

@@ -21,16 +21,8 @@ class NonConvergenceError(ExpfamError, RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-class NonIntegrableError(NonConvergenceError):
-    """A numerical integral appears to diverge."""
-
-
 class NonNormalizableError(ExpfamError, RuntimeError):
     """A predictive density cannot be normalized (diverging denominator)."""
-
-
-class ImproperPosteriorError(ExpfamError, RuntimeError):
-    """A posterior distribution fails to normalize."""
 
 
 class DegenerateDataError(ExpfamError, ValueError):

@@ -93,8 +93,8 @@ class GammaFamily(Family):
     def conjugate(self):
         return GammaFamily(self.alpha)
 
-    def convolution_family(self, k):
-        return GammaFamily(int(k) * self.alpha)
+    def _convolution_family(self, k):
+        return GammaFamily(k * self.alpha)
 
     def sample(self, rng, theta, size):
         theta = self._check_natural(theta)
@@ -208,8 +208,8 @@ class GaussianLocationFamily(Family):
     def conjugate(self):
         return GaussianLocationFamily(self._B_inv)
 
-    def convolution_family(self, k):
-        return GaussianLocationFamily(int(k) * self._B)
+    def _convolution_family(self, k):
+        return GaussianLocationFamily(k * self._B)
 
     def sample(self, rng, theta, size):
         mu = np.atleast_1d(self._mean_from_natural(self._check_natural(theta)))
@@ -254,8 +254,8 @@ class InverseGaussianFamily(Family):
     def conjugate(self):
         return PoissonExponentialFamily(self.kappa)
 
-    def convolution_family(self, k):
-        return InverseGaussianFamily(int(k) ** 2 * self.kappa)
+    def _convolution_family(self, k):
+        return InverseGaussianFamily(k**2 * self.kappa)
 
     def sample(self, rng, theta, size):
         mean = self.mean_from_natural(theta)
@@ -312,8 +312,8 @@ class PoissonExponentialFamily(Family):
     def conjugate(self):
         return InverseGaussianFamily(self.kappa)
 
-    def convolution_family(self, k):
-        return PoissonExponentialFamily(int(k) * self.kappa)
+    def _convolution_family(self, k):
+        return PoissonExponentialFamily(k * self.kappa)
 
     def sample(self, rng, theta, size):
         theta = self._check_natural(theta)

@@ -35,7 +35,7 @@ from .families import (
 )
 from .numerics import bracket_by_doubling, find_root, inv_reg_gamma_lower, rng_stream
 from .prediction import as_batch
-from .validation import all_hold, check_count, check_positive, check_unit_open
+from .validation import all_hold, check_count, check_positive, check_unit_open, check_whole
 
 __all__ = [
     "METHOD_CREDIBLE",
@@ -279,6 +279,7 @@ def coverage_simulation(family, interval_fn, theta_true, m, level, trials, seed)
     level = check_unit_open(level, "level")
     trials = check_count(trials, "trials")
     m = check_count(m, "m")
+    seed = check_whole(seed, "seed")
     n_streams = min(_STREAMS, trials)
     per = [trials // n_streams] * n_streams
     for i in range(trials % n_streams):

@@ -200,64 +200,59 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
     At d == 1 ``f`` maps a 1-d array of N nodes to N values, or to a stack
     (..., N) of integrands sharing the nodes; at d > 1 it maps an (N, d)
     array of points the same way.  ``evaluations`` counts the nodes passed
-    in.  For an f analytic in a strip around each real axis that decays at
-    least exponentially, the rule converges geometrically in the step
-    (Trefethen & Weideman 2014, *The exponentially convergent trapezoidal
-    rule*, SIAM Review 56).  It starts at step 1/16 on [-3, 3] on each
-    axis; the window doubles while a value on a face of the grid exceeds
-    1e-3 tol of the peak, then the step halves, on new nodes only, until
-    the error estimate |T_h - T_2h| is at most ``tol |T_h|``.  Each
-    integrand of a stack keeps the value of the first step that meets
-    this, so it agrees with its own integral to rounding.  At d > 1 the
-    nodes go to ``f`` in slabs along the first axis of at most 2^16
-    points, so the memory beyond the grid's values stays bounded.
+    to ``f``.  For an f analytic in a strip around each real axis that
+    decays at least exponentially, the rule converges geometrically in the
+    step (Trefethen & Weideman 2014, *The exponentially convergent
+    trapezoidal rule*, SIAM Review 56).  It starts at step 1/16 on [-3, 3]
+    on each axis; the window doubles while a value on a face of the grid
+    exceeds 1e-3 tol of the peak, then the step halves until the error
+    estimate |T_h - T_2h| is at most ``tol |T_h|``.  Each integrand of a
+    stack keeps the value of the first step that meets this, so it agrees
+    with its own integral to rounding.  At d == 1 ``f`` takes the new nodes
+    of each grid only; at d > 1 it takes each grid whole, in slabs along
+    the first axis of at most 2^16 points, so the memory beyond the grid's
+    values stays bounded.
 
     Raises :class:`NonConvergenceError` on a non-finite value or once the
-    nodes would exceed 8192 on an axis or 2^23 in all.
+    nodes would exceed 8192 on an axis or 2^23 in all, before ``f`` sees
+    them.
     """
     tol = check_positive(tol, "tol")
     h = _TRAPEZOID_STEP
     k = round(_TRAPEZOID_WINDOW / h)  # the nodes are j h for |j| <= k on each axis
-    if _over_budget(2 * k + 1, d):
-        raise NonConvergenceError(
-            f"the first trapezoid grid, {2 * k + 1} nodes on each of {d} axes, "
-            f"exceeds {_BUDGET}"
-        )
     grid_axes = tuple(range(-d, 0))
-    y = _grid_values(f, _nodes(k, h), d)
+    y = kept = None
+    value = error = math.nan  # no sum yet
+    evaluations = 0
     while True:
-        size = np.abs(y)
-        edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes, keepdims=True)
-        if _below_on_faces(size, edge, grid_axes):
-            break
-        if _over_budget(4 * k + 1, d):
+        if _over_budget(2 * k + 1, d):
             raise NonConvergenceError(
-                f"trapezoid window [-{k * h}, {k * h}] cuts off the integrand "
-                f"and cannot double within {_BUDGET}"
+                f"trapezoid grid at step {h} on [-{k * h}, {k * h}]^{d} exceeds "
+                f"{_BUDGET}: value={value}, error_estimate={error}, tol={tol}"
             )
-        y = _grid_values(f, _nodes(2 * k, h), d, slice(k, 3 * k + 1), y)
-        k *= 2
-    value, error = _trapezoid_sums(y, h, grid_axes)
-    done = error <= tol * np.abs(value)
-    while not done.all():
+        y = _grid_values(f, _nodes(k, h), d, kept, y)
+        # at d == 1 f took only the nodes new to the grid; at d > 1, all of them
+        evaluations = 2 * k + 1 if d == 1 else evaluations + (2 * k + 1) ** d
+        if h == _TRAPEZOID_STEP:  # at the first step the window may still grow
+            size = np.abs(y)
+            edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes, keepdims=True)
+            if not _below_on_faces(size, edge, grid_axes):
+                k, kept = 2 * k, slice(k, 3 * k + 1)
+                continue
+            value, error = _trapezoid_sums(y, h, grid_axes)
+        else:  # each integrand keeps the value of its first converged step
+            fine, fine_error = _trapezoid_sums(y, h, grid_axes)
+            value = np.where(done, value, fine)
+            error = np.where(done, error, fine_error)
+        done = error <= tol * np.abs(value)
+        if done.all():
+            break
         if not np.isfinite(value).all():
             raise NonConvergenceError(f"trapezoid sum is not finite: {value}")
-        if _over_budget(4 * k + 1, d):
-            raise NonConvergenceError(
-                f"trapezoid rule did not converge within {_BUDGET}: "
-                f"value={value}, error_estimate={error}, tol={tol}"
-            )
-        h, k = 0.5 * h, 2 * k
-        y = _grid_values(f, _nodes(k, h), d, slice(None, None, 2), y)
-        fine, fine_error = _trapezoid_sums(y, h, grid_axes)
-        value = np.where(done, value, fine)
-        error = np.where(done, error, fine_error)
-        done = error <= tol * np.abs(value)
+        h, k, kept = 0.5 * h, 2 * k, slice(None, None, 2)
     if value.ndim == 0:
         value, error = float(value), float(error)
-    return QuadratureResult(
-        value=value, error_estimate=error, evaluations=(2 * k + 1) ** d
-    )
+    return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
 
 
 def _nodes(k, h):
@@ -276,8 +271,8 @@ def _over_budget(m, d):
 def _grid_values(f, x, d, kept=None, old=None):
     """f on the product grid x^d, held in the last d axes.
 
-    ``old`` holds the values at the nodes whose every index lies in the
-    slice ``kept``; f is evaluated at the other nodes only.
+    At d == 1 ``old`` may hold the values at the nodes x[kept], and f
+    takes the other nodes only; at d > 1 f takes the whole grid.
     """
     if d == 1:  # f takes the nodes themselves, and the new ones are slices of x
         if old is None:
@@ -292,21 +287,18 @@ def _grid_values(f, x, d, kept=None, old=None):
             y[..., :start], y[..., stop:] = flanks[..., :start], flanks[..., start:]
         return y
     m = x.size
-    fresh = np.ones((m,) * d, dtype=bool)
-    if old is not None:
-        fresh[(kept,) * d] = False
-    rows = max(1, _TRAPEZOID_SLAB // m ** (d - 1))
+    row = m ** (d - 1)  # the nodes of one index along the first axis
+    rows = max(1, _TRAPEZOID_SLAB // row)
     y = None
     for first in range(0, m, rows):
-        index = np.nonzero(fresh[first : first + rows])
-        index = (index[0] + first,) + index[1:]
-        values = f(np.stack([x[i] for i in index], axis=-1))
+        slab = np.meshgrid(
+            x[first : first + rows], *(x,) * (d - 1), indexing="ij", copy=False
+        )
+        values = f(np.stack(slab, axis=-1).reshape(-1, d))
         if y is None:
-            y = np.empty(values.shape[:-1] + (m,) * d)
-            if old is not None:
-                y[(Ellipsis,) + (kept,) * d] = old
-        y[(Ellipsis,) + index] = values
-    return y
+            y = np.empty(values.shape[:-1] + (m**d,))
+        y[..., first * row : first * row + values.shape[-1]] = values
+    return y.reshape(y.shape[:-1] + (m,) * d)
 
 
 def _below_on_faces(size, edge, axes):

@@ -45,7 +45,7 @@ from .errors import (
     SupportError,
 )
 from .numerics import DEFAULT_TOL
-from .validation import check_observations, check_positive
+from .validation import check_count, check_observations, check_positive, float_array
 
 __all__ = [
     "PredictiveValue",
@@ -76,8 +76,9 @@ def as_batch(family, X):
     """Coerce raw observations (or a ready batch) into an ObservationBatch.
 
     Every observation must be finite and lie in the support, and the mean
-    statistic must be interior to the mean domain; an all-atom
-    compound-Poisson sample is reported as degenerate.
+    statistic must be interior to the mean domain, with an MLE that is a
+    finite point of the natural domain (a mean of 1e-320 has none); an
+    all-atom compound-Poisson sample is reported as degenerate.
     """
     if isinstance(X, ObservationBatch):
         batch = X
@@ -98,11 +99,20 @@ def as_batch(family, X):
         raise DomainError(
             f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
         )
+    try:
+        theta_hat = family._mle(batch.xbar)
+    except (ZeroDivisionError, OverflowError):
+        theta_hat = math.nan
+    if not family.in_natural_domain(theta_hat):
+        raise DomainError(
+            f"batch mean {batch.xbar!r} has no MLE in floats for {family!r}: "
+            "it lies too near the edge of the mean domain"
+        )
     return batch
 
 
 def _check_suffix(family, future):
-    future = np.array(future, dtype=float, ndmin=1)
+    future = np.atleast_1d(float_array(future, "future suffix"))
     if future.ndim != 1 or future.shape[0] < 1:
         raise DomainError("future suffix must be a nonempty 1-d sequence")
     return family._check_sample(future)
@@ -203,8 +213,7 @@ class CnmlPredictor(_PredictorBase):
 
     def _validate(self):
         super()._validate()
-        if int(self.horizon) < 1:
-            raise DomainError(f"horizon must be >= 1, got {self.horizon}")
+        self._horizon = check_count(self.horizon, "horizon")
 
     def _log_hindsight(self, total_stat, n):
         """n * A*(total/n): the carrier-free hindsight code length."""
@@ -227,7 +236,7 @@ class CnmlPredictor(_PredictorBase):
         batch = self.batch_
         n = batch.n + k
         base = batch.n * float(batch.xbar)
-        conv = self.family.convolution_family(k)
+        conv = self.family._convolution_family(k)
         split = k * float(batch.xbar)
         log_peak = self._log_hindsight(base + split, n) + conv.log_carrier(split)
         if conv.has_atom:
@@ -265,7 +274,7 @@ class CnmlPredictor(_PredictorBase):
         batch = self.batch_
         n = batch.n + k
         base = batch.n * float(batch.xbar)
-        conv = self.family.convolution_family(k)
+        conv = self.family._convolution_family(k)
         logs = []
         for j in range(10, 44, 4):
             s = 2.0**j
@@ -278,7 +287,7 @@ class CnmlPredictor(_PredictorBase):
 
     def _prepare(self):
         batch = self.batch_
-        k = int(self.horizon)
+        k = self._horizon
         n = batch.n + k
         shift = self._log_hindsight(n * float(batch.xbar), n)
         try:
@@ -299,9 +308,9 @@ class CnmlPredictor(_PredictorBase):
     def _log_predictive(self, future):
         batch = self.batch_
         k = future.shape[0]
-        if k != int(self.horizon):
+        if k != self._horizon:
             raise DomainError(
-                f"this predictor was fitted for horizon {self.horizon}, got {k} points"
+                f"this predictor was fitted for horizon {self._horizon}, got {k} points"
             )
         n = batch.n + k
         total = batch.n * float(batch.xbar) + float(future.sum())
@@ -348,7 +357,7 @@ def regret(family, method, sequence, m, tol=DEFAULT_TOL):
     """
     batch = as_batch(family, sequence)
     sequence = np.ravel(np.asarray(sequence, dtype=float))
-    n, m = batch.n, int(m)
+    n, m = batch.n, check_count(m, "m")
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     prefix, future = sequence[:m], sequence[m:]
@@ -366,19 +375,18 @@ class Lemma1Report:
     relative_spread: float
 
 
-def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
+def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL):
     """The integral of the likelihood ratio against the unnormalized prior.
 
     For each data sequence computes
 
-        integral exp(-n D_A(theta, theta_hat)) * prior_scale * jeffreys(theta) dtheta
+        integral exp(-n D_A(theta, theta_hat)) * jeffreys(theta) dtheta
 
     which depends on the data only through the hindsight estimate; its
     relative spread (max-min over the median) across sequences is the
     constancy statistic.  All sequences share one ratio integral, at any d.
     """
     check_positive(tol, "tol")
-    prior_scale = check_positive(prior_scale, "prior_scale")
     theta_hats = []
     for seq in sequences:
         batch = seq if isinstance(seq, ObservationBatch) else as_batch(family, seq)
@@ -388,14 +396,8 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL, prior_scale=1.0):
     if not theta_hats:
         raise DomainError("lemma1_constancy needs at least one sequence")
     log_r, _ = _log_ratio_integral(family, n, np.array(theta_hats), tol)
-    values = tuple((prior_scale * np.exp(log_r)).tolist())
-    median = float(np.median(values))
-    if not median > 0:
-        raise NonConvergenceError(
-            f"ratio integrals times prior_scale={prior_scale} underflow to 0; "
-            "their spread is undefined"
-        )
-    spread = (max(values) - min(values)) / median
+    values = tuple(np.exp(log_r).tolist())
+    spread = (max(values) - min(values)) / float(np.median(values))
     return Lemma1Report(values=values, relative_spread=spread)
 
 
@@ -406,7 +408,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
     ``future_grid`` holds single future points (one-step, n = m + 1) or
     suffix tuples of length n - m.
     """
-    m, n = int(m), int(n)
+    m, n = check_count(m, "m"), check_count(n, "n")
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     horizon = n - m

@@ -1,6 +1,7 @@
 """Input validation helpers used across the package."""
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -9,11 +10,13 @@ from .errors import DomainError
 __all__ = [
     "check_positive",
     "check_positive_array",
+    "check_whole",
     "check_count",
     "check_nonnegative",
     "check_unit_open",
     "check_finite_scalar",
     "check_observations",
+    "float_array",
     "all_hold",
 ]
 
@@ -28,7 +31,10 @@ def all_hold(flags):
 
 
 def check_finite_scalar(value, name="value"):
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):  # None, a string that is no number, an array
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
@@ -50,17 +56,25 @@ def check_positive_array(value, name="value"):
     return value
 
 
-def check_count(value, name="n"):
-    """``value`` as an int >= 1; a fractional, non-finite or non-number raises DomainError."""
+def check_whole(value, name="value"):
+    """``value`` as an int; a fractional, non-finite or non-number raises DomainError."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     try:
-        whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
+        whole = float(value).is_integer()
     except (TypeError, ValueError):  # None, or a string that is no number
         whole = False
     if not whole:
         raise DomainError(f"{name} must be a whole number, got {value!r}")
-    if int(value) < 1:
+    return int(float(value))
+
+
+def check_count(value, name="n"):
+    """``value`` as an int >= 1; a fractional, non-finite or non-number raises DomainError."""
+    value = check_whole(value, name)
+    if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return value
 
 
 def check_nonnegative(value, name="value"):
@@ -77,13 +91,21 @@ def check_unit_open(value, name="level"):
     return value
 
 
+def float_array(value, name="value"):
+    """``value`` as a float array; anything that is not numbers raises DomainError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # None in a list, a string, ragged rows
+        raise DomainError(f"{name} must be numbers, got {reprlib.repr(value)}") from None
+
+
 def check_observations(X, d=1):
     """Coerce raw observations to a float array of shape (m,) or (m, d).
 
     Accepts any sequence of scalars (d == 1) or of length-d vectors; the
     values are checked by ``Family._check_sample``.
     """
-    X = np.asarray(X, dtype=float)
+    X = float_array(X, "observations")
     if X.ndim == 0:
         X = X.reshape(1)
     if d == 1:

@@ -36,7 +36,7 @@ from .numerics import DEFAULT_TOL, rng_stream
 from .prediction import equivalence_check, lemma1_constancy
 from .saddlepoint import exactness_report
 from .errors import DomainError
-from .validation import check_count
+from .validation import check_count, check_whole
 
 __all__ = ["VerificationReport", "SUITES", "run_suite", "available_suites"]
 
@@ -250,6 +250,7 @@ def run_suite(name, tol=DEFAULT_TOL, seed=0, trials=100_000):
             f"unknown suite {name!r}; expected one of {available_suites()}"
         )
     trials = check_count(trials, "trials")
+    seed = check_whole(seed, "seed")
     reports = []
     for suite in SUITES.values() if name == "all" else [SUITES[name]]:
         last = time.perf_counter()

@@ -789,6 +789,37 @@ def test_boundary_errors_are_input_errors(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+IG = ["--family", "inverse-gaussian", "--kappa", "2", "--future", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["predict", *IG, "--method", "jeffreys"], "1e-200"),
+        (["predict", *IG, "--method", "cnml"], "1e-200"),
+        (["interval", "--family", "poisson-exp", "--kappa", "2", "--method", "confidence"],
+         "1e-320"),
+        (["predict", "--family", "gamma", "--shape", "1", "--future", "1.0", "--compare"],
+         "1e-320"),
+        (["interval", "--family", "gamma", "--shape", "2", "--method", "credible"], "1e-320"),
+        (["density", "--family", "gaussian", "--cov", "1", "--mu", "0", "--x", "1e200"], None),
+    ],
+    ids=["ig-jeffreys", "ig-cnml", "pe-confidence", "gamma-compare", "gamma-credible",
+         "gaussian-far-point"],
+)
+def test_tiny_means_and_far_points_are_input_errors(argv, data, tmp_path, capsys):
+    """A positive mean with no finite MLE raised a raw ZeroDivisionError or math
+    domain error (exit 1), or the command printed an infinite upper end or
+    log density, which is not JSON (exit 0)."""
+    if data is not None:
+        path = tmp_path / "data.txt"
+        path.write_text(data + "\n")
+        argv = [*argv, "--data", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- property test: any argv the parsers declare ends in a documented code ------
 
 FAMILY_NAMES = ("gamma", "gaussian", "inverse-gaussian", "poisson-exp")

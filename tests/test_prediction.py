@@ -25,7 +25,6 @@ from expfam.errors import (
     DegenerateDataError,
     DomainError,
     ExpfamError,
-    NonConvergenceError,
     NonNormalizableError,
     SupportError,
 )
@@ -521,34 +520,14 @@ class TestLemma1Constancy:
     def test_raw_sequences_at_d2(self):
         family = GaussianLocationFamily(COV_2D)
         sequences = ([[0.1, 0.2], [0.3, -0.5]], [[2.0, 1.0], [-1.0, 4.0]])
-        report = lemma1_constancy(family, 2, sequences, prior_scale=3.0)
-        assert report.values == pytest.approx([3.0 * TAU / 2.0] * 2, rel=1e-12)
+        report = lemma1_constancy(family, 2, sequences)
+        assert report.values == pytest.approx([TAU / 2.0] * 2, rel=1e-12)
 
     def test_poisson_exponential_constant(self):
         family = PoissonExponentialFamily(2.0)
         batches = [ObservationBatch(n=2, xbar=x) for x in (0.4, 1.0, 2.5, 6.0)]
         report = lemma1_constancy(family, 2, batches, tol=1e-11)
         assert report.relative_spread <= 1e-8
-
-    def test_prior_scale_invariance(self):
-        # multiplying the improper prior by 7 scales values, not the spread
-        family = GammaFamily(1.0)
-        batches = [ObservationBatch(n=2, xbar=x) for x in (0.5, 1.0, 3.0)]
-        base = lemma1_constancy(family, 2, batches, tol=1e-12)
-        scaled = lemma1_constancy(family, 2, batches, tol=1e-12, prior_scale=7.0)
-        for a, b in zip(base.values, scaled.values):
-            assert b == pytest.approx(7.0 * a, rel=1e-10)
-        assert scaled.relative_spread == pytest.approx(
-            base.relative_spread, abs=1e-12
-        )
-
-    def test_underflowing_values_raise(self):
-        # at n = 2e8 each R is 1.8e-4, so prior_scale * R underflows to 0:
-        # the spread would divide by a zero median
-        n = 200_000_000
-        batches = [ObservationBatch(n=n, xbar=x) for x in (0.5, 1.0, 2.0)]
-        with pytest.raises(NonConvergenceError):
-            lemma1_constancy(GammaFamily(2.0), n, batches, tol=1e-6, prior_scale=1e-320)
 
     @pytest.mark.parametrize(
         "family",
@@ -558,12 +537,10 @@ class TestLemma1Constancy:
     def test_values_are_saddlepoint_normalizers(self, family):
         # Lemma 1's ratio integral is sqrt(tau) times the d = 1 normalizer
         xbars = (0.4, 1.0, 3.0)
-        report = lemma1_constancy(
-            family, 3, [ObservationBatch(n=3, xbar=x) for x in xbars], prior_scale=7.0
-        )
+        report = lemma1_constancy(family, 3, [ObservationBatch(n=3, xbar=x) for x in xbars])
         for xbar, value in zip(xbars, report.values):
             profile = renormalize(family, 3, family.mle(xbar))
-            expected = 7.0 * math.sqrt(TAU) * profile.normalizer
+            expected = math.sqrt(TAU) * profile.normalizer
             assert value == pytest.approx(expected, rel=1e-14)
 
     def test_no_sequences_rejected(self):

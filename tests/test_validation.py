@@ -13,17 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expfam import (
+    CnmlPredictor,
     GammaFamily,
     GammaRateInterval,
     GaussianDivergenceBall,
     GaussianLocationFamily,
+    InverseGaussianDist,
     InverseGaussianFamily,
+    JeffreysPredictor,
     ObservationBatch,
     PoissonExponentialFamily,
+    coverage_simulation,
+    equivalence_check,
+    gamma_credible,
+    interval_construction,
+    regret,
+    run_suite,
 )
 from expfam.core import Family
 from expfam.errors import DegenerateDataError, DomainError, SupportError
 from expfam.prediction import _check_suffix, as_batch
+from expfam.validation import check_count
 
 UNIVARIATE = [
     GammaFamily(1.5),
@@ -78,6 +88,15 @@ def _reference_as_batch(family, X):
             )
         raise DomainError(
             f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
+        )
+    try:
+        theta_hat = family._mle(batch.xbar)
+    except (ZeroDivisionError, OverflowError):
+        theta_hat = math.nan
+    if not family.in_natural_domain(theta_hat):
+        raise DomainError(
+            f"batch mean {batch.xbar!r} has no MLE in floats for {family!r}: "
+            "it lies too near the edge of the mean domain"
         )
     return batch
 
@@ -195,3 +214,92 @@ class TestSampleCheckCost:
         X = np.random.default_rng(6).gamma(2.0, size=10_000)
         fit = lambda: GammaRateInterval(2.0).fit(X)  # noqa: E731
         assert self._support_checks(monkeypatch, fit) == 0
+
+
+# -- every boundary turns a bad value into DomainError ---------------------------
+
+GAMMA = GammaFamily(1.0)
+ONE = ObservationBatch(n=1, xbar=1.0)
+
+
+def _coverage(**kwargs):
+    """A 16-trial Gamma credible coverage study; ``kwargs`` override its arguments."""
+    args = {"theta_true": -1.0, "m": 2, "level": 0.9, "trials": 16, "seed": 0, **kwargs}
+    build = interval_construction(GAMMA, "credible", args["level"])
+    return coverage_simulation(GAMMA, build, **args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GammaFamily("abc"),
+        lambda: GammaFamily(None),
+        lambda: gamma_credible(1.0, ONE, None),
+        lambda: JeffreysPredictor(GAMMA, tol="a").fit([1.0]),
+        lambda: ObservationBatch(n=1, xbar="a"),
+        lambda: ObservationBatch(n=1, xbar=[1.0, 2.0]),
+        lambda: GAMMA.cumulant("a"),
+        lambda: JeffreysPredictor(GAMMA).fit(["a"]),
+        lambda: JeffreysPredictor(GAMMA).fit([1.0]).log_predictive(["a"]),
+        lambda: InverseGaussianDist(1.0, 2.0).ppf(np.array([0.5])),
+    ],
+    ids=[
+        "family-string", "family-none", "level-none", "tol-string", "batch-mean-string",
+        "batch-mean-list", "cumulant-string", "fit-string", "suffix-string", "ppf-array",
+    ],
+)
+def test_non_numbers_raise_domain_error(call):
+    # each raised a raw TypeError or ValueError, which is no ExpfamError
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CnmlPredictor(GAMMA, horizon=1.5).fit([1.0]),
+        lambda: CnmlPredictor(GAMMA, horizon=math.nan).fit([1.0]),
+        lambda: CnmlPredictor(GAMMA, horizon="a").fit([1.0]),
+        lambda: regret(GAMMA, "plugin", [1.0, 2.0, 0.5], 2.5),
+        lambda: equivalence_check(GAMMA, 1.5, 2.5, [1.0], [1.0]),
+        lambda: GAMMA.convolution_family(2.5),
+        lambda: _coverage(seed=1.5),
+        lambda: _coverage(seed=math.nan),
+        lambda: run_suite("coverage", seed=math.nan, trials=16),
+        lambda: run_suite("lemma1", seed="a"),
+    ],
+    ids=[
+        "horizon-fraction", "horizon-nan", "horizon-string", "regret-m", "equivalence-m-n",
+        "convolution-k", "coverage-seed", "coverage-seed-nan", "suite-seed-nan",
+        "suite-seed-string",
+    ],
+)
+def test_counts_and_seeds_must_be_whole(call):
+    # a bare int() ran horizon 1.5 at 1, m = 2.5 at 2 and seed 1.5 at 1
+    with pytest.raises(DomainError, match="must be a whole number"):
+        call()
+
+
+def test_whole_numbers_in_any_notation():
+    assert check_count("2e3") == 2000
+    assert GAMMA.convolution_family(3.0).alpha == 3.0
+    # seeds may be 0 or negative; a whole float seeds as its int
+    assert _coverage(seed=-3) == _coverage(seed=-3.0)
+    assert _coverage(seed=0).trials == 16
+    tail = [1.0, 2.0]
+    cnml = CnmlPredictor(GAMMA, horizon=2.0).fit([1.0]).log_predictive(tail)
+    assert cnml == CnmlPredictor(GAMMA, horizon=2).fit([1.0]).log_predictive(tail)
+
+
+@pytest.mark.parametrize(
+    "family, mean",
+    [
+        (InverseGaussianFamily(2.0), 1e-200),  # mu**2 underflows: ZeroDivisionError
+        (InverseGaussianFamily(2.0), 1e200),  # mu**2 overflows: OverflowError
+        (GammaFamily(2.0), 1e-320),  # the MLE is -inf
+        (PoissonExponentialFamily(2.0), 1e-320),  # the MLE is -inf
+    ],
+)
+def test_mean_without_a_finite_mle_is_a_domain_error(family, mean):
+    with pytest.raises(DomainError, match="has no MLE in floats"):
+        as_batch(family, [mean])
