@@ -22,11 +22,7 @@ from .families import (
     InverseGaussianFamily,
     PoissonExponentialFamily,
     conjugate_family,
-    gamma_density,
-    gamma_posterior,
     poisson_exponential_posterior,
-    self_conjugacy_defect,
-    tweedie_variance_function,
 )
 from .distributions import (
     GammaPosterior,
@@ -78,11 +74,7 @@ __all__ = [
     "PoissonExponentialFamily",
     "ConjugatePair",
     "conjugate_family",
-    "gamma_density",
-    "gamma_posterior",
     "poisson_exponential_posterior",
-    "self_conjugacy_defect",
-    "tweedie_variance_function",
     "GammaPosterior",
     "InverseGaussianDist",
     "PoissonExponentialDist",

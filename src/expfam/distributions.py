@@ -37,7 +37,6 @@ __all__ = [
     "GaussianDist",
     "InverseGaussianDist",
     "PoissonExponentialDist",
-    "pe_log_series_factor",
 ]
 
 
@@ -74,9 +73,6 @@ class GammaPosterior:
         else:
             head = a * math.log(a) - a - math.lgamma(a)
         return head - _bd0(a, b, x) - math.log(x)
-
-    def pdf(self, x):
-        return math.exp(self.log_pdf(x))
 
     def cdf(self, x):
         if x < 0:
@@ -260,14 +256,10 @@ def _sf_above_mean(a, b):
     )
 
 
-def pe_log_series_factor(kappa, x):
-    """log S(kappa, x) for the compound-Poisson series factor, x > 0."""
-    kappa = check_positive(kappa, "kappa")
-    return _log_series_factor(kappa, _check_positive_x(x))
-
-
 def _log_series_factor(kappa, x):
-    """``pe_log_series_factor`` on validated arguments, in Bessel form.
+    """log S(kappa, x) of the compound-Poisson series factor, in Bessel form.
+
+    Its arguments are checked by the callers: kappa > 0 and finite x > 0.
 
     With z = kappa/2 and y = 2 sqrt(z x) the series sums to
     S = sqrt(z/x) I_1(y) = z I_1(y) / (y/2) (Dunn & Smyth 2005, *Series

@@ -31,7 +31,7 @@ from .distributions import (
     RatePosterior,
     _log_series_factor,
 )
-from .errors import DomainError, SupportError
+from .errors import DomainError
 from .validation import all_hold, check_positive
 
 __all__ = [
@@ -41,11 +41,7 @@ __all__ = [
     "PoissonExponentialFamily",
     "ConjugatePair",
     "conjugate_family",
-    "gamma_density",
-    "gamma_posterior",
     "poisson_exponential_posterior",
-    "tweedie_variance_function",
-    "self_conjugacy_defect",
 ]
 
 
@@ -88,7 +84,7 @@ class GammaFamily(Family):
         return 0.5 * math.log(a) + math.lgamma(n * a) - n * a * math.log(n * xbar)
 
     def jeffreys_posterior(self, batch):
-        return RatePosterior(gamma_posterior(self.alpha, batch))
+        return RatePosterior(GammaPosterior(batch.n * self.alpha, batch.n * float(batch.xbar)))
 
     def conjugate(self):
         return GammaFamily(self.alpha)
@@ -286,7 +282,8 @@ class PoissonExponentialFamily(Family):
         return self.kappa / (-theta) ** 3
 
     def _mle(self, mu):
-        return -math.sqrt(self.kappa / (2.0 * mu))
+        root = np.sqrt if isinstance(mu, np.ndarray) else math.sqrt  # a stack of means
+        return -root(self.kappa / (2.0 * mu))
 
     def _log_carrier(self, x):
         if x == 0.0:
@@ -341,24 +338,6 @@ def conjugate_family(family):
     return ConjugatePair(family, dual, type(dual) is type(family))
 
 
-def gamma_density(alpha, beta, x):
-    """Gamma density beta^alpha x^(alpha-1) exp(-beta x) / Gamma(alpha)."""
-    check_positive(alpha, "alpha")
-    check_positive(beta, "beta")
-    if x <= 0:
-        raise SupportError(f"gamma support is x > 0, got {x}")
-    return GammaPosterior(alpha, beta).pdf(x)
-
-
-def gamma_posterior(alpha, batch):
-    """Jeffreys posterior of the rate: Gamma(m*alpha, m*xbar)."""
-    check_positive(alpha, "alpha")
-    xbar = float(batch.xbar)
-    if xbar <= 0:
-        raise DomainError(f"posterior needs xbar > 0, got {xbar}")
-    return GammaPosterior(shape=batch.n * alpha, rate=batch.n * xbar)
-
-
 def poisson_exponential_posterior(kappa, batch):
     """Jeffreys posterior of the rate: inverse Gaussian.
 
@@ -375,42 +354,3 @@ def poisson_exponential_posterior(kappa, batch):
         mean=mean if isinstance(xbar, np.ndarray) else float(mean),
         shape=batch.n * kappa,
     )
-
-
-def tweedie_variance_function(kappa, mu):
-    """Variance of the Poisson-exponential family at mean mu.
-
-    The power form phi * mu^(3/2) with phi = 2^(3/2) kappa^(-1/2) is what
-    makes this a Tweedie family of order 3/2.
-    """
-    check_positive(kappa, "kappa")
-    check_positive(mu, "mu")
-    phi = 2.0**1.5 * kappa**-0.5
-    return phi * mu**1.5
-
-
-def self_conjugacy_defect(family, cov, grid):
-    """sup over the grid of |A*(x) - A(B^-1 x)| for a linear map B.
-
-    A vanishing defect certifies the functional equation A* = A o B that
-    characterizes Gaussian location families.  When B^-1 x falls outside
-    the natural domain the equation is unsatisfiable at that grid point
-    and the defect is infinite.
-    """
-    B = np.atleast_2d(np.asarray(cov, dtype=float))
-    if B.shape[0] != B.shape[1]:
-        raise DomainError(f"cov must be square, got {B.shape}")
-    B_inv = np.linalg.inv(B)
-    worst = 0.0
-    for x in grid:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mapped = B_inv @ x
-        arg = float(mapped[0]) if family.d == 1 else mapped
-        target = float(x[0]) if family.d == 1 else x
-        if not family.in_natural_domain(arg):
-            return math.inf
-        if not family.in_mean_domain(target):
-            raise DomainError(f"grid point {x} is outside the mean domain")
-        defect = abs(family.convex_conjugate(target) - family.cumulant(arg))
-        worst = max(worst, defect)
-    return worst

@@ -34,7 +34,7 @@ from .families import (
     poisson_exponential_posterior,
 )
 from .numerics import bracket_by_doubling, find_root, inv_reg_gamma_lower, rng_stream
-from .prediction import as_batch
+from .prediction import _mle_in_floats, as_batch
 from .validation import all_hold, check_count, check_positive, check_unit_open, check_whole
 
 __all__ = [
@@ -107,23 +107,19 @@ class DivergenceBallRegion:
         return self.covers(theta)
 
 
-def _rate_batch(batch, name):
-    """The batch mean, a float or an array over stacked trials, checked > 0."""
-    xbar = batch.xbar
-    if not all_hold(xbar != 0.0):
+def _rate_batch(family, batch, name):
+    """The batch mean, a float or a stack over trials, checked nonzero and by ``as_batch``."""
+    if not all_hold(batch.xbar != 0.0):
         raise DegenerateDataError(
             f"{name}: all observations are zero; the rate interval degenerates"
         )
-    if not all_hold(xbar > 0):
-        raise DomainError(f"{name}: needs xbar > 0, got {xbar}")
-    return xbar
+    return as_batch(family, batch).xbar
 
 
 def gamma_credible(alpha, batch, level):
     """[0, q] with q the level-quantile of the Gamma(m alpha, m xbar) posterior."""
-    check_positive(alpha, "alpha")
     level = check_unit_open(level, "level")
-    xbar = _rate_batch(batch, "gamma_credible")
+    xbar = _rate_batch(GammaFamily(alpha), batch, "gamma_credible")
     pivot_quantile = inv_reg_gamma_lower(batch.n * alpha, level) / batch.n
     upper = pivot_quantile / xbar
     return IntervalResult(
@@ -169,9 +165,8 @@ def gaussian_divergence_ball(cov, batch, level):
 
 def poisson_exp_credible(kappa, batch, level):
     """[0, q] with q the level-quantile of the inverse Gaussian posterior."""
-    check_positive(kappa, "kappa")
     level = check_unit_open(level, "level")
-    _rate_batch(batch, "poisson_exp_credible")
+    _rate_batch(PoissonExponentialFamily(kappa), batch, "poisson_exp_credible")
     post = poisson_exponential_posterior(kappa, batch)
     upper = post.ppf(level)
     return IntervalResult(
@@ -195,9 +190,8 @@ def poisson_exp_confidence(kappa, batch, level):
     the analogue of the Gamma pivot construction (applied to the Gamma
     family this recipe reproduces the pivot endpoints exactly).
     """
-    check_positive(kappa, "kappa")
     level = check_unit_open(level, "level")
-    xbar = _rate_batch(batch, "poisson_exp_confidence")
+    xbar = _rate_batch(PoissonExponentialFamily(kappa), batch, "poisson_exp_confidence")
     m = batch.n
     s_obs = m * xbar
     # stacked trials go one by one, each a bracket and a Brent solve on the cdf
@@ -270,10 +264,10 @@ def coverage_simulation(family, interval_fn, theta_true, m, level, trials, seed)
     that gives one bool per trial.  Every construction is elementwise over
     the trial axis, so the grouping moves no endpoint.
 
-    Trials whose mean sits on the boundary point 0 of a half-line support
-    (the all-atom Poisson-exponential sample, or Gamma draws that all
-    underflow to zero) have no rate interval: they are left out of the
-    batch and of the coverage denominator, and counted in ``degenerate``.
+    Trials whose mean has no MLE in floats (0 on a half-line support, as for
+    an all-atom Poisson-exponential sample, or a mean so small that the MLE
+    overflows) have no rate interval: they are left out of the batch and
+    of the coverage denominator, and counted in ``degenerate``.
     """
     theta_true = family._check_natural(theta_true)
     level = check_unit_open(level, "level")
@@ -292,7 +286,7 @@ def coverage_simulation(family, interval_fn, theta_true, m, level, trials, seed)
         data = np.asarray(family.sample(rng, theta_true, size=(chunk, m)))
         means = data.mean(axis=1)
         if family.support_domain == POSITIVE_HALF_LINE:
-            on_boundary = means == 0.0
+            on_boundary = ~_mle_in_floats(family, means)
             degenerate += int(np.count_nonzero(on_boundary))
             means = means[~on_boundary]
         if means.shape[0]:

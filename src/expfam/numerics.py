@@ -26,16 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoSignChangeError, NonConvergenceError
-from .validation import all_hold, check_positive, check_positive_array, check_unit_open
+from .validation import (
+    all_hold, check_positive, check_positive_array, check_unit_open, check_whole
+)
 
 __all__ = [
     "DEFAULT_TOL",
     "QuadratureResult",
     "Bracket",
-    "log_gamma",
-    "reg_gamma_lower",
     "inv_reg_gamma_lower",
-    "std_normal_cdf",
     "std_normal_quantile",
     "exp_density",
     "integrate",
@@ -108,23 +107,8 @@ class Bracket:
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    x = check_positive(x, "x")
-    return math.lgamma(x)
-
-
-def reg_gamma_lower(a, x):
-    """Regularized lower incomplete gamma function P(a, x)."""
-    a = check_positive(a, "a")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return float(_scisp.gammainc(a, x))
-
-
 def inv_reg_gamma_lower(a, p):
-    """Inverse of ``reg_gamma_lower`` in its second argument."""
+    """The x with P(a, x) = p, P the regularized lower incomplete gamma function."""
     a = check_positive(a, "a")
     p = check_unit_open(p, "p")
     x = float(_scisp.gammaincinv(a, p))
@@ -133,13 +117,8 @@ def inv_reg_gamma_lower(a, p):
     return x
 
 
-def std_normal_cdf(z):
-    """Standard normal distribution function Phi(z)."""
-    return 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
-
-
 def std_normal_quantile(p):
-    """Inverse of Phi on (0, 1)."""
+    """Inverse of the standard normal distribution function on (0, 1)."""
     p = check_unit_open(p, "p")
     return float(_scisp.ndtri(p))
 
@@ -471,6 +450,7 @@ def _scale(f, x, target, factor):
 
 def rng_stream(seed, stream_id=0):
     """Seeded PCG64 generator; distinct stream_ids give independent streams."""
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream_id),))
+    seed = check_whole(seed, "seed") & 0xFFFFFFFFFFFFFFFF
+    stream_id = check_whole(stream_id, "stream_id")
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.PCG64(seq))

@@ -45,7 +45,7 @@ from .errors import (
     SupportError,
 )
 from .numerics import DEFAULT_TOL
-from .validation import check_count, check_observations, check_positive, float_array
+from .validation import all_hold, check_count, check_observations, check_positive, float_array
 
 __all__ = [
     "PredictiveValue",
@@ -99,16 +99,27 @@ def as_batch(family, X):
         raise DomainError(
             f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
         )
-    try:
-        theta_hat = family._mle(batch.xbar)
-    except (ZeroDivisionError, OverflowError):
-        theta_hat = math.nan
-    if not family.in_natural_domain(theta_hat):
+    if not all_hold(_mle_in_floats(family, batch.xbar)):
         raise DomainError(
             f"batch mean {batch.xbar!r} has no MLE in floats for {family!r}: "
             "it lies too near the edge of the mean domain"
         )
     return batch
+
+
+def _mle_in_floats(family, xbar):
+    """Whether the MLE at ``xbar`` is a finite point of the natural domain:
+    a bool, or an array of them over the means of a stacked ``xbar``."""
+    try:
+        if not isinstance(xbar, np.ndarray):
+            theta_hat = family._mle(xbar)
+        else:  # where Python floats raise, numpy warns
+            with np.errstate(divide="ignore", over="ignore"):
+                theta_hat = family._mle(xbar)
+    except (ZeroDivisionError, OverflowError):
+        return False
+    lo, hi = family.natural_domain
+    return (lo < theta_hat) & (theta_hat < hi)
 
 
 def _check_suffix(family, future):
@@ -137,9 +148,6 @@ class _PredictorBase(ParamsMixin):
         self.batch_ = as_batch(self.family, X)
         self._prepare()
         return self
-
-    def _prepare(self):
-        pass
 
     def predictive_value(self, future):
         check_is_fitted(self, "batch_")

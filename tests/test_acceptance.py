@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from scipy import special
 
 from expfam import (
     GammaFamily,
@@ -31,9 +32,7 @@ from expfam.intervals import (
 from expfam.numerics import (
     integrate,
     inv_reg_gamma_lower,
-    reg_gamma_lower,
     rng_stream,
-    std_normal_cdf,
     std_normal_quantile,
 )
 from expfam.prediction import equivalence_check, lemma1_constancy
@@ -338,8 +337,8 @@ def test_criterion_8_gaussian_divergence_ball():
         lambda z: math.exp(-0.5 * z * z)
         / math.sqrt(2 * math.pi)
         * (
-            std_normal_cdf(math.sqrt(max(radius2**2 - z * z, 0.0)))
-            - std_normal_cdf(-math.sqrt(max(radius2**2 - z * z, 0.0)))
+            special.ndtr(math.sqrt(max(radius2**2 - z * z, 0.0)))
+            - special.ndtr(-math.sqrt(max(radius2**2 - z * z, 0.0)))
         ),
         -radius2,
         radius2,
@@ -440,13 +439,13 @@ def test_criterion_10_numerical_hygiene():
     round_trip_worst = 0.0
     for a in (0.5, 1.0, 3.5):
         for x in np.linspace(0.05, inv_reg_gamma_lower(a, 0.999), 100):
-            p = reg_gamma_lower(a, float(x))
+            p = float(special.gammainc(a, float(x)))
             round_trip_worst = max(
                 round_trip_worst, abs(inv_reg_gamma_lower(a, p) - float(x))
             )
     for p in np.linspace(0.001, 0.999, 100):
         z = std_normal_quantile(float(p))
-        round_trip_worst = max(round_trip_worst, abs(std_normal_cdf(z) - float(p)))
+        round_trip_worst = max(round_trip_worst, abs(special.ndtr(z) - float(p)))
 
     verify_started = time.perf_counter()
     code = cli_main(["verify", "--suite", "all", "--trials", "100000"])

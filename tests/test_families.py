@@ -14,14 +14,10 @@ from expfam import (
     PoissonExponentialFamily,
     ObservationBatch,
     conjugate_family,
-    gamma_density,
-    gamma_posterior,
     poisson_exponential_posterior,
-    self_conjugacy_defect,
-    tweedie_variance_function,
 )
 from expfam.core import REAL_LINE
-from expfam.distributions import _log_series_factor, pe_log_series_factor
+from expfam.distributions import _log_series_factor
 from expfam.errors import DomainError, SupportError
 from expfam.numerics import integrate
 from expfam.saddlepoint import _log_profile, log_saddlepoint_unnormalized
@@ -72,18 +68,20 @@ class TestConjugateFamily:
 
 
 class TestGammaDensity:
+    """The family density at theta = -beta is the Gamma(alpha, beta) density."""
+
     def test_unit_exponential(self):
-        assert gamma_density(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
+        assert GammaFamily(1.0).density(-1.0, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_mode_by_grid_search(self):
         xs = np.linspace(0.01, 2.0, 4000)
-        values = [gamma_density(2.0, 3.0, x) for x in xs]
+        values = [GammaFamily(2.0).density(-3.0, x) for x in xs]
         assert xs[int(np.argmax(values))] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_integrates_to_one(self):
         for alpha, beta in ((0.7, 1.0), (2.0, 3.0), (5.0, 0.5)):
             mass = integrate(
-                lambda x: gamma_density(alpha, beta, x),
+                lambda x: GammaFamily(alpha).density(-beta, x),
                 0.0,
                 math.inf,
                 tol=1e-11,
@@ -93,21 +91,26 @@ class TestGammaDensity:
 
     def test_support_error(self):
         with pytest.raises(SupportError):
-            gamma_density(1.0, 1.0, 0.0)
+            GammaFamily(1.0).density(-1.0, 0.0)
 
 
 class TestTweedieVarianceFunction:
+    """V(mu) = covariance(mle(mu)) = phi mu^(3/2), phi = 2^(3/2) kappa^(-1/2)."""
+
+    @staticmethod
+    def variance(kappa, mu):
+        family = PoissonExponentialFamily(kappa)
+        return family.covariance(family.mle(mu))
+
     def test_reference_value(self):
-        # phi (-theta)^(3/2) with phi = 2^(3/2) kappa^(-1/2) at mean 1
-        assert tweedie_variance_function(2.0, 1.0) == pytest.approx(2.0)
+        # phi mu^(3/2) at kappa = 2 and mean 1
+        assert self.variance(2.0, 1.0) == pytest.approx(2.0)
 
     def test_matches_covariance_route(self):
-        family = PoissonExponentialFamily(2.0)
-        for theta in (-0.3, -1.0, -2.4):
-            mu = family.mean_from_natural(theta)
-            assert tweedie_variance_function(family.kappa, mu) == pytest.approx(
-                family.covariance(theta), rel=1e-10
-            )
+        for kappa in (0.5, 2.0, 7.0):
+            for mu in (0.1, 1.0, 3.7):
+                phi = 2.0**1.5 * kappa**-0.5
+                assert self.variance(kappa, mu) == pytest.approx(phi * mu**1.5, rel=1e-12)
 
     def test_matches_finite_difference_hessian(self):
         family = PoissonExponentialFamily(2.0)
@@ -118,24 +121,24 @@ class TestTweedieVarianceFunction:
             + family.cumulant(theta - h)
         ) / h**2
         mu = family.mean_from_natural(theta)
-        assert tweedie_variance_function(family.kappa, mu) == pytest.approx(
-            hessian, rel=1e-6
-        )
+        assert self.variance(family.kappa, mu) == pytest.approx(hessian, rel=1e-6)
 
     def test_power_three_halves(self):
         kappa = 3.0
-        v1 = tweedie_variance_function(kappa, 1.0)
-        v4 = tweedie_variance_function(kappa, 4.0)
+        v1 = self.variance(kappa, 1.0)
+        v4 = self.variance(kappa, 4.0)
         assert v4 / v1 == pytest.approx(4.0**1.5, rel=1e-12)
 
 
 class TestGammaPosterior:
+    """The Jeffreys posterior of the Gamma rate is Gamma(m alpha, m xbar)."""
+
     def test_single_observation(self):
-        post = gamma_posterior(1.0, ObservationBatch(n=1, xbar=1.0))
+        post = GammaFamily(1.0).jeffreys_posterior(ObservationBatch(n=1, xbar=1.0)).rate
         assert post.shape == 1.0 and post.rate == 1.0
 
     def test_batch_formula(self):
-        post = gamma_posterior(2.0, ObservationBatch(n=3, xbar=0.5))
+        post = GammaFamily(2.0).jeffreys_posterior(ObservationBatch(n=3, xbar=0.5)).rate
         assert post.shape == 6.0 and post.rate == 1.5
 
     def test_matches_normalized_bayes_integrand(self):
@@ -144,7 +147,7 @@ class TestGammaPosterior:
         alpha, m, xbar = 2.0, 3, 0.8
         family = GammaFamily(alpha)
         batch = ObservationBatch(n=m, xbar=xbar)
-        post = gamma_posterior(alpha, batch)
+        post = family.jeffreys_posterior(batch).rate
 
         def unnormalized(theta):
             return math.exp(
@@ -158,11 +161,11 @@ class TestGammaPosterior:
         ).value
         for beta in np.geomspace(0.3, 8.0, 50):
             oracle = unnormalized(-beta) / norm
-            assert post.pdf(beta) == pytest.approx(oracle, rel=1e-10)
+            assert math.exp(post.log_pdf(beta)) == pytest.approx(oracle, rel=1e-10)
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
-            gamma_posterior(1.0, ObservationBatch(n=1, xbar=0.0))
+            GammaFamily(1.0).jeffreys_posterior(ObservationBatch(n=1, xbar=0.0))
 
 
 class TestPoissonExponentialPosterior:
@@ -211,24 +214,41 @@ class TestPoissonExponentialPosterior:
 
 
 class TestSelfConjugacyDefect:
+    """A* = A o B^-1 characterizes the Gaussian location family of covariance B."""
+
+    @staticmethod
+    def defect(family, cov, grid):
+        """The largest |A*(x) - A(B^-1 x)| over the grid points x."""
+        B_inv = np.linalg.inv(np.atleast_2d(cov))
+        worst = 0.0
+        for x in grid:
+            x = np.atleast_1d(x)
+            mapped = B_inv @ x
+            if family.d == 1:
+                x, mapped = float(x[0]), float(mapped[0])
+            worst = max(worst, abs(family.convex_conjugate(x) - family.cumulant(mapped)))
+        return worst
+
     def test_identity_covariance(self):
         family = GaussianLocationFamily(1.0)
         grid = np.linspace(-3.0, 3.0, 25)
-        assert self_conjugacy_defect(family, 1.0, grid) <= 1e-10
+        assert self.defect(family, 1.0, grid) <= 1e-10
 
     def test_diagonal_covariance_two_dim(self):
         B = np.diag([2.0, 0.5])
         family = GaussianLocationFamily(B)
         grid = [np.array([x, y]) for x in (-2.0, 0.5, 1.5) for y in (-1.0, 0.3, 2.0)]
-        assert self_conjugacy_defect(family, B, grid) <= 1e-9
+        assert self.defect(family, B, grid) <= 1e-9
 
     def test_gamma_negative_control(self):
-        # the functional equation A* = A o B cannot hold for a half-line
-        # cumulant domain and a positive map, so the defect stays large
+        # the functional equation A* = A o B^-1 cannot hold for a half-line
+        # cumulant domain and a positive map: B^-1 x > 0 leaves the natural
+        # domain theta < 0 at every grid point
         family = GammaFamily(1.0)
         grid = np.linspace(0.5, 4.0, 9)
         for b in (0.5, 1.0, 2.0):
-            assert self_conjugacy_defect(family, b, grid) > 1.0
+            with pytest.raises(DomainError):
+                self.defect(family, b, grid)
 
 
 # -- the validation contract: public methods check, kernels compute -----------
@@ -387,4 +407,4 @@ class TestValidationContract:
             assert _log_profile(family, 3, theta_hat, theta) == (
                 log_saddlepoint_unnormalized(family, 3, th, t)
             )
-        assert _log_series_factor(a, c) == pe_log_series_factor(wrap(a), wrap(c))
+        assert _log_series_factor(a, c) == PoissonExponentialFamily(a).log_carrier(wrap(c))

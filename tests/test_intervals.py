@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.optimize import brentq  # the oracle of the Brent port
 
 from expfam import (
@@ -12,7 +13,6 @@ from expfam import (
     GaussianLocationFamily,
     PoissonExponentialFamily,
     ObservationBatch,
-    gamma_posterior,
     poisson_exponential_posterior,
 )
 from expfam.core import REAL_LINE
@@ -38,9 +38,7 @@ from expfam.numerics import (
     find_root,
     integrate,
     inv_reg_gamma_lower,
-    reg_gamma_lower,
     rng_stream,
-    std_normal_cdf,
 )
 
 
@@ -63,7 +61,7 @@ class TestGammaCredible:
         ):
             batch = ObservationBatch(n=m, xbar=xbar)
             result = gamma_credible(alpha, batch, level)
-            post = gamma_posterior(alpha, batch)
+            post = GammaFamily(alpha).jeffreys_posterior(batch).rate
             assert post.cdf(result.upper) == pytest.approx(level, abs=1e-9)
 
     def test_degenerate_data(self):
@@ -90,7 +88,7 @@ class TestGammaConfidence:
         # beta Xbar ~ Gamma(m alpha, m); its level-quantile has cdf = level
         alpha, m, level = 2.0, 4, 0.9
         quantile = inv_reg_gamma_lower(m * alpha, level) / m
-        assert reg_gamma_lower(m * alpha, m * quantile) == pytest.approx(
+        assert special.gammainc(m * alpha, m * quantile) == pytest.approx(
             level, abs=1e-12
         )
 
@@ -168,7 +166,7 @@ class TestGaussianDivergenceBall:
         def slice_mass(z1):
             width = math.sqrt(max(radius * radius - z1 * z1, 0.0))
             phi = math.exp(-0.5 * z1 * z1) / math.sqrt(2 * math.pi)
-            return phi * (std_normal_cdf(width) - std_normal_cdf(-width))
+            return phi * (special.ndtr(width) - special.ndtr(-width))
 
         mass = integrate(slice_mass, -radius, radius, tol=1e-12).value
         assert mass == pytest.approx(level, abs=1e-8)
@@ -236,7 +234,7 @@ class TestPoissonExponentialConfidence:
         s_obs = m * xbar
 
         def sum_cdf(beta):
-            return reg_gamma_lower(m * alpha, beta * s_obs)
+            return special.gammainc(m * alpha, beta * s_obs)
 
         upper = find_root(lambda b: sum_cdf(b) - level, Bracket(0.01, 40.0), tol=1e-13)
         pivot = gamma_confidence(alpha, ObservationBatch(n=m, xbar=xbar), level)
@@ -345,6 +343,21 @@ class TestCoverageSimulation:
         assert report.degenerate > 1_000
         assert report.trials == 4_000 - report.degenerate
 
+    def test_means_without_an_mle_in_floats_are_degenerate(self):
+        # Gamma(1e-3) means fall to 0 or to subnormals where alpha/xbar
+        # overflows; neither has a rate interval, so neither is a trial
+        alpha = 1e-3
+        family = GammaFamily(alpha)
+        report = coverage_simulation(
+            family, lambda b: gamma_credible(alpha, b, 0.9), -1.0, 1, 0.9, 2_000, seed=0
+        )
+        # the same 16 streams of 125 one-draw trials
+        means = np.concatenate(
+            [family.sample(rng_stream(0, i), -1.0, (125, 1))[:, 0] for i in range(16)]
+        )
+        assert report.degenerate > np.count_nonzero(means == 0.0)
+        assert report.degenerate == np.count_nonzero(means < alpha / np.finfo(float).max)
+
     def test_input_validation(self):
         family = GammaFamily(1.0)
         op = lambda b: gamma_credible(1.0, b, 0.9)
@@ -430,7 +443,8 @@ def loop_coverage(family, interval_fn, theta_true, m, level, trials, seed, n_str
     """The per-trial coverage loop that ``coverage_simulation`` batches.
 
     Same streams and draws; one scalar batch and one interval per trial,
-    with degenerate trials found by the construction raising.
+    with degenerate trials found by the construction raising: an all-zero
+    sample, or a mean so near 0 that its MLE leaves the floats.
     """
     theta_true = family._check_natural(theta_true)
     n_streams = min(n_streams, trials)
@@ -446,6 +460,11 @@ def loop_coverage(family, interval_fn, theta_true, m, level, trials, seed, n_str
             try:
                 result = interval_fn(ObservationBatch(n=m, xbar=xbar))
             except DegenerateDataError:
+                degenerate += 1
+                continue
+            except DomainError as exc:
+                if "no MLE in floats" not in str(exc):
+                    raise
                 degenerate += 1
                 continue
             if result.covers_natural(theta_true):
@@ -643,6 +662,18 @@ class TestStackedConstructions:
             poisson_exp_credible(2.0, batch, 0.9)
         with pytest.raises(DegenerateDataError):
             gamma_credible(1.0, batch, 0.9)
+
+    @pytest.mark.parametrize(
+        "construction",
+        [gamma_credible, gamma_confidence, poisson_exp_credible, poisson_exp_confidence],
+    )
+    @pytest.mark.parametrize(
+        "xbar", [1e-320, np.array([1e-320, 1.0])], ids=["scalar", "stacked"]
+    )
+    def test_mean_without_an_mle_in_floats(self, construction, xbar):
+        # the rate MLE alpha/xbar or sqrt(kappa/(2 xbar)) overflows
+        with pytest.raises(DomainError, match="no MLE in floats"):
+            construction(2.0, ObservationBatch(n=1, xbar=xbar), 0.9)
 
     def test_ball_coverage_in_two_dimensions(self):
         # a stacked 2-d ball, never reachable through the old per-row reshape
