@@ -449,8 +449,11 @@ def _scale(f, x, target, factor):
 
 
 def rng_stream(seed, stream_id=0):
-    """Seeded PCG64 generator; distinct stream_ids give independent streams."""
+    """Seeded PCG64 generator; distinct stream_ids (whole numbers >= 0) give
+    independent streams.  The seed is taken modulo 2^64."""
     seed = check_whole(seed, "seed") & 0xFFFFFFFFFFFFFFFF
     stream_id = check_whole(stream_id, "stream_id")
+    if stream_id < 0:
+        raise DomainError(f"stream_id must be >= 0, got {stream_id}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.PCG64(seq))

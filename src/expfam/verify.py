@@ -32,13 +32,17 @@ from .core import ObservationBatch, integrate_over_support
 from .distributions import PoissonExponentialDist
 from .families import GammaFamily, GaussianLocationFamily, PoissonExponentialFamily
 from .intervals import coverage_simulation, interval_construction
-from .numerics import DEFAULT_TOL, rng_stream
+from .numerics import DEFAULT_TOL, bracket_by_doubling, find_root, rng_stream
 from .prediction import equivalence_check, lemma1_constancy
 from .saddlepoint import exactness_report
 from .errors import DomainError
 from .validation import check_count, check_whole
 
 __all__ = ["VerificationReport", "SUITES", "run_suite", "available_suites"]
+
+# the Monte Carlo draws of ``suite_normalization`` are made and counted in
+# chunks of this many, so no array of all 10^6 draws is ever held
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,17 +159,20 @@ def suite_normalization(tol, seed, trials):
 
     dist = PoissonExponentialDist(2.0, 1.0)
     n_samples = 1_000_000
-    draws = dist.sample(rng_stream(seed, 101), n_samples)
-    p0_hat = float(np.mean(draws == 0.0))
+    edges = np.linspace(0.0, _continuous_quantile(dist, 0.99), 21)
+    rng = rng_stream(seed, 101)
+    atoms, observed = 0, np.zeros(20, dtype=np.int64)
+    for start in range(0, n_samples, _CHUNK):
+        draws = dist.sample(rng, min(_CHUNK, n_samples - start))
+        atoms += np.count_nonzero(draws == 0.0)
+        observed += np.histogram(draws[draws > 0], bins=edges)[0]
     yield (
         "normalization/poisson-exp/monte-carlo-atom",
-        abs(p0_hat - dist.atom_weight),
+        abs(atoms / n_samples - dist.atom_weight),
         0.002,
         f"kappa=2 beta=1, {n_samples} compound-Poisson samples",
     )
 
-    edges = np.linspace(0.0, float(np.quantile(draws[draws > 0], 0.99)), 21)
-    observed, _ = np.histogram(draws[draws > 0], bins=edges)
     probs = np.array([dist.cdf(b) - dist.cdf(a) for a, b in zip(edges[:-1], edges[1:])])
     expected = n_samples * probs
     se = np.sqrt(n_samples * probs * (1.0 - probs))
@@ -175,6 +182,17 @@ def suite_normalization(tol, seed, trials):
         3.0,
         "20 bins vs series cdf, units of binomial standard error",
     )
+
+
+def _continuous_quantile(dist, p):
+    """q with (cdf(q) - atom) / (1 - atom) = p: the p quantile of the continuous part."""
+    atom = dist.atom_weight
+
+    def continuous_cdf(x):
+        return (dist.cdf(x) - atom) / (1.0 - atom)
+
+    bracket = bracket_by_doubling(continuous_cdf, dist.mean, p)
+    return find_root(lambda x: continuous_cdf(x) - p, bracket, tol=1e-12)
 
 
 def suite_coverage(tol, seed, trials):

@@ -566,3 +566,14 @@ class TestRngStream:
         np.testing.assert_array_equal(
             rng_stream(-1).random(4), rng_stream(2**64 - 1).random(4)
         )
+
+    @pytest.mark.parametrize("stream_id", [-1, -1.0])
+    def test_rejects_a_negative_stream_id(self, stream_id):
+        with pytest.raises(DomainError, match="stream_id"):
+            rng_stream(1, stream_id)
+
+    @pytest.mark.parametrize("stream_id", [0, 7.0, np.int64(7)])
+    def test_stream_id_forms_keep_their_streams(self, stream_id):
+        seq = np.random.SeedSequence(entropy=42, spawn_key=(int(stream_id),))
+        expected = np.random.Generator(np.random.PCG64(seq)).random(4)
+        np.testing.assert_array_equal(rng_stream(42, stream_id).random(4), expected)

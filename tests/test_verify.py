@@ -3,10 +3,12 @@
 import inspect
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from expfam import verify
+from expfam.distributions import PoissonExponentialDist
 from expfam.errors import DomainError
 
 
@@ -72,3 +74,25 @@ def test_trials_checked_once_for_every_suite(trials, monkeypatch):
     assert ran == []
     assert [r.check for r in verify.run_suite("all", trials=5.0)] == ["fake/ran"]
     assert ran == [5]
+
+
+def test_normalization_streams_its_draws():
+    # the 10^6 Monte Carlo draws are counted chunk by chunk; holding them all
+    # at once peaked at 24 MB.  An untraced run first loads the modules the
+    # suite imports on first use (QUADPACK, scipy.special).
+    suite = verify.SUITES["normalization"]
+    list(suite(1e-10, 0, 1))
+    tracemalloc.start()
+    try:
+        list(suite(1e-10, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_bins_end_at_the_continuous_quantile():
+    dist = PoissonExponentialDist(2.0, 1.0)
+    q = verify._continuous_quantile(dist, 0.99)
+    atom = dist.atom_weight
+    assert abs((dist.cdf(q) - atom) / (1.0 - atom) - 0.99) <= 1e-12
