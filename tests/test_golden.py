@@ -32,12 +32,13 @@ def test_golden_command(name, capsys, monkeypatch):
 
 
 def test_verify_all_matches_golden(capsys):
-    """Every suite, same grids and draws: every field but ``statistic`` is unchanged.
+    """Every suite, same grids and seeds: every field but ``statistic`` is unchanged.
 
     A quadrature check's statistic is a rounding residue that moves in its
-    last bits with any change of arithmetic.  The checks, the details (which
-    echo the grids and the coverage counts), the thresholds and the pass
-    flags must not move.
+    last bits with any change of arithmetic, and a Monte Carlo statistic
+    moves when the order of its draws does (the normalization draws are
+    made in chunks).  The checks, the details (which echo the grids and the
+    coverage counts), the thresholds and the pass flags must not move.
     """
     code = main(["verify", "--suite", "all", "--trials", "20000"])
     records = json.loads(capsys.readouterr().out)

@@ -77,9 +77,10 @@ def test_trials_checked_once_for_every_suite(trials, monkeypatch):
 
 
 def test_normalization_streams_its_draws():
-    # the 10^6 Monte Carlo draws are counted chunk by chunk; holding them all
-    # at once peaked at 24 MB.  An untraced run first loads the modules the
-    # suite imports on first use (QUADPACK, scipy.special).
+    # 10^6 Monte Carlo draws and their copies held at once take about 24 MB;
+    # counted chunk by chunk they take about 2 MB.  An untraced run first
+    # loads the modules the suite imports on first use (QUADPACK,
+    # scipy.special).
     suite = verify.SUITES["normalization"]
     list(suite(1e-10, 0, 1))
     tracemalloc.start()
