@@ -10,7 +10,6 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     ExpfamError,
-    NoSignChangeError,
     NonConvergenceError,
     NonNormalizableError,
     SupportError,
@@ -108,7 +107,6 @@ __all__ = [
     "ExpfamError",
     "DomainError",
     "SupportError",
-    "NoSignChangeError",
     "NonConvergenceError",
     "NonNormalizableError",
     "DegenerateDataError",

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     DomainError,
-    NoSignChangeError,
     NonConvergenceError,
     NonNormalizableError,
     SupportError,
@@ -424,7 +423,7 @@ def main(argv=None):
         return _fail(exc, EXIT_DEGENERATE)
     except (NonNormalizableError, NonConvergenceError) as exc:
         return _fail(exc, EXIT_NUMERIC)
-    except (DomainError, SupportError, NoSignChangeError) as exc:
+    except (DomainError, SupportError) as exc:
         return _fail(exc, EXIT_INPUT)
     try:
         _emit(records, fmt, sys.stdout)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SupportError
-from .numerics import _scisp, bracket_by_doubling, find_root, std_normal_quantile
+from .errors import DomainError, NonConvergenceError, SupportError
+from .numerics import _scisp, find_root, std_normal_quantile
 from .validation import (
     all_hold,
     check_nonnegative,
@@ -236,17 +236,20 @@ class InverseGaussianDist:
     def _solve(self, p, sign):
         """The x where the cdf (sign 1) or sf (sign -1) is p.
 
-        Times ``sign`` both rise, so one doubled bracket and ``find_root`` serve both.
+        Times ``sign`` both rise through ``sign p``, so one ``find_root`` from the
+        mean serves both.  Its tol, the least normal float, leaves the root
+        finders' floor of 4 eps |x| in charge: a quantile of any size keeps
+        its relative precision.
         """
-        rising = lambda x: sign * (self._tail_inside(x, sign) - p)
-        bracket = bracket_by_doubling(rising, self.mean, 0.0)
-        return find_root(rising, bracket, tol=1e-15 * bracket.lo, fprime=self.pdf)
+        rising = lambda x: sign * self._tail_inside(x, sign)
+        return find_root(rising, self.mean, sign * p, _TINY, fprime=self.pdf)
 
     def sample(self, rng, size):
         return rng.wald(self.mean, self.shape, size=size)
 
 
 _SQRT_HALF = math.sqrt(0.5)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _sf_above_mean(a, b):
@@ -351,9 +354,14 @@ def _pe_cdf(lam, t):
     lam, on arguments its callers checked."""
     if lam > 30.0:
         root_lam, root_t = math.sqrt(lam), math.sqrt(t)
-        out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam)) + math.exp(
-            -((root_lam - root_t) ** 2)
-        ) * float(_scisp.i0e(2.0 * root_lam * root_t))
+        out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam))
+        if math.isnan(out):  # from a rate of about 3e10
+            raise NonConvergenceError(
+                f"the noncentral chi-squared cdf is nan at lam={lam}, t={t}"
+            )
+        out += math.exp(-((root_lam - root_t) ** 2)) * float(
+            _scisp.i0e(2.0 * root_lam * root_t)
+        )
     else:
         k = np.arange(1, int(lam + 45) + 1, dtype=float)
         out = math.exp(-lam)

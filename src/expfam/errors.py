@@ -13,10 +13,6 @@ class SupportError(ExpfamError, ValueError):
     """An observation lies outside the support of the distribution."""
 
 
-class NoSignChangeError(ExpfamError, ValueError):
-    """A root-finding bracket does not enclose a sign change."""
-
-
 class NonConvergenceError(ExpfamError, RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 

@@ -33,7 +33,7 @@ from .families import (
     PoissonExponentialFamily,
     poisson_exponential_posterior,
 )
-from .numerics import bracket_by_doubling, find_root, inv_reg_gamma_lower, rng_stream
+from .numerics import find_root, inv_reg_gamma_lower, rng_stream
 from .prediction import _mle_in_floats, as_batch
 from .validation import all_hold, check_count, check_positive, check_unit_open, check_whole
 
@@ -194,7 +194,7 @@ def poisson_exp_confidence(kappa, batch, level):
     xbar = _rate_batch(PoissonExponentialFamily(kappa), batch, "poisson_exp_confidence")
     m = batch.n
     s_obs = m * xbar
-    # stacked trials go one by one, each a bracket and a Brent solve on the cdf
+    # stacked trials go one by one, each a Brent solve on the cdf
     uppers = [_cdf_inversion(kappa, m, float(x), level) for x in np.ravel(xbar)]
     upper = np.reshape(uppers, xbar.shape) if isinstance(xbar, np.ndarray) else uppers[0]
     return IntervalResult(
@@ -214,11 +214,10 @@ def _cdf_inversion(kappa, m, xbar, level):
     s_obs = check_positive(m * xbar, "the sum m xbar")
     shape = m * kappa
 
-    def rising(beta):
-        return _pe_cdf(shape / (2.0 * beta), beta * s_obs) - level
+    def cdf(beta):
+        return _pe_cdf(shape / (2.0 * beta), beta * s_obs)
 
-    beta_hat = math.sqrt(kappa / (2.0 * xbar))
-    return find_root(rising, bracket_by_doubling(rising, beta_hat, 0.0), tol=1e-12)
+    return find_root(cdf, math.sqrt(kappa / (2.0 * xbar)), level, tol=1e-12)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Deterministic numerical substrate.
 
-Special functions, adaptive quadrature, bracketed root finding and seeded
+Special functions, adaptive quadrature, root finding and seeded
 random streams.  Everything here is a pure function of its arguments; the
 random streams are explicit generator objects, never global state.
 
@@ -15,9 +15,11 @@ does.
 standard half-line transform internally and extrapolates across
 integrable endpoint singularities) on an interval; there is no cubature:
 integrals over R^d go to ``integrate_trapezoid``, the trapezoid rule on a
-product grid in numpy alone.  ``find_root`` runs Brent's method (Brent
-1973, *Algorithms for Minimization without Derivatives*, ch. 4; a port of
-scipy's ``brentq``) on a bracket and safeguarded Newton on a stack.
+product grid in numpy alone.  ``find_root`` brackets the crossing of an
+increasing function by halving and doubling from a start, then runs
+Brent's method (Brent 1973, *Algorithms for Minimization without
+Derivatives*, ch. 4; a port of scipy's ``brentq``) on a float start and
+safeguarded Newton on an array start.
 """
 
 import math
@@ -25,22 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoSignChangeError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 from .validation import (
-    all_hold, check_positive, check_positive_array, check_unit_open, check_whole
+    check_positive, check_positive_array, check_unit_open, check_whole
 )
 
 __all__ = [
     "DEFAULT_TOL",
     "QuadratureResult",
-    "Bracket",
     "inv_reg_gamma_lower",
     "std_normal_quantile",
     "exp_density",
     "integrate",
     "integrate_trapezoid",
     "find_root",
-    "bracket_by_doubling",
     "rng_stream",
 ]
 
@@ -91,20 +91,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] expected to enclose a sign change, and f there if known."""
-
-    lo: float
-    hi: float
-    f_lo: float = None
-    f_hi: float = None
-
-    def __post_init__(self):
-        if not all_hold(self.lo < self.hi):
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def inv_reg_gamma_lower(a, p):
@@ -296,38 +282,49 @@ def _trapezoid_sums(y, h, axes):
     return fine, np.abs(fine - (2.0 * h) ** d * coarse.sum(axis=axes))
 
 
-def find_root(f, bracket, tol=1e-12, fprime=None):
-    """Root of f on a sign-changing bracket: Brent's method to ``xtol = tol``.
+def find_root(f, start, target, tol, fprime=None):
+    """The x where an increasing ``f`` crosses ``target``, to ``xtol = tol``.
 
-    f is evaluated once at each point (at the ends only if the bracket lacks
-    their values); a value that is not finite raises NonConvergenceError.
-    A stack of brackets goes to ``_newton_bisection``; ``f`` and ``fprime``
-    then map arrays of the bracket's shape to arrays.
+    From ``start`` (finite and > 0) the bracket halves until f < target and
+    then doubles until f > target, at most 200 times each; a function that
+    never crosses raises :class:`NonConvergenceError`.  Brent's method then
+    runs on f - target from the values the doubling found at the ends, so
+    f is evaluated once at each point, and a value that is not finite
+    raises NonConvergenceError.  An array ``start`` (with an ``f`` and the
+    derivative ``fprime`` taking arrays of its shape) halves and doubles
+    each element on its own and goes to ``_newton_bisection``.
     """
-    if isinstance(bracket.lo, np.ndarray):
+    if isinstance(start, np.ndarray):
         if fprime is None:
-            raise DomainError("a stack of brackets needs the derivative fprime")
+            raise DomainError("an array start needs the derivative fprime")
+        check_positive_array(start, "start")
         tol = check_positive_array(tol, "tol")
-        return _newton_bisection(f, fprime, bracket, tol)
+        lo, hi = _scale(f, start, target, 0.5), _scale(f, start, target, 2.0)
+        return _newton_bisection(lambda x: f(x) - target, fprime, lo, hi, tol)
+    lo = hi = check_positive(start, "start")
     tol = check_positive(tol, "tol")
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    flo = float(f(lo) if bracket.f_lo is None else bracket.f_lo)
-    fhi = float(f(hi) if bracket.f_hi is None else bracket.f_hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise NonConvergenceError(f"f is not finite at {lo} or {hi}: {flo}, {fhi}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoSignChangeError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    return _brent(f, lo, hi, flo, fhi, tol)
+    shifted = lambda x: float(f(x) - target)
+    for _ in range(200):  # a nan ends either loop, and the check below raises
+        lo *= 0.5
+        f_lo = shifted(lo)
+        if not f_lo >= 0.0:
+            break
+    else:
+        raise NonConvergenceError(f"no value below {target} down to {lo}")
+    for _ in range(200):
+        hi *= 2.0
+        f_hi = shifted(hi)
+        if not f_hi <= 0.0:
+            break
+    else:
+        raise NonConvergenceError(f"no value above {target} up to {hi}")
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise NonConvergenceError(f"f is not finite at {lo} or {hi}: {f_lo}, {f_hi}")
+    return _brent(shifted, lo, hi, f_lo, f_hi, tol)
 
 
 def _brent(f, xpre, xcur, fpre, fcur, xtol):
-    """Brent's method from ends xpre, xcur whose float values fpre, fcur differ in sign.
+    """Brent's method on a float-valued f from ends xpre, xcur where fpre, fcur differ in sign.
 
     A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``), so every
     iterate matches it bit for bit; xcur is the best point, xblk the contrapoint.
@@ -363,14 +360,14 @@ def _brent(f, xpre, xcur, fpre, fcur, xtol):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
+        fcur = f(xcur)
         if not math.isfinite(fcur):
             raise NonConvergenceError(f"f is not finite at {xcur}: {fcur}")
     raise NonConvergenceError(f"root finding stalled after 200 steps at {xcur}")
 
 
-def _newton_bisection(f, fprime, bracket, tol):
-    """Roots of an ``f`` rising through zero on each bracket; ``tol`` may be an array.
+def _newton_bisection(f, fprime, lo, hi, tol):
+    """Roots of an ``f`` rising through zero on each [lo, hi]; ``tol`` may be an array.
 
     A Newton step that leaves the bracket or exceeds half the step of two
     rounds before (``rtsafe`` in Numerical Recipes) becomes a bisection.
@@ -378,12 +375,7 @@ def _newton_bisection(f, fprime, bracket, tol):
     below 1e-12 relative (quadratic convergence then puts it at rounding
     level) or once its bracket is narrower than ``tol`` plus Brent's floor.
     """
-    lo, hi = bracket.lo, bracket.hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_lo = f(lo) if bracket.f_lo is None else bracket.f_lo
-        f_hi = f(hi) if bracket.f_hi is None else bracket.f_hi
-        if np.any((f_lo > 0) | (f_hi < 0)):
-            raise NoSignChangeError("f does not rise through zero on some brackets")
         x = 0.5 * (lo + hi)
         last = old = hi - lo
         active = np.ones(np.shape(x), dtype=bool)
@@ -403,48 +395,15 @@ def _newton_bisection(f, fprime, bracket, tol):
     raise NonConvergenceError("stacked root finding did not converge in 100 steps")
 
 
-def bracket_by_doubling(f, start, target):
-    """A bracket on which an increasing ``f`` crosses ``target``.
-
-    From ``start`` > 0, halves until f(lo) < target and doubles until
-    f(hi) > target, at most 200 times each; a function that never crosses
-    raises :class:`NonConvergenceError`.  The bracket carries f - target
-    at its ends, for ``find_root`` on f - target.  An array ``start``
-    (with an ``f`` taking arrays of its shape) gives a stack of brackets,
-    each element halving and doubling on its own.
-    """
-    if isinstance(start, np.ndarray):
-        lo, f_lo = _scale(f, start, target, 0.5)
-        hi, f_hi = _scale(f, start, target, 2.0)
-        return Bracket(lo, hi, f_lo, f_hi)
-    lo = hi = start
-    for _ in range(200):
-        lo *= 0.5
-        f_lo = f(lo) - target
-        if f_lo < 0:
-            break
-    else:
-        raise NonConvergenceError(f"no value below {target} down to {lo}")
-    for _ in range(200):
-        hi *= 2.0
-        f_hi = f(hi) - target
-        if f_hi > 0:
-            break
-    else:
-        raise NonConvergenceError(f"no value above {target} up to {hi}")
-    return Bracket(lo, hi, f_lo, f_hi)
-
-
 def _scale(f, x, target, factor):
-    """Halve (double) x where f is not yet below (above) target: x, f(x) - target."""
+    """Halve (double) x where f is not yet below (above) target."""
     crossed = np.less if factor < 1.0 else np.greater
     pending = np.ones(x.shape, dtype=bool)
     for _ in range(200):
         x = np.where(pending, x * factor, x)
-        fx = f(x) - target
-        pending &= ~crossed(fx, 0.0)
+        pending &= ~crossed(f(x), target)
         if not pending.any():
-            return x, fx
+            return x
     raise NonConvergenceError(f"f never crosses {target} from {x} by factors {factor}")
 
 

@@ -32,7 +32,7 @@ from .core import ObservationBatch, integrate_over_support
 from .distributions import PoissonExponentialDist
 from .families import GammaFamily, GaussianLocationFamily, PoissonExponentialFamily
 from .intervals import coverage_simulation, interval_construction
-from .numerics import DEFAULT_TOL, bracket_by_doubling, find_root, rng_stream
+from .numerics import DEFAULT_TOL, find_root, rng_stream
 from .prediction import equivalence_check, lemma1_constancy
 from .saddlepoint import exactness_report
 from .errors import DomainError
@@ -191,8 +191,7 @@ def _continuous_quantile(dist, p):
     def continuous_cdf(x):
         return (dist.cdf(x) - atom) / (1.0 - atom)
 
-    bracket = bracket_by_doubling(continuous_cdf, dist.mean, p)
-    return find_root(lambda x: continuous_cdf(x) - p, bracket, tol=1e-12)
+    return find_root(continuous_cdf, dist.mean, p, tol=1e-12)
 
 
 def suite_coverage(tol, seed, trials):

@@ -23,7 +23,7 @@ from expfam.distributions import (
 )
 from expfam.errors import DomainError, SupportError
 from expfam.families import PoissonExponentialFamily
-from expfam.numerics import Bracket, bracket_by_doubling, find_root, integrate, rng_stream
+from expfam.numerics import integrate, rng_stream
 
 TAU = 2.0 * math.pi
 
@@ -103,6 +103,17 @@ class TestInverseGaussianDensity:
         assert mean == pytest.approx(0.8, abs=1e-8)
 
 
+def doubled_bracket(rising, start):
+    """The ends ``find_root`` brackets the zero of ``rising`` by: from ``start``
+    it halves until rising < 0, then doubles until rising > 0."""
+    lo, hi = 0.5 * start, 2.0 * start
+    while rising(lo) >= 0.0:
+        lo *= 0.5
+    while rising(hi) <= 0.0:
+        hi *= 2.0
+    return lo, hi
+
+
 class TestInverseGaussianCdf:
     def test_limits(self):
         dist = InverseGaussianDist(1.0, 1.0)
@@ -129,7 +140,7 @@ class TestInverseGaussianCdf:
         def quad_cdf(x):
             return integrate(dist.pdf, 0.0, x, tol=1e-12).value
 
-        oracle = find_root(lambda x: quad_cdf(x) - 0.5, Bracket(0.05, 5.0), tol=1e-12)
+        oracle = brentq(lambda x: quad_cdf(x) - 0.5, 0.05, 5.0, xtol=1e-12)
         assert dist.ppf(0.5) == pytest.approx(oracle, abs=1e-8)
 
     def test_gaussian_limit_at_large_shape(self):
@@ -162,10 +173,10 @@ class TestInverseGaussianCdf:
     @staticmethod
     def brentq_quantile(dist, p, sign):
         """scipy's brentq on the bracket and tolerances of ``ppf`` (sign 1) or ``isf``."""
-        rising = lambda x: sign * (dist._tail_inside(x, sign) - p)
-        bracket = bracket_by_doubling(rising, dist.mean, 0.0)
+        rising = lambda x: sign * dist._tail_inside(x, sign) - sign * p
+        lo, hi = doubled_bracket(rising, dist.mean)
         return brentq(
-            rising, bracket.lo, bracket.hi, xtol=1e-15 * bracket.lo,
+            rising, lo, hi, xtol=np.finfo(float).tiny,
             rtol=4.0 * np.finfo(float).eps, maxiter=200,
         )
 

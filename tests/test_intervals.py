@@ -17,7 +17,7 @@ from expfam import (
 )
 from expfam.core import REAL_LINE
 from expfam.distributions import InverseGaussianDist, PoissonExponentialDist
-from expfam.errors import DegenerateDataError, DomainError
+from expfam.errors import DegenerateDataError, DomainError, NonConvergenceError
 from expfam import intervals
 from expfam.intervals import (
     CoverageReport,
@@ -33,9 +33,6 @@ from expfam.intervals import (
     poisson_exp_credible,
 )
 from expfam.numerics import (
-    Bracket,
-    bracket_by_doubling,
-    find_root,
     integrate,
     inv_reg_gamma_lower,
     rng_stream,
@@ -185,6 +182,17 @@ class TestGaussianDivergenceBall:
         assert abs(report.empirical_coverage - 0.9) < 0.01
 
 
+def doubled_bracket(rising, start):
+    """The ends ``find_root`` brackets the zero of ``rising`` by: from ``start``
+    it halves until rising < 0, then doubles until rising > 0."""
+    lo, hi = 0.5 * start, 2.0 * start
+    while rising(lo) >= 0.0:
+        lo *= 0.5
+    while rising(hi) <= 0.0:
+        hi *= 2.0
+    return lo, hi
+
+
 class TestPoissonExponentialCredible:
     def test_posterior_mass_equals_level(self):
         kappa, batch, level = 2.0, ObservationBatch(n=1, xbar=2.0), 0.9
@@ -200,9 +208,7 @@ class TestPoissonExponentialCredible:
         def quad_cdf(b):
             return integrate(post.pdf, 0.0, b, tol=1e-12).value
 
-        oracle = find_root(
-            lambda b: quad_cdf(b) - level, Bracket(0.1, 10.0), tol=1e-12
-        )
+        oracle = brentq(lambda b: quad_cdf(b) - level, 0.1, 10.0, xtol=1e-12)
         assert result.upper == pytest.approx(oracle, abs=1e-6)
 
     def test_monotone_in_level(self):
@@ -236,7 +242,7 @@ class TestPoissonExponentialConfidence:
         def sum_cdf(beta):
             return special.gammainc(m * alpha, beta * s_obs)
 
-        upper = find_root(lambda b: sum_cdf(b) - level, Bracket(0.01, 40.0), tol=1e-13)
+        upper = brentq(lambda b: sum_cdf(b) - level, 0.01, 40.0, xtol=1e-13)
         pivot = gamma_confidence(alpha, ObservationBatch(n=m, xbar=xbar), level)
         assert upper == pytest.approx(pivot.upper, rel=1e-9)
 
@@ -262,6 +268,12 @@ class TestPoissonExponentialConfidence:
         # so a residual of 1e-10 is a root error of 4e-14
         assert result.upper == pytest.approx(root, rel=1e-12, abs=0.0)
 
+    def test_rate_beyond_the_chi_squared_kernel(self):
+        # near beta = sqrt(1e-3) the Poisson rate m kappa / (2 beta) is 3.2e10,
+        # where scipy's chndtr returns nan: the cdf kernel says where
+        with pytest.raises(NonConvergenceError, match="chi-squared cdf is nan at lam=316"):
+            poisson_exp_confidence(2.0, ObservationBatch(n=10**9, xbar=1e3), 0.9)
+
     def test_matches_brentq_on_the_distribution_cdf(self):
         # the endpoint is scipy's brentq, bit for bit, on the cdf of a
         # PoissonExponentialDist built per beta and the same doubled bracket
@@ -271,9 +283,9 @@ class TestPoissonExponentialConfidence:
             kappa, xbar = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
             level = rng.uniform(0.5, 0.99)
             rising = lambda b: PoissonExponentialDist(m * kappa, b).cdf(m * xbar) - level
-            bracket = bracket_by_doubling(rising, math.sqrt(kappa / (2.0 * xbar)), 0.0)
+            lo, hi = doubled_bracket(rising, math.sqrt(kappa / (2.0 * xbar)))
             oracle = brentq(
-                rising, bracket.lo, bracket.hi, xtol=1e-12,
+                rising, lo, hi, xtol=1e-12,
                 rtol=4.0 * np.finfo(float).eps, maxiter=200,
             )
             batch = ObservationBatch(n=m, xbar=xbar)
@@ -691,8 +703,8 @@ class TestStackedConstructions:
 
 class TestStackedInverseGaussianQuantile:
     def test_matches_scalar_and_level(self):
-        # the scalar path stops Brent's method relative to its bracket, so
-        # small quantiles agree to rounding as well as large ones
+        # both paths stop at a relative tolerance, so small quantiles agree
+        # to rounding as well as large ones
         means = np.geomspace(1e-3, 1e3, 13)
         for shape in np.geomspace(1e-3, 1e4, 8):
             for p in (0.025, 0.05, 0.5, 0.9, 0.95, 0.975, 0.999):

@@ -16,11 +16,11 @@ from scipy.optimize import brentq  # the oracle of the Brent port
 from scipy import special
 
 from expfam.distributions import GammaPosterior
-from expfam.errors import DomainError, NoSignChangeError, NonConvergenceError
+from expfam.errors import DomainError, NonConvergenceError
 from expfam.families import GammaFamily
 from expfam.numerics import (
-    Bracket,
-    bracket_by_doubling,
+    _brent,
+    _newton_bisection,
     find_root,
     integrate,
     integrate_trapezoid,
@@ -350,43 +350,42 @@ def _bisect(f, lo, hi, iterations=80):
 
 class TestFindRoot:
     def test_linear(self):
-        root = find_root(lambda t: t + 0.5, Bracket(-1.0, 0.0))
-        assert root == pytest.approx(-0.5, abs=1e-12)
+        root = find_root(lambda t: 2.0 * t - 1.0, 3.0, 0.0, tol=1e-12)
+        assert root == pytest.approx(0.5, abs=1e-12)
 
     def test_gamma_mean_equation(self):
-        # -alpha/theta = 2 with alpha = 1 has the root theta = -1/2
-        root = find_root(lambda t: -1.0 / t - 2.0, Bracket(-1.0, -0.01))
-        assert root == pytest.approx(-0.5, abs=1e-12)
+        # the Gamma mean alpha/beta = 2 at alpha = 1: -1/beta rises through -2 at 1/2
+        root = find_root(lambda b: -1.0 / b, 1.0, -2.0, tol=1e-12)
+        assert root == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_cubic_vs_bisection(self):
         f = lambda t: t**3 + 2.0 * t - 1.7
-        root = find_root(f, Bracket(0.0, 2.0), tol=1e-13)
+        root = find_root(f, 1.0, 0.0, tol=1e-13)
         oracle = _bisect(f, 0.0, 2.0)
         assert root == pytest.approx(oracle, abs=1e-12)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            find_root(lambda t: t * t + 1.0, Bracket(-1.0, 1.0))
+        with pytest.raises(NonConvergenceError, match="no value below"):
+            find_root(lambda t: t * t + 1.0, 1.0, 0.0, tol=1e-12)
 
-    def test_bad_bracket(self):
-        with pytest.raises(DomainError):
-            Bracket(1.0, 1.0)
+    def test_bad_start(self):
+        # these used to run 200 halvings or doublings into a NonConvergenceError
+        for start in (0.0, math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="start"):
+                find_root(lambda x: x, start, 0.5, tol=1e-12)
+            with pytest.raises(DomainError, match="start"):
+                find_root(lambda x: x, np.array([1.0, start]), 0.5, 1e-12, np.ones_like)
 
     def test_determinism(self):
-        f = lambda t: math.tanh(t) - 0.3
-        assert find_root(f, Bracket(-2.0, 2.0)) == find_root(f, Bracket(-2.0, 2.0))
+        f = lambda t: math.tanh(t - 1.0)
+        assert find_root(f, 2.0, 0.3, 1e-12) == find_root(f, 2.0, 0.3, 1e-12)
 
 
-BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the rtol find_root passes on
-
-
-def brentq_on(f, bracket, tol):
-    """scipy's brentq on find_root's bracket, tolerances and step limit."""
-    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=BRENTQ_RTOL, maxiter=200)
+BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the rtol _brent takes
 
 
 class TestBrentPort:
-    """find_root's Brent loop takes scipy's brentq's iterates, so its roots."""
+    """``_brent`` takes scipy's brentq's iterates, so its roots."""
 
     SHAPES = [
         lambda c, a: lambda x: math.copysign(abs(x - c) ** a, x - c),
@@ -400,28 +399,28 @@ class TestBrentPort:
         for _ in range(3000):
             shape = self.SHAPES[rng.integers(len(self.SHAPES))]
             f = shape(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0))
-            lo, hi = rng.uniform(-20.0, 20.0, size=2)
-            if f(min(lo, hi)) * f(max(lo, hi)) >= 0.0:
+            lo, hi = sorted(rng.uniform(-20.0, 20.0, size=2))
+            if f(lo) * f(hi) >= 0.0:
                 continue
-            bracket = Bracket(min(lo, hi), max(lo, hi))
             tol = 10.0 ** rng.uniform(-15.0, -3.0)
-            assert find_root(f, bracket, tol) == brentq_on(f, bracket, tol)
+            oracle = brentq(f, lo, hi, xtol=tol, rtol=BRENTQ_RTOL, maxiter=200)
+            assert _brent(f, lo, hi, f(lo), f(hi), tol) == oracle
 
     def test_nan_at_an_end_raises(self):
         # scipy raised a raw ValueError here
-        with pytest.raises(NonConvergenceError):
-            find_root(lambda x: math.nan if x > 0.6 else x - 0.7, Bracket(0.0, 1.0))
-        with pytest.raises(NonConvergenceError):
-            find_root(lambda x: x - 0.5, Bracket(0.0, 1.0, math.nan, 0.5))
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            find_root(lambda x: math.nan if x > 0.6 else x, 0.5, 0.45, tol=1e-12)
 
     def test_nan_at_an_iterate_raises(self):
+        # the ends 0.5 and 2 are finite, the first secant step 0.7 is not;
         # without the check, the loop walks to the edge of the nan and returns it
-        with pytest.raises(NonConvergenceError):
-            find_root(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.7, Bracket(0.0, 1.0))
+        f = lambda x: math.nan if 0.6 < x < 0.9 else x
+        with pytest.raises(NonConvergenceError, match="not finite at 0.7"):
+            find_root(f, 1.0, 0.7, tol=1e-12)
 
     def test_infinite_value_raises(self):
-        with pytest.raises(NonConvergenceError):
-            find_root(lambda x: -math.inf if x == 0.0 else x - 0.5, Bracket(0.0, 1.0))
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            find_root(lambda x: -math.inf if x < 0.3 else x, 0.4, 0.5, tol=1e-12)
 
     def test_each_point_evaluated_once(self):
         seen = []
@@ -430,52 +429,62 @@ class TestBrentPort:
             seen.append(x)
             return -math.expm1(-x)
 
-        bracket = bracket_by_doubling(f, 1e-3, 0.9)
-        root = find_root(lambda x: f(x) - 0.9, bracket, tol=1e-14)
+        root = find_root(f, 1e-3, 0.9, tol=1e-14)
         assert root == pytest.approx(math.log(10.0), rel=1e-13)
         assert len(seen) == len(set(seen))
-        assert bracket.lo in seen and bracket.hi in seen
+        # one halving to the low end, twelve doublings to the high one
+        assert seen[:13] == [5e-4] + [1e-3 * 2.0**k for k in range(1, 13)]
 
-    def test_stack_reuses_the_values_at_its_ends(self):
+    def test_array_start_evaluates_its_ends_once(self):
         scales = np.geomspace(1e-2, 1e2, 5)
         calls = []
 
         def f(x):
             calls.append(x)
-            return -np.expm1(-x / scales) - 0.9
+            return -np.expm1(-x / scales)
 
         fprime = lambda x: np.exp(-x / scales) / scales
-        bracket = bracket_by_doubling(f, scales, 0.0)
-        del calls[:]
-        roots = find_root(f, bracket, tol=1e-15 * bracket.lo, fprime=fprime)
-        with_values = len(calls)
-        del calls[:]
-        again = find_root(f, Bracket(bracket.lo, bracket.hi), 1e-15 * bracket.lo, fprime)
-        assert len(calls) == with_values + 2
-        np.testing.assert_array_equal(roots, again)
+        roots = find_root(f, scales, 0.9, TINY, fprime)
+        np.testing.assert_allclose(roots, scales * math.log(10.0), rtol=1e-14)
+        # the cdf crosses 0.9 at 2.3 scales: one halving, two doublings, then
+        # Newton from the midpoint, which never returns to an end
+        lo, hi = calls[0], calls[2]
+        np.testing.assert_array_equal(lo, 0.5 * scales)
+        np.testing.assert_array_equal(hi, 4.0 * scales)
+        np.testing.assert_array_equal(calls[3], 0.5 * (lo + hi))
+        assert not any(((x == lo) | (x == hi)).any() for x in calls[3:])
+
+
+TINY = np.finfo(float).tiny  # a tol that leaves the relative floor in charge
 
 
 class TestBracketByDoubling:
+    """find_root halves, then doubles, from its start until f straddles the target."""
+
     def test_crossing_function(self):
         # the cdf of the unit exponential crosses 0.9 at ln 10
-        f = lambda x: -math.expm1(-x)
-        bracket = bracket_by_doubling(f, 1.0, 0.9)
-        assert (bracket.lo, bracket.hi) == (0.5, 4.0)
-        assert f(bracket.lo) < 0.9 < f(bracket.hi)
-        root = find_root(lambda x: f(x) - 0.9, bracket)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return -math.expm1(-x)
+
+        root = find_root(f, 1.0, 0.9, tol=1e-12)
+        assert seen[:3] == [0.5, 2.0, 4.0]
+        assert f(0.5) < 0.9 < f(4.0)
         assert root == pytest.approx(math.log(10.0), rel=1e-12)
 
     def test_function_that_never_crosses(self):
-        with pytest.raises(NonConvergenceError):
-            bracket_by_doubling(lambda x: 0.5, 1.0, 0.9)  # stays below: no hi
-        with pytest.raises(NonConvergenceError):
-            bracket_by_doubling(lambda x: 0.95, 1.0, 0.9)  # stays above: no lo
-        with pytest.raises(NonConvergenceError):
-            bracket_by_doubling(lambda x: np.full(x.shape, 0.5), np.ones(2), 0.9)
+        with pytest.raises(NonConvergenceError, match="no value above"):
+            find_root(lambda x: 0.5, 1.0, 0.9, tol=1e-12)
+        with pytest.raises(NonConvergenceError, match="no value below"):
+            find_root(lambda x: 0.95, 1.0, 0.9, tol=1e-12)
+        with pytest.raises(NonConvergenceError, match="never crosses"):
+            find_root(lambda x: np.full(x.shape, 0.5), np.ones(2), 0.9, 1e-12, np.ones_like)
 
 
 class TestStackedRoots:
-    """A stack of brackets and roots equals the scalar calls element by element."""
+    """An array start gives the roots of the float starts element by element."""
 
     scales = np.geomspace(1e-3, 1e3, 13)
 
@@ -486,42 +495,36 @@ class TestStackedRoots:
     def test_matches_scalar_calls(self):
         # the exponential cdf with scale s crosses p at -s log(1 - p)
         for p in (1e-6, 0.05, 0.5, 0.9, 0.999):
-            stacked = bracket_by_doubling(self.cdf(self.scales), self.scales, p)
             roots = find_root(
-                lambda x: self.cdf(self.scales)(x) - p,
-                stacked,
-                tol=1e-15 * stacked.lo,
+                self.cdf(self.scales),
+                self.scales,
+                p,
+                TINY,
                 fprime=lambda x: np.exp(-x / self.scales) / self.scales,
             )
             for i, scale in enumerate(self.scales):
-                single = bracket_by_doubling(self.cdf(float(scale)), float(scale), p)
-                assert (single.lo, single.hi) == (stacked.lo[i], stacked.hi[i])
-                root = find_root(
-                    lambda x: self.cdf(float(scale))(x) - p, single, tol=1e-15 * single.lo
-                )
+                root = find_root(self.cdf(float(scale)), float(scale), p, TINY)
                 assert roots[i] == pytest.approx(root, rel=1e-14, abs=0)
                 assert roots[i] == pytest.approx(-scale * math.log1p(-p), rel=1e-13)
 
     def test_negative_brackets(self):
         shifts = np.array([-3.0, -0.5, 0.25, 2.0])
-        roots = find_root(
+        roots = _newton_bisection(
             lambda t: np.tanh(t - shifts),
-            Bracket(shifts - 1.5, shifts + 1.0),
-            tol=1e-14,
-            fprime=lambda t: 1.0 / np.cosh(t - shifts) ** 2,
+            lambda t: 1.0 / np.cosh(t - shifts) ** 2,
+            shifts - 1.5,
+            shifts + 1.0,
+            1e-14,
         )
         np.testing.assert_allclose(roots, shifts, rtol=0, atol=1e-13)
 
     def test_needs_derivative_and_sign_change(self):
-        bracket = Bracket(np.zeros(2), np.ones(2))
-        with pytest.raises(DomainError):
-            find_root(lambda x: x - 0.5, bracket)
-        with pytest.raises(NoSignChangeError):
-            find_root(lambda x: x + 1.0, bracket, fprime=np.ones_like)
-        with pytest.raises(NoSignChangeError):  # a stack must rise through zero
-            find_root(lambda x: 0.5 - x, bracket, fprime=lambda x: -np.ones_like(x))
-        with pytest.raises(DomainError):
-            Bracket(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="fprime"):
+            find_root(lambda x: x, np.ones(2), 0.5, 1e-12)
+        with pytest.raises(NonConvergenceError):  # above the target throughout
+            find_root(lambda x: x + 1.0, np.ones(2), 0.0, 1e-12, np.ones_like)
+        with pytest.raises(NonConvergenceError):  # an array start must rise through it
+            find_root(lambda x: 0.5 - x, np.ones(2), 0.0, 1e-12, lambda x: -np.ones_like(x))
 
 
 class TestRngStream:
