@@ -164,8 +164,9 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
 
     At d == 1 ``f`` maps a 1-d array of N nodes to N values, or to a stack
     (..., N) of integrands sharing the nodes; at d > 1 it maps an (N, d)
-    array of points the same way.  ``evaluations`` counts the nodes passed
-    to ``f``.  For an f analytic in a strip around each real axis that
+    array of points the same way.  ``f`` takes each grid whole, and
+    ``evaluations`` is the sum of the grid sizes, the nodes passed to
+    ``f``.  For an f analytic in a strip around each real axis that
     decays at least exponentially, the rule converges geometrically in the
     step (Trefethen & Weideman 2014, *The exponentially convergent
     trapezoidal rule*, SIAM Review 56).  It starts at step 1/16 on [-3, 3]
@@ -173,10 +174,9 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
     exceeds 1e-3 tol of the peak, then the step halves until the error
     estimate |T_h - T_2h| is at most ``tol |T_h|``.  Each integrand of a
     stack keeps the value of the first step that meets this, so it agrees
-    with its own integral to rounding.  At d == 1 ``f`` takes the new nodes
-    of each grid only; at d > 1 it takes each grid whole, in slabs along
-    the first axis of at most 2^16 points, so the memory beyond the grid's
-    values stays bounded.
+    with its own integral to rounding.  At d > 1 each grid reaches ``f`` in
+    slabs along the first axis of at most 2^16 points, so the memory beyond
+    the grid's values stays bounded.
 
     Raises :class:`NonConvergenceError` on a non-finite value or once the
     nodes would exceed 8192 on an axis or 2^23 in all, before ``f`` sees
@@ -186,7 +186,6 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
     h = _TRAPEZOID_STEP
     k = round(_TRAPEZOID_WINDOW / h)  # the nodes are j h for |j| <= k on each axis
     grid_axes = tuple(range(-d, 0))
-    y = kept = None
     value = error = math.nan  # no sum yet
     evaluations = 0
     while True:
@@ -195,14 +194,13 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
                 f"trapezoid grid at step {h} on [-{k * h}, {k * h}]^{d} exceeds "
                 f"{_BUDGET}: value={value}, error_estimate={error}, tol={tol}"
             )
-        y = _grid_values(f, _nodes(k, h), d, kept, y)
-        # at d == 1 f took only the nodes new to the grid; at d > 1, all of them
-        evaluations = 2 * k + 1 if d == 1 else evaluations + (2 * k + 1) ** d
+        y = _grid_values(f, _nodes(k, h), d)
+        evaluations += (2 * k + 1) ** d
         if h == _TRAPEZOID_STEP:  # at the first step the window may still grow
             size = np.abs(y)
             edge = _TRAPEZOID_EDGE * tol * size.max(axis=grid_axes, keepdims=True)
             if not _below_on_faces(size, edge, grid_axes):
-                k, kept = 2 * k, slice(k, 3 * k + 1)
+                k *= 2
                 continue
             value, error = _trapezoid_sums(y, h, grid_axes)
         else:  # each integrand keeps the value of its first converged step
@@ -214,7 +212,7 @@ def integrate_trapezoid(f, tol=DEFAULT_TOL, d=1):
             break
         if not np.isfinite(value).all():
             raise NonConvergenceError(f"trapezoid sum is not finite: {value}")
-        h, k, kept = 0.5 * h, 2 * k, slice(None, None, 2)
+        h, k = 0.5 * h, 2 * k
     if value.ndim == 0:
         value, error = float(value), float(error)
     return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
@@ -233,24 +231,14 @@ def _over_budget(m, d):
     return m > _TRAPEZOID_NODES or m**d > _TRAPEZOID_GRID
 
 
-def _grid_values(f, x, d, kept=None, old=None):
+def _grid_values(f, x, d):
     """f on the product grid x^d, held in the last d axes.
 
-    At d == 1 ``old`` may hold the values at the nodes x[kept], and f
-    takes the other nodes only; at d > 1 f takes the whole grid.
+    At d == 1 f takes the nodes x themselves; at d > 1 it takes (N, d)
+    points, in slabs of whole rows along the first axis.
     """
-    if d == 1:  # f takes the nodes themselves, and the new ones are slices of x
-        if old is None:
-            return f(x)
-        y = np.empty(old.shape[:-1] + x.shape)
-        y[..., kept] = old
-        start, stop, step = kept.indices(x.size)
-        if step == 2:  # the step halved: the new nodes are the odd ones
-            y[..., 1::2] = f(x[1::2])
-        else:  # the window doubled: the new nodes flank the old ones
-            flanks = f(np.concatenate([x[:start], x[stop:]]))
-            y[..., :start], y[..., stop:] = flanks[..., :start], flanks[..., start:]
-        return y
+    if d == 1:
+        return f(x)
     m = x.size
     row = m ** (d - 1)  # the nodes of one index along the first axis
     rows = max(1, _TRAPEZOID_SLAB // row)
