@@ -342,11 +342,13 @@ def _log_ratio_integral(family, n, theta_hat, tol):
     * d == 1: on the negative half line theta = theta_hat e^v and
       R = J(theta_hat) (-theta_hat) * integral of exp(g(v)) dv; on R,
       theta = theta_hat + v and R = J(theta_hat) * integral of exp(g(v)) dv.
-      Here v = s sinh(t), s = min(sigma, 1), where
-      sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat))) is the width of the
-      peak in v: near the peak t is the standardized coordinate v / sigma,
-      and the cap keeps the unit-scale turns of e^v in g resolved when
-      n A'' is small.
+      The log prefactor ln J(theta_hat) + ln |dtheta/dv|(0) is computed
+      once, and since J = sqrt(A''), the width of the peak in v is
+      sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat)))
+      = exp(-ln(n) / 2 - log prefactor), which holds no overflow where
+      the linear form does.  Here v = s sinh(t), s = min(sigma, 1): near
+      the peak t is the standardized coordinate v / sigma, and the cap
+      keeps the unit-scale turns of e^v in g resolved when n A'' is small.
     * d > 1 (on R^d): theta = theta_hat + v with v = L sinh(t), L the
       Cholesky factor of (n Cov(theta_hat))^-1, so t is whitened and
       R = J(theta_hat) |det L| * integral of exp(g(v)) prod cosh(t_i) dt.
@@ -358,21 +360,22 @@ def _log_ratio_integral(family, n, theta_hat, tol):
     """
     d = family.d
     thetas = np.asarray(theta_hat, dtype=float).reshape(-1, d)
+    points = thetas[:, 0].tolist() if d == 1 else list(thetas)
+    log_prefactor = np.array([family._log_jeffreys(t) for t in points])
+    if family.natural_domain == NEGATIVE_HALF_LINE:
+        log_prefactor += np.log(-thetas[:, 0])
     if d == 1:
-        half_line = family.natural_domain == NEGATIVE_HALF_LINE
-        jacobian = -thetas[:, 0] if half_line else np.ones(len(thetas))
-        width = 1.0 / (jacobian * np.sqrt(n * family._covariance(thetas[:, 0])))
+        width = np.exp(-0.5 * math.log(n) - log_prefactor)
         det = scale = np.minimum(width, 1.0)[:, None]
-        center, points = thetas, thetas[:, 0].tolist()
+        center = thetas
 
         def coordinates(t):
             return scale * np.sinh(t), np.cosh(t)
     else:
-        jacobian = np.ones(len(thetas))
         cov = np.broadcast_to(family._covariance(thetas), (len(thetas), d, d))
         factor = np.linalg.cholesky(np.linalg.inv(n * cov))  # L, one per estimate
         det = np.prod(np.diagonal(factor, axis1=-2, axis2=-1), axis=-1)[:, None]
-        center, points = thetas[:, None, :], list(thetas)
+        center = thetas[:, None, :]
 
         def coordinates(t):
             return np.sinh(t) @ np.swapaxes(factor, -1, -2), np.cosh(t).prod(axis=-1)
@@ -383,7 +386,6 @@ def _log_ratio_integral(family, n, theta_hat, tol):
 
     with np.errstate(over="ignore"):
         result = integrate_trapezoid(integrand, tol=tol, d=d)
-    log_prefactor = [family._log_jeffreys(t) for t in points] + np.log(jacobian)
     log_r = log_prefactor + np.log(result.value)
     rel_err = result.error_estimate / result.value
     if np.ndim(theta_hat) < (1 if d == 1 else 2):

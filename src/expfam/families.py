@@ -169,8 +169,6 @@ class GaussianLocationFamily(Family):
 
     def _ratio_exponent(self, n, theta_hat, v):
         # n D = n v.B.v / 2 with v = theta - theta_hat, and J is constant
-        if self.d == 1:
-            return -0.5 * n * self._rows[0][0] * v * v
         return -0.5 * n * self._dot(self._mul(self._rows, v), v)
 
     def _log_jeffreys_evidence(self, n, xbar):
