@@ -27,7 +27,7 @@ import numpy as np
 from .base import ParamsMixin
 from .errors import DomainError, SupportError
 from .numerics import DEFAULT_TOL, exp_density, integrate, integrate_trapezoid
-from .validation import check_count, check_finite_scalar, float_array
+from .validation import all_hold, check_count, check_finite_scalar, float_array
 
 TAU = 2.0 * math.pi
 
@@ -274,7 +274,7 @@ class Family(ParamsMixin):
         return self._covariance(self._check_natural(theta))
 
     def mle(self, xbar):
-        return self._mle(self._check_mean(xbar))
+        return self._mle(_check_mle_in_floats(self, self._check_mean(xbar)))
 
     def log_carrier(self, x):
         return self._log_carrier(self._check_support(x))
@@ -326,6 +326,33 @@ class Family(ParamsMixin):
         return math.exp(-self._bregman(theta, theta_hat))
 
 
+def _mle_in_floats(family, xbar):
+    """Whether the MLE at ``xbar`` is a finite point of the natural domain:
+    a bool, or an array of them over the means of a stacked ``xbar``."""
+    try:
+        if not isinstance(xbar, np.ndarray):
+            theta_hat = family._mle(xbar)
+        else:  # where Python floats raise, numpy warns
+            with np.errstate(divide="ignore", over="ignore"):
+                theta_hat = family._mle(xbar)
+    except (ZeroDivisionError, OverflowError):
+        return False
+    lo, hi = family.natural_domain
+    return (lo < theta_hat) & (theta_hat < hi)
+
+
+def _check_mle_in_floats(family, xbar):
+    """``xbar``, a mean of the mean domain or a stack of them, once the MLE
+    at each is a finite point of the natural domain (a mean of 1e-320 on a
+    half line has none); else :class:`DomainError`."""
+    if not all_hold(_mle_in_floats(family, xbar)):
+        raise DomainError(
+            f"batch mean {xbar!r} has no MLE in floats for {family!r}: "
+            "it lies too near the edge of the mean domain"
+        )
+    return xbar
+
+
 # -- quadrature helpers --------------------------------------------------------
 
 
@@ -346,9 +373,10 @@ def _log_ratio_integral(family, n, theta_hat, tol):
       once, and since J = sqrt(A''), the width of the peak in v is
       sigma = 1 / (|dtheta/dv| sqrt(n A''(theta_hat)))
       = exp(-ln(n) / 2 - log prefactor), which holds no overflow where
-      the linear form does.  Here v = s sinh(t), s = min(sigma, 1): near
-      the peak t is the standardized coordinate v / sigma, and the cap
-      keeps the unit-scale turns of e^v in g resolved when n A'' is small.
+      the linear form does.  Here v = s sinh(t), so near the peak t is
+      the standardized coordinate v / sigma: s = sigma on R, and
+      s = min(sigma, 1) on the half line, where the cap keeps the
+      unit-scale turns of e^v in g resolved when n A'' is small.
     * d > 1 (on R^d): theta = theta_hat + v with v = L sinh(t), L the
       Cholesky factor of (n Cov(theta_hat))^-1, so t is whitened and
       R = J(theta_hat) |det L| * integral of exp(g(v)) prod cosh(t_i) dt.
@@ -362,11 +390,12 @@ def _log_ratio_integral(family, n, theta_hat, tol):
     thetas = np.asarray(theta_hat, dtype=float).reshape(-1, d)
     points = thetas[:, 0].tolist() if d == 1 else list(thetas)
     log_prefactor = np.array([family._log_jeffreys(t) for t in points])
-    if family.natural_domain == NEGATIVE_HALF_LINE:
+    half_line = family.natural_domain == NEGATIVE_HALF_LINE
+    if half_line:
         log_prefactor += np.log(-thetas[:, 0])
     if d == 1:
         width = np.exp(-0.5 * math.log(n) - log_prefactor)
-        det = scale = np.minimum(width, 1.0)[:, None]
+        det = scale = (np.minimum(width, 1.0) if half_line else width)[:, None]
         center = thetas
 
         def coordinates(t):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import ParamsMixin, check_is_fitted
-from .core import POSITIVE_HALF_LINE, ObservationBatch
+from .core import POSITIVE_HALF_LINE, ObservationBatch, _mle_in_floats
 from .distributions import _pe_cdf
 from .errors import DegenerateDataError, DomainError
 from .families import (
@@ -34,7 +34,7 @@ from .families import (
     poisson_exponential_posterior,
 )
 from .numerics import find_root, inv_reg_gamma_lower, rng_stream
-from .prediction import _mle_in_floats, as_batch
+from .prediction import as_batch
 from .validation import all_hold, check_count, check_positive, check_unit_open, check_whole
 
 __all__ = [

@@ -34,6 +34,7 @@ from .base import ParamsMixin, check_is_fitted
 from .core import (
     Family,
     ObservationBatch,
+    _check_mle_in_floats,
     _log_ratio_integral,
     integrate_over_support,
 )
@@ -45,7 +46,7 @@ from .errors import (
     SupportError,
 )
 from .numerics import DEFAULT_TOL
-from .validation import all_hold, check_count, check_observations, check_positive, float_array
+from .validation import check_count, check_observations, check_positive, float_array
 
 __all__ = [
     "PredictiveValue",
@@ -99,27 +100,8 @@ def as_batch(family, X):
         raise DomainError(
             f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
         )
-    if not all_hold(_mle_in_floats(family, batch.xbar)):
-        raise DomainError(
-            f"batch mean {batch.xbar!r} has no MLE in floats for {family!r}: "
-            "it lies too near the edge of the mean domain"
-        )
+    _check_mle_in_floats(family, batch.xbar)
     return batch
-
-
-def _mle_in_floats(family, xbar):
-    """Whether the MLE at ``xbar`` is a finite point of the natural domain:
-    a bool, or an array of them over the means of a stacked ``xbar``."""
-    try:
-        if not isinstance(xbar, np.ndarray):
-            theta_hat = family._mle(xbar)
-        else:  # where Python floats raise, numpy warns
-            with np.errstate(divide="ignore", over="ignore"):
-                theta_hat = family._mle(xbar)
-    except (ZeroDivisionError, OverflowError):
-        return False
-    lo, hi = family.natural_domain
-    return (lo < theta_hat) & (theta_hat < hi)
 
 
 def _check_suffix(family, future):
@@ -236,10 +218,11 @@ class CnmlPredictor(_PredictorBase):
 
         Returns (shift, value, error), the normalizer being exp(shift) *
         value; the atom and the continuous part share the shift.  The
-        given shift leaves out the carrier, so far from the bulk the atom
-        term or the integrand near the split point can lie more than the
-        float range above it.  The shift then moves up to the larger of
-        the two.  Otherwise it stays, and so does the arithmetic.
+        given shift leaves out the carrier, so far from the bulk the larger
+        of the atom term and the integrand at the split point, the peak,
+        can lie more than the float range above or below it, and the
+        integral would overflow or underflow.  The shift then moves to the
+        peak.  Otherwise it stays, and so does the arithmetic.
         """
         batch = self.batch_
         n = batch.n + k
@@ -250,7 +233,7 @@ class CnmlPredictor(_PredictorBase):
         if conv.has_atom:
             log_atom = self._log_hindsight(base + conv.atom_point, n)
             log_peak = max(log_peak, log_atom)
-        if log_peak - shift > _LOG_FLOAT_MAX:
+        if abs(log_peak - shift) > _LOG_FLOAT_MAX:
             shift = log_peak
         value = 0.0
         if conv.has_atom:

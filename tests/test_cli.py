@@ -328,6 +328,17 @@ class TestPredictCommand:
         assert code == 0, err
         assert math.isfinite(json.loads(out)["log_density"])
 
+    def test_gamma_tiny_prefix_cnml(self, tmp_path, capsys):
+        # the CNML normalizer underflowed to 0.0 (exit 3); for Gamma, CNML
+        # equals the Jeffreys predictive
+        data = tmp_path / "tiny.txt"
+        data.write_text("0.001\n")
+        argv = ["predict", "--family", "gamma", "--shape", "100", "--data", str(data),
+                "--future", "0.0013", "--method"]
+        cnml = run_json([*argv, "cnml"], capsys)
+        jeffreys = run_json([*argv, "jeffreys"], capsys)
+        assert cnml["log_density"] == pytest.approx(jeffreys["log_density"], abs=1e-9)
+
     def test_far_poisson_exp_prefix_jeffreys(self, tmp_path, capsys):
         # quadrature missed this evidence by 4.5e-4 while it reported an
         # error of 1.5e-9; the family's Bessel closed form replaces it
@@ -803,9 +814,11 @@ IG = ["--family", "inverse-gaussian", "--kappa", "2", "--future", "1.0"]
          "1e-320"),
         (["interval", "--family", "gamma", "--shape", "2", "--method", "credible"], "1e-320"),
         (["density", "--family", "gaussian", "--cov", "1", "--mu", "0", "--x", "1e200"], None),
+        (["density", "--family", "inverse-gaussian", "--kappa", "2", "--mu", "1e-300",
+          "--x", "1"], None),
     ],
     ids=["ig-jeffreys", "ig-cnml", "pe-confidence", "gamma-compare", "gamma-credible",
-         "gaussian-far-point"],
+         "gaussian-far-point", "ig-density-tiny-mu"],
 )
 def test_tiny_means_and_far_points_are_input_errors(argv, data, tmp_path, capsys):
     """A positive mean with no finite MLE raised a raw ZeroDivisionError or math

@@ -288,16 +288,22 @@ class TestIntegrateTrapezoid:
         assert result.value == pytest.approx(2.0, rel=1e-13)
 
     def test_evaluations_count_rows(self):
-        rows = []
+        grids = []
 
         def f(x):
-            rows.append(x.shape[0])
+            grids.append(x)
             return np.exp(-x * x)
 
         result = integrate_trapezoid(f, tol=1e-12)
         assert result.value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert result.evaluations == sum(rows)
-        assert len(rows) > 1  # the window widened or the step halved
+        assert len(grids) > 1  # the window widened or the step halved
+        # f sees each grid whole, the nodes j h for |j| <= k, and the count is
+        # the sum of the grid sizes
+        for x in grids:
+            k, h = x.size // 2, x[1] - x[0]
+            assert np.array_equal(x, np.arange(-k, k + 1) * h)
+        assert [x.size for x in grids] == [97 * 2**i - (2**i - 1) for i in range(len(grids))]
+        assert result.evaluations == sum(x.size for x in grids)
 
     def test_tails_that_underflow_to_zero(self):
         # exp(-256 x^4) is exactly 0 beyond |x| = 1.7; its integral is Gamma(1/4) / 8

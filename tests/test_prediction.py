@@ -103,6 +103,43 @@ class TestRatioIntegralLargeN:
                 assert abs(log_r - ref) <= 1e-10 * max(1.0, abs(ref)), (n, xbar)
                 assert rel_err <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 100.0, 1e4])
+    def test_gamma_at_estimates_across_the_float_range(self, alpha):
+        # R does not depend on theta_hat; the width in linear form overflowed
+        # at both ends, and -1e-300 gave -inf while -1e300 raised
+        family = GammaFamily(alpha)
+        for n in (1, 10, 10**3, 10**6, 10**9):
+            ref = _mp_log_ratio(family, n, 1.0)
+            for theta_hat in (-1e-300, -1e-8, -1.0, -1e8, -1e300):
+                log_r, rel_err = _log_ratio_integral(family, n, theta_hat, 1e-10)
+                assert abs(log_r - ref) <= 1e-10, (n, theta_hat)
+                assert rel_err <= 1e-10
+
+    @pytest.mark.parametrize("cov", [1e-300, 1e-8, 1.0, 1e8])
+    def test_gaussian_at_every_covariance(self, cov):
+        # R = sqrt(tau / n) whatever B; a width capped at 1, which only the
+        # half line needs, stretched the grid of a tiny B past the node budget
+        family = GaussianLocationFamily(cov)
+        for n in (1, 10, 10**3, 10**6, 10**9):
+            ref = _mp_log_ratio(family, n, 0.3)
+            log_r, rel_err = _log_ratio_integral(family, n, family.mle(0.3), 1e-10)
+            assert abs(log_r - ref) <= 1e-13, n
+            assert rel_err <= 1e-10
+        report = lemma1_constancy(family, 2, [[0.0, 1e-3], [-1.0, 2.0]])
+        assert report.values == pytest.approx((math.sqrt(TAU / 2),) * 2, rel=1e-13)
+
+    def test_gamma_at_mean_1e300(self):
+        # the width in linear form overflowed: the normalizer was 0.0 with
+        # error NaN, and lemma1_constancy divided by a zero median
+        family = GammaFamily(1.0)
+        ref = math.exp(_mp_log_ratio(family, 5, 1.0))
+        profile = renormalize(family, 5, family.mle(1e300))
+        assert profile.normalizer == pytest.approx(ref / math.sqrt(TAU), rel=1e-10)
+        assert profile.normalizer_error <= 1e-10 * profile.normalizer
+        report = lemma1_constancy(family, 1, [[1e300], [1.0]])
+        assert report.values == pytest.approx((math.exp(_mp_log_ratio(family, 1, 1.0)),) * 2)
+        assert report.relative_spread <= 1e-12
+
     def test_lemma1_gamma_at_a_million(self):
         # the QUADPACK split at theta_hat returned half of this value
         n = 10**6
@@ -364,6 +401,15 @@ class TestCnmlPredictor:
         expected = log_evidence(2, (x + y) / 2.0) - log_evidence(1, x) + log_carrier
         assert math.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,x,y", [(100.0, 1e-3, 1.3e-3), (1000.0, 0.1, 0.13)])
+    def test_gamma_peak_far_below_the_shift(self, alpha, x, y):
+        # the carrier lies more than the float range below the shift, and the
+        # normalizer underflowed to 0; for Gamma, CNML equals Jeffreys
+        family = GammaFamily(alpha)
+        cnml = CnmlPredictor(family).fit([x]).log_predictive([y])
+        jeffreys = JeffreysPredictor(family).fit([x]).log_predictive([y])
+        assert cnml == pytest.approx(jeffreys, abs=1e-9)
 
     def test_poisson_exp_prefix_1e12_fast(self):
         # the normalizer's nodes reach s ~ 1e12, where the carrier must stay cheap

@@ -298,8 +298,15 @@ def test_whole_numbers_in_any_notation():
         (InverseGaussianFamily(2.0), 1e200),  # mu**2 overflows: OverflowError
         (GammaFamily(2.0), 1e-320),  # the MLE is -inf
         (PoissonExponentialFamily(2.0), 1e-320),  # the MLE is -inf
+        (InverseGaussianFamily(2.0), 1e-300),
+        (InverseGaussianFamily(2.0), 1e300),
+        (GammaFamily(1.0), 1e-320),
     ],
 )
 def test_mean_without_a_finite_mle_is_a_domain_error(family, mean):
-    with pytest.raises(DomainError, match="has no MLE in floats"):
+    # the public mle applies the rule of as_batch, with the same message
+    with pytest.raises(DomainError, match="has no MLE in floats") as batch_error:
         as_batch(family, [mean])
+    with pytest.raises(DomainError) as mle_error:
+        family.mle(mean)
+    assert str(mle_error.value) == str(batch_error.value)
