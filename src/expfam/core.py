@@ -99,6 +99,12 @@ class Family(ParamsMixin):
     atom_point = 0.0
     d = 1
 
+    def set_params(self, **params):
+        """Set constructor arguments, then rebuild what ``__init__`` derives from them."""
+        super().set_params(**params)
+        self.__init__(**self.get_params())
+        return self
+
     # -- kernels supplied by subclasses ---------------------------------------
 
     def _cumulant(self, theta):

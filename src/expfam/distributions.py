@@ -29,6 +29,7 @@ from .validation import (
     check_positive,
     check_positive_array,
     check_unit_open,
+    float_array,
 )
 
 __all__ = [
@@ -160,7 +161,7 @@ class GaussianDist:
     precision: np.ndarray
 
     def log_pdf(self, x):
-        delta = np.atleast_1d(np.asarray(x, dtype=float)) - self.mean
+        delta = np.atleast_1d(float_array(x, "a point")) - self.mean
         if delta.shape != self.mean.shape or not np.all(np.isfinite(delta)):
             raise DomainError(f"a point of R^{self.mean.shape[0]} is needed, got {x!r}")
         logdet_cov = -float(np.linalg.slogdet(self.precision)[1])

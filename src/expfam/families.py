@@ -52,7 +52,7 @@ class GammaFamily(Family):
         self.alpha = alpha
         check_positive(alpha, "alpha")
         try:
-            math.lgamma(alpha)  # the carrier's normalizer
+            self._log_gamma_alpha = math.lgamma(alpha)  # the carrier's normalizer
         except OverflowError:
             raise DomainError(f"alpha must be below 2.56e305, got {alpha}") from None
 
@@ -69,7 +69,7 @@ class GammaFamily(Family):
         return -self.alpha / mu
 
     def _log_carrier(self, x):
-        return (self.alpha - 1.0) * math.log(x) - math.lgamma(self.alpha)
+        return (self.alpha - 1.0) * math.log(x) - self._log_gamma_alpha
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.alpha) - math.log(-theta)
@@ -135,6 +135,10 @@ class GaussianLocationFamily(Family):
             raise DomainError(f"cov is too near singular to invert in floats: {cov!r}")
         self._rows = B.tolist()
         self._inv_rows = self._B_inv.tolist()
+        # B and B^-1 as floats for the d = 1 kernels, and the carrier's constants
+        self._b, self._b_inv = self._rows[0][0], self._inv_rows[0][0]
+        self._half_log_tau_d = 0.5 * self.d * math.log(TAU)
+        self._half_logdet = 0.5 * self._logdet
 
     def _mul(self, rows, t):
         """The matrix ``rows`` (nested lists) times points, in ``_dot``'s order."""
@@ -144,24 +148,29 @@ class GaussianLocationFamily(Family):
             [sum(r[j] * t[..., j] for j in range(self.d)) for r in rows], axis=-1
         )
 
+    # At d == 1 the kernels run on plain floats (or stacks of them), in the
+    # order of the _mul/_dot forms they skip, so both give the same bits.
+
     def _cumulant(self, theta):
+        if self.d == 1:
+            return 0.5 * (self._b * theta * theta)
         return 0.5 * self._dot(self._mul(self._rows, theta), theta)
 
     def _mean_from_natural(self, theta):
         return self._mul(self._rows, theta)
 
     def _covariance(self, theta):
-        return self._rows[0][0] if self.d == 1 else self._B.copy()
+        return self._b if self.d == 1 else self._B.copy()
 
     def _mle(self, mu):
-        return self._mul(self._inv_rows, mu)
+        return self._b_inv * mu if self.d == 1 else self._mul(self._inv_rows, mu)
 
     def _log_carrier(self, x):
-        return (
-            -0.5 * self._dot(self._mul(self._inv_rows, x), x)
-            - 0.5 * self.d * math.log(TAU)
-            - 0.5 * self._logdet
-        )
+        if self.d == 1:
+            quad = self._b_inv * x * x
+        else:
+            quad = self._dot(self._mul(self._inv_rows, x), x)
+        return -0.5 * quad - self._half_log_tau_d - self._half_logdet
 
     def _log_jeffreys(self, theta):
         # J(theta) = det(B)^(1/2) does not depend on theta
@@ -182,7 +191,7 @@ class GaussianLocationFamily(Family):
         # predictive is the evidence ratio written without its O(n) terms
         if self.d != 1:
             return None
-        B = self._rows[0][0]
+        B = self._b
         k = future.shape[0]
         ybar = float(future.mean())
         spread = float(np.sum((future - ybar) ** 2))
@@ -216,7 +225,9 @@ class InverseGaussianFamily(Family):
 
     def __init__(self, kappa):
         self.kappa = kappa
-        check_positive(kappa, "kappa")
+        kappa = check_positive(kappa, "kappa")
+        # ln kappa - ln tau, the carrier's first term in its left-to-right order
+        self._log_kappa_over_tau = math.log(kappa) - math.log(TAU)
 
     def _cumulant(self, theta):
         return -math.sqrt(-2.0 * self.kappa * theta)
@@ -231,9 +242,8 @@ class InverseGaussianFamily(Family):
         return -self.kappa / (2.0 * mu**2)
 
     def _log_carrier(self, x):
-        return 0.5 * (
-            math.log(self.kappa) - math.log(TAU) - 3.0 * math.log(x)
-        ) - self.kappa / (2.0 * x)
+        log_norm = 0.5 * (self._log_kappa_over_tau - 3.0 * math.log(x))
+        return log_norm - self.kappa / (2.0 * x)
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(0.5 * math.sqrt(self.kappa / 2.0)) - 0.75 * math.log(

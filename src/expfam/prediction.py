@@ -46,7 +46,13 @@ from .errors import (
     SupportError,
 )
 from .numerics import DEFAULT_TOL
-from .validation import check_count, check_observations, check_positive, float_array
+from .validation import (
+    check_count,
+    check_finite_scalar,
+    check_observations,
+    check_positive,
+    float_array,
+)
 
 __all__ = [
     "PredictiveValue",
@@ -142,7 +148,7 @@ class _PredictorBase(ParamsMixin):
 
     def score_samples(self, Y):
         """One-step log predictive density at each point of Y."""
-        Y = np.atleast_1d(np.asarray(Y, dtype=float))
+        Y = np.atleast_1d(float_array(Y, "score points"))
         return np.array([self.predictive_value([y]).log_density for y in Y])
 
 
@@ -223,11 +229,19 @@ class CnmlPredictor(_PredictorBase):
         can lie more than the float range above or below it, and the
         integral would overflow or underflow.  The shift then moves to the
         peak.  Otherwise it stays, and so does the arithmetic.
+
+        The integrand is a closure built here, once per fit: it binds the
+        family's ``_convex_conjugate``, the k-fold carrier, the mean-domain
+        bounds and ``math.exp``, and does ``_log_hindsight``'s arithmetic
+        inline, so a QUADPACK node costs two kernel calls and no domain
+        check through ``in_mean_domain``.  Its values are those of
+        exp(_log_hindsight(base + s, n) + log carrier(s) - shift) bit for bit.
         """
         batch = self.batch_
+        fam = self.family
         n = batch.n + k
         base = batch.n * float(batch.xbar)
-        conv = self.family._convolution_family(k)
+        conv = fam._convolution_family(k)
         split = k * float(batch.xbar)
         log_peak = self._log_hindsight(base + split, n) + conv.log_carrier(split)
         if conv.has_atom:
@@ -239,10 +253,13 @@ class CnmlPredictor(_PredictorBase):
         if conv.has_atom:
             value += math.exp(log_atom - shift)
 
+        conjugate, log_carrier, exp = fam._convex_conjugate, conv._log_carrier, math.exp
+        lo, hi = fam.mean_domain
+
         def integrand(s):
-            return math.exp(
-                self._log_hindsight(base + s, n) + conv._log_carrier(s) - shift
-            )
+            xbar = (base + s) / n
+            log_hindsight = n * conjugate(xbar) if lo < xbar < hi else -math.inf
+            return exp(log_hindsight + log_carrier(s) - shift)
 
         try:
             result = integrate_over_support(
@@ -405,7 +422,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
     horizon = n - m
     worst = 0.0
     for xbar in prefix_means:
-        batch = ObservationBatch(n=m, xbar=float(xbar))
+        batch = ObservationBatch(n=m, xbar=check_finite_scalar(xbar, "prefix mean"))
         try:
             jeffreys = JeffreysPredictor(family, tol=tol).fit(batch)
             cnml = CnmlPredictor(family, horizon=horizon, tol=tol).fit(batch)
@@ -414,7 +431,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
                 f"predictor setup failed at prefix xbar={xbar}: {exc}"
             ) from exc
         for entry in future_grid:
-            suffix = np.atleast_1d(np.asarray(entry, dtype=float))
+            suffix = np.atleast_1d(float_array(entry, "future entry"))
             if suffix.shape[0] != horizon:
                 raise DomainError(
                     f"future entry {entry!r} has length {suffix.shape[0]}, "

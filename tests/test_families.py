@@ -16,7 +16,7 @@ from expfam import (
     conjugate_family,
     poisson_exponential_posterior,
 )
-from expfam.core import REAL_LINE
+from expfam.core import REAL_LINE, TAU
 from expfam.distributions import _log_series_factor
 from expfam.errors import DomainError, SupportError
 from expfam.numerics import integrate
@@ -408,3 +408,68 @@ class TestValidationContract:
                 log_saddlepoint_unnormalized(family, 3, th, t)
             )
         assert _log_series_factor(a, c) == PoissonExponentialFamily(a).log_carrier(wrap(c))
+
+
+class TestHoistedKernels:
+    """Kernels that skip frames or take constants from __init__ keep their bits."""
+
+    @staticmethod
+    def _matrix_forms(family, x):
+        # the d = 1 Gaussian kernels as the _mul/_dot forms that serve d > 1
+        quad = family._dot(family._mul(family._inv_rows, x), x)
+        return (
+            0.5 * family._dot(family._mul(family._rows, x), x),
+            family._mul(family._inv_rows, x),
+            -0.5 * quad - 0.5 * family.d * math.log(TAU) - 0.5 * family._logdet,
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        cov=st.floats(1e-8, 1e8),
+        xs=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6),
+    )
+    def test_gaussian_d1_kernels_equal_matrix_forms(self, cov, xs):
+        family = GaussianLocationFamily(cov)
+        kernels = (family._cumulant, family._mle, family._log_carrier)
+        for x in xs:  # floats
+            assert tuple(k(x) for k in kernels) == self._matrix_forms(family, x)
+        stack = np.array(xs).reshape(-1, 1)[..., 0]  # stacks take the same kernels
+        for got, want in zip((k(stack) for k in kernels), self._matrix_forms(family, stack)):
+            assert got.shape == stack.shape
+            assert np.array_equal(got, want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(shape=st.floats(1e-3, 1e4), x=st.floats(1e-300, 1e300))
+    def test_hoisted_carrier_constants_equal_inline_forms(self, shape, x):
+        gamma, ig = GammaFamily(shape), InverseGaussianFamily(shape)
+        gaussian = GaussianLocationFamily(shape)
+        assert gamma._log_carrier(x) == (shape - 1.0) * math.log(x) - math.lgamma(shape)
+        assert ig._log_carrier(x) == 0.5 * (
+            math.log(shape) - math.log(TAU) - 3.0 * math.log(x)
+        ) - shape / (2.0 * x)
+        assert gaussian._log_carrier(x) == (
+            -0.5 * (gaussian._inv_rows[0][0] * x * x)
+            - 0.5 * math.log(TAU)
+            - 0.5 * gaussian._logdet
+        )
+
+    def test_gaussian_d2_kernels_keep_matrix_forms(self):
+        family = GaussianLocationFamily([[2.0, 0.3], [0.3, 0.5]])
+        for x in (np.array([0.7, -1.2]), np.array([[0.7, -1.2], [3.0, 1e-3]])):
+            for got, want in zip(
+                (family._cumulant(x), family._mle(x), family._log_carrier(x)),
+                self._matrix_forms(family, x),
+            ):
+                assert np.array_equal(got, want)
+
+    def test_set_params_rebuilds_the_constants(self):
+        for family, name, value, fresh in (
+            (GammaFamily(2.0), "alpha", 3.5, GammaFamily(3.5)),
+            (InverseGaussianFamily(2.0), "kappa", 0.5, InverseGaussianFamily(0.5)),
+            (GaussianLocationFamily(1.0), "cov", 4.0, GaussianLocationFamily(4.0)),
+        ):
+            family.set_params(**{name: value})
+            assert family._log_carrier(1.3) == fresh._log_carrier(1.3)
+            assert family._cumulant(-0.7) == fresh._cumulant(-0.7)
+        with pytest.raises(DomainError):
+            GammaFamily(2.0).set_params(alpha=-1.0)

@@ -1,9 +1,11 @@
 """Tests for the prediction strategies and their agreement properties."""
 
+import functools
 import math
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -339,6 +341,46 @@ class TestJeffreysPredictor:
             ), family
 
 
+#: (family, horizon, prefix) for the CNML integrand's bit-identity test.
+CNML_CASES = [
+    (family, k, prefix)
+    for family, prefix in (
+        (GammaFamily(2.5), [0.4, 1.3]),
+        (GaussianLocationFamily(0.7), [-0.4, 1.3]),
+        (InverseGaussianFamily(2.0), [0.4, 1.3]),
+        (PoissonExponentialFamily(2.0), [0.0, 1.3]),
+    )
+    for k in (1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _cnml_integrand(case):
+    """(fitted predictor, k-fold family, shift, the function QUADPACK is given)."""
+    family, k, prefix = CNML_CASES[case]
+    predictor = CnmlPredictor(family, horizon=k).fit(prefix)
+    n = predictor.batch_.n + k
+    captured = []
+
+    def spy(f, *args, **kwargs):
+        captured.append(f)
+        return integrate(f, *args, **kwargs)
+
+    with mock.patch.object(core, "integrate", spy):
+        start = predictor._log_hindsight(n * float(predictor.batch_.xbar), n)
+        shift, _, _ = predictor._sum_normalizer(k, start, predictor.tol)
+    (f,) = captured
+    return predictor, family._convolution_family(k), shift, f
+
+
+def _outcome(f, x):
+    """f(x) as its exact bits, or the type of what it raises."""
+    try:
+        return float(f(x)).hex()
+    except Exception as exc:  # both forms must raise alike
+        return type(exc)
+
+
 class TestCnmlPredictor:
     def test_gamma_one_step_closed_form(self):
         predictor = CnmlPredictor(GammaFamily(1.0), tol=1e-11).fit([1.0])
@@ -457,6 +499,36 @@ class TestCnmlPredictor:
 
         with pytest.raises(NonNormalizableError):
             CnmlPredictor(FlatConjugate(), tol=1e-10).fit([1.0])
+
+    @pytest.mark.parametrize("case", range(len(CNML_CASES)))
+    @settings(max_examples=100, deadline=None)
+    @given(
+        v=st.one_of(
+            st.sampled_from([0.0, 1e-170, 1e150, -1e150, 1e160, math.inf, -math.inf]),
+            st.floats(-1e200, 1e200),
+        ),
+    )
+    def test_integrand_bits_equal_the_hindsight_form(self, case, v):
+        # the closure _sum_normalizer builds once per fit gives, node by node,
+        # the bits of exp(_log_hindsight + carrier - shift), raising where it
+        # raises; v = 1e150 puts s at 1e300, and v = 1e160 or s = inf takes
+        # (base + s)/n out of the mean domain
+        predictor, conv, shift, f = _cnml_integrand(case)
+        n = predictor.batch_.n + predictor._horizon
+        base = predictor.batch_.n * float(predictor.batch_.xbar)
+
+        def expected(v):
+            def g(s):
+                log_h = predictor._log_hindsight(base + s, n)
+                return math.exp(log_h + conv._log_carrier(s) - shift)
+
+            if conv.support_domain == core.POSITIVE_HALF_LINE:
+                return 2.0 * v * g(v * v)  # integrate_over_support's v^2 substitution
+            return g(v)
+
+        if conv.support_domain == core.POSITIVE_HALF_LINE:
+            v = abs(v)  # QUADPACK runs v over [0, inf)
+        assert _outcome(f, v) == _outcome(expected, v)
 
 
 class TestPlugInPredictor:
@@ -715,19 +787,20 @@ class TestValidationCost:
 
     @staticmethod
     def _count(monkeypatch, run):
-        counts = {"checks": 0, "integrals": 0, "evaluations": 0}
+        counts = {"checks": 0, "in_mean_domain": 0, "integrals": 0, "evaluations": 0}
 
-        def counted_check(name, cls):
-            original = getattr(cls, name)
+        def counted_check(name, key):
+            original = getattr(Family, name)
 
             def check(self, *args):
-                counts["checks"] += 1
+                counts[key] += 1
                 return original(self, *args)
 
-            monkeypatch.setattr(cls, name, check)
+            monkeypatch.setattr(Family, name, check)
 
         for name in ("_check_natural", "_check_mean", "_check_support"):
-            counted_check(name, Family)
+            counted_check(name, "checks")
+        counted_check("in_mean_domain", "in_mean_domain")
 
         def counted_rule(name):
             original = getattr(core, name)
@@ -781,3 +854,26 @@ class TestValidationCost:
         assert fine["evaluations"] > coarse["evaluations"] > 20 * grid
         assert coarse["checks"] <= 6 * grid
         assert fine["checks"] == coarse["checks"]
+
+    @pytest.mark.parametrize(
+        "family, prefix",
+        [
+            (GammaFamily(2.0), [0.5, 1.5]),
+            (GaussianLocationFamily(1.0), [-0.5, 1.0]),
+            (InverseGaussianFamily(2.0), [0.5, 1.5]),
+            (PoissonExponentialFamily(2.0), [0.0, 1.5]),
+        ],
+    )
+    def test_cnml_fit_checks_the_mean_domain_per_fit_not_per_node(
+        self, monkeypatch, family, prefix
+    ):
+        # the normalizer's integrand tests the domain bounds inline; the fit
+        # itself calls in_mean_domain for the batch, the shift, the peak and
+        # the atom, however many nodes QUADPACK takes
+        def run(tol):
+            fit = lambda: CnmlPredictor(family, horizon=2, tol=tol).fit(prefix)  # noqa: E731
+            return self._count(monkeypatch, fit)
+
+        coarse, fine = run(1e-6), run(1e-12)
+        assert fine["evaluations"] > coarse["evaluations"] > 20
+        assert fine["in_mean_domain"] == coarse["in_mean_domain"] <= 4

@@ -31,6 +31,7 @@ from expfam import (
     run_suite,
 )
 from expfam.core import Family
+from expfam.distributions import GaussianDist
 from expfam.errors import DegenerateDataError, DomainError, SupportError
 from expfam.prediction import _check_suffix, as_batch
 from expfam.validation import check_count
@@ -242,10 +243,16 @@ def _coverage(**kwargs):
         lambda: JeffreysPredictor(GAMMA).fit(["a"]),
         lambda: JeffreysPredictor(GAMMA).fit([1.0]).log_predictive(["a"]),
         lambda: InverseGaussianDist(1.0, 2.0).ppf(np.array([0.5])),
+        lambda: JeffreysPredictor(GAMMA).fit([1.0]).score_samples(["a"]),
+        lambda: equivalence_check(GAMMA, 1, 2, ["a"], [1.0]),
+        lambda: equivalence_check(GAMMA, 1, 2, [1.0], ["a"]),
+        lambda: GaussianDist(np.zeros(1), np.eye(1)).log_pdf("a"),
     ],
     ids=[
         "family-string", "family-none", "level-none", "tol-string", "batch-mean-string",
         "batch-mean-list", "cumulant-string", "fit-string", "suffix-string", "ppf-array",
+        "score-samples-string", "equivalence-prefix-string", "equivalence-future-string",
+        "gaussian-log-pdf-string",
     ],
 )
 def test_non_numbers_raise_domain_error(call):
