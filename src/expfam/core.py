@@ -26,7 +26,8 @@ import numpy as np
 
 from .base import ParamsMixin
 from .errors import DomainError, SupportError
-from .numerics import DEFAULT_TOL, exp_density, integrate, integrate_trapezoid
+# integrate is not used here; it stays importable as expfam.core.integrate
+from .numerics import exp_density, integrate, integrate_trapezoid  # noqa: F401
 from .validation import all_hold, check_count, check_finite_scalar, float_array
 
 TAU = 2.0 * math.pi
@@ -80,8 +81,9 @@ class Family(ParamsMixin):
     Subclasses supply each closed form once, as a kernel on validated
     values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
     ``_mle``, ``_log_carrier`` and ``_convolution_family``,
-    ``_log_jeffreys`` where the default would overflow, and
-    ``_ratio_exponent`` for the ratio integral.  A
+    ``_log_jeffreys`` where the default would overflow,
+    ``_ratio_exponent`` for the ratio integral, and a one-frame
+    ``_conjugate_carrier_kernel`` for the CNML normalizer.  A
     point is a float when d == 1 and a vector (d,) otherwise.  Each
     public method checks its arguments and calls the kernel of the same
     name; quadrature integrands, whose arguments are checked once before
@@ -202,6 +204,20 @@ class Family(ParamsMixin):
     def _convex_conjugate(self, x):
         theta_hat = self._mle(x)
         return self._dot(theta_hat, x) - self._cumulant(theta_hat)
+
+    def _conjugate_carrier_kernel(self, n, conv):
+        """(x, s) -> n A*(x) + ln h(s), h the carrier of the k-fold family ``conv``.
+
+        The log of the CNML normalizer's integrand.  The concrete families
+        inline both calls in one frame, in the same order, so their values
+        and exceptions are this default's bit for bit.
+        """
+        conjugate, log_carrier = self._convex_conjugate, conv._log_carrier
+
+        def kernel(x, s):
+            return n * conjugate(x) + log_carrier(s)
+
+        return kernel
 
     def _jeffreys_unnormalized(self, theta):
         cov = self._covariance(theta)
@@ -427,20 +443,3 @@ def _log_ratio_integral(family, n, theta_hat, tol):
         return float(log_r[0]), float(rel_err[0])
     return log_r, rel_err
 
-
-def integrate_over_support(family, g, tol=DEFAULT_TOL, split_points=()):
-    """Integrate ``g(x)`` over the continuous part of the support (d == 1).
-
-    Half-line supports are integrated after the substitution x = v*v, which
-    removes power-type endpoint singularities and turns stretched
-    exponential tails (the compound-Poisson case) into plain exponential
-    ones.  Any atom the family carries is the caller's business.
-    """
-    if family.d != 1:
-        raise DomainError("support quadrature is one-dimensional only")
-    if family.support_domain == POSITIVE_HALF_LINE:
-        points = [math.sqrt(p) for p in split_points if p > 0]
-        return integrate(
-            lambda v: 2.0 * v * g(v * v), 0.0, math.inf, tol=tol, points=points
-        )
-    return integrate(g, -math.inf, math.inf, tol=tol, points=list(split_points))

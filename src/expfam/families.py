@@ -32,6 +32,7 @@ from .distributions import (
     _log_series_factor,
 )
 from .errors import DomainError
+from .numerics import _scisp
 from .validation import all_hold, check_positive
 
 __all__ = [
@@ -73,6 +74,15 @@ class GammaFamily(Family):
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.alpha) - math.log(-theta)
+
+    def _conjugate_carrier_kernel(self, n, conv):
+        neg_alpha, a1, lg, log = -self.alpha, conv.alpha - 1.0, conv._log_gamma_alpha, math.log
+
+        def kernel(x, s):
+            theta = neg_alpha / x
+            return n * (theta * x - neg_alpha * log(-theta)) + (a1 * log(s) - lg)
+
+        return kernel
 
     def _ratio_exponent(self, n, theta_hat, v):
         # n D = n alpha (e^v - 1 - v) and J(theta) |dtheta/dv| = sqrt(alpha)
@@ -176,6 +186,18 @@ class GaussianLocationFamily(Family):
         # J(theta) = det(B)^(1/2) does not depend on theta
         return 0.5 * self._logdet
 
+    def _conjugate_carrier_kernel(self, n, conv):
+        if self.d != 1:
+            return super()._conjugate_carrier_kernel(n, conv)
+        b, b_inv, c_inv, c1, c2 = (
+            self._b, self._b_inv, conv._b_inv, conv._half_log_tau_d, conv._half_logdet)
+
+        def kernel(x, s):
+            t = b_inv * x
+            return n * (t * x - 0.5 * (b * t * t)) + (-0.5 * (c_inv * s * s) - c1 - c2)
+
+        return kernel
+
     def _ratio_exponent(self, n, theta_hat, v):
         # n D = n v.B.v / 2 with v = theta - theta_hat, and J is constant
         return -0.5 * n * self._dot(self._mul(self._rows, v), v)
@@ -250,6 +272,18 @@ class InverseGaussianFamily(Family):
             -theta
         )
 
+    def _conjugate_carrier_kernel(self, n, conv):
+        # theta x - A(theta) as theta x + sqrt(-2 kappa theta): a - (-b) is a + b in IEEE
+        neg_kappa, m2k, sqrt, log = -self.kappa, -2.0 * self.kappa, math.sqrt, math.log
+        c_log, c_kappa = conv._log_kappa_over_tau, conv.kappa
+
+        def kernel(x, s):
+            theta = neg_kappa / (2.0 * x**2)
+            log_h = n * (theta * x + sqrt(m2k * theta))
+            return log_h + (0.5 * (c_log - 3.0 * log(s)) - c_kappa / (2.0 * s))
+
+        return kernel
+
     def _ratio_exponent(self, n, theta_hat, v):
         # n D = n sqrt(2 kappa beta_hat) (e^(v/2) - 1)^2 / 2, J(theta) |dtheta/dv| ~ e^(v/4)
         c = 0.5 * n * np.sqrt(-2.0 * self.kappa * theta_hat)
@@ -300,6 +334,22 @@ class PoissonExponentialFamily(Family):
 
     def _log_jeffreys(self, theta):
         return 0.5 * math.log(self.kappa) - 1.5 * math.log(-theta)
+
+    def _conjugate_carrier_kernel(self, n, conv):
+        # the carrier is _log_series_factor(conv.kappa, s) inline, and 0 at the atom
+        kappa, z, sqrt, log, i1e = self.kappa, conv.kappa / 2.0, math.sqrt, math.log, _scisp.i1e
+        log_z, two_root_z = log(z), 2.0 * sqrt(z)
+
+        def kernel(x, s):
+            theta = -sqrt(kappa / (2.0 * x))
+            log_h = n * (theta * x - kappa / (2.0 * -theta))
+            if s == 0.0:
+                return log_h + 0.0
+            y = two_root_z * sqrt(s)
+            return log_h + (log_z + 0.125 * y * y if y < 1e-4
+                            else log_z + log(2.0 * i1e(y) / y) + y)
+
+        return kernel
 
     def _ratio_exponent(self, n, theta_hat, v):
         # n D = n kappa / (2 beta_hat) (e^v - 1)^2 e^-v = 2 n kappa / beta_hat sinh(v/2)^2,

@@ -32,11 +32,11 @@ import numpy as np
 
 from .base import ParamsMixin, check_is_fitted
 from .core import (
+    POSITIVE_HALF_LINE,
     Family,
     ObservationBatch,
     _check_mle_in_floats,
     _log_ratio_integral,
-    integrate_over_support,
 )
 from .errors import (
     DegenerateDataError,
@@ -45,7 +45,7 @@ from .errors import (
     NonNormalizableError,
     SupportError,
 )
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, integrate
 from .validation import (
     check_count,
     check_finite_scalar,
@@ -230,12 +230,12 @@ class CnmlPredictor(_PredictorBase):
         integral would overflow or underflow.  The shift then moves to the
         peak.  Otherwise it stays, and so does the arithmetic.
 
-        The integrand is a closure built here, once per fit: it binds the
-        family's ``_convex_conjugate``, the k-fold carrier, the mean-domain
-        bounds and ``math.exp``, and does ``_log_hindsight``'s arithmetic
-        inline, so a QUADPACK node costs two kernel calls and no domain
-        check through ``in_mean_domain``.  Its values are those of
-        exp(_log_hindsight(base + s, n) + log carrier(s) - shift) bit for bit.
+        The integrand is a closure built once per fit; a QUADPACK node
+        costs it and the family's ``_conjugate_carrier_kernel``, two frames.
+        On a half line it runs in v with s = v^2, which removes power-type
+        singularities at 0 and turns the compound Poisson's stretched
+        exponential tail into a plain one.  Its values and exceptions are
+        those of exp(_log_hindsight(base + s, n) + log carrier(s) - shift).
         """
         batch = self.batch_
         fam = self.family
@@ -253,17 +253,20 @@ class CnmlPredictor(_PredictorBase):
         if conv.has_atom:
             value += math.exp(log_atom - shift)
 
-        conjugate, log_carrier, exp = fam._convex_conjugate, conv._log_carrier, math.exp
-        lo, hi = fam.mean_domain
+        kernel = fam._conjugate_carrier_kernel(n, conv)
+        log_carrier, exp, lo, hi = conv._log_carrier, math.exp, *fam.mean_domain
+        half_line = conv.support_domain == POSITIVE_HALF_LINE
 
-        def integrand(s):
+        def integrand(v):
+            s = v * v if half_line else v
             xbar = (base + s) / n
-            log_hindsight = n * conjugate(xbar) if lo < xbar < hi else -math.inf
-            return exp(log_hindsight + log_carrier(s) - shift)
+            log_f = kernel(xbar, s) if lo < xbar < hi else -math.inf + log_carrier(s)
+            return 2.0 * v * exp(log_f - shift) if half_line else exp(log_f - shift)
 
         try:
-            result = integrate_over_support(
-                conv, integrand, tol=tol, split_points=[split]
+            result = integrate(
+                integrand, 0.0 if half_line else -math.inf, math.inf, tol=tol,
+                points=[math.sqrt(split) if half_line else split],
             )
         except OverflowError:
             raise NonConvergenceError(

@@ -19,7 +19,6 @@ from expfam import (
     ObservationBatch,
 )
 from expfam.cli import main as cli_main
-from expfam.core import integrate_over_support
 from expfam.distributions import PoissonExponentialDist
 from expfam.intervals import (
     coverage_simulation,
@@ -37,6 +36,7 @@ from expfam.numerics import (
 )
 from expfam.prediction import equivalence_check, lemma1_constancy
 from expfam.saddlepoint import exactness_report
+from support_quadrature import integrate_over_support
 
 
 def _families():
@@ -77,7 +77,7 @@ def _quadrature_kl(family, theta1, theta2):
         family,
         integrand,
         tol=1e-11,
-        split_points=[family.mean_from_natural(theta1)],
+        split=family.mean_from_natural(theta1),
     ).value
     return total
 
@@ -246,7 +246,7 @@ def test_criterion_6_compound_poisson_normalization():
         for beta in (0.5, 1.0, 2.0, 4.0):
             dist = PoissonExponentialDist(kappa, beta)
             quad = integrate_over_support(
-                family, dist.density, tol=1e-11, split_points=[dist.mean]
+                family, dist.density, tol=1e-11, split=dist.mean
             )
             worst_mass = max(worst_mass, abs(dist.atom_weight + quad.value - 1.0))
 

@@ -21,9 +21,9 @@ from expfam import (
     ObservationBatch,
     TAU,
 )
-from expfam.core import integrate_over_support
 from expfam.errors import DomainError, SupportError
 from expfam.numerics import integrate
+from support_quadrature import integrate_over_support
 
 
 def one_dim_families():
@@ -229,7 +229,7 @@ class TestKlDivergence:
 
         split = family.mean_from_natural(theta1)
         total += integrate_over_support(
-            family, integrand, tol=1e-11, split_points=[split]
+            family, integrand, tol=1e-11, split=split
         ).value
         return total
 
@@ -375,7 +375,7 @@ class TestLogDensity:
                 family,
                 lambda x: family.density(theta, x),
                 tol=1e-11,
-                split_points=[split],
+                split=split,
             ).value
             assert mass == pytest.approx(1.0, abs=1e-9)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expfam import (
@@ -410,6 +410,18 @@ class TestValidationContract:
         assert _log_series_factor(a, c) == PoissonExponentialFamily(a).log_carrier(wrap(c))
 
 
+def _decade(e):
+    return 10.0**e
+
+
+def _bits(f, *args):
+    """f(*args) as its exact bits, or the type and message of what it raises."""
+    try:
+        return float(f(*args)).hex()
+    except Exception as exc:  # both forms must raise alike
+        return type(exc), str(exc)
+
+
 class TestHoistedKernels:
     """Kernels that skip frames or take constants from __init__ keep their bits."""
 
@@ -452,6 +464,42 @@ class TestHoistedKernels:
             - 0.5 * math.log(TAU)
             - 0.5 * gaussian._logdet
         )
+
+    @pytest.mark.parametrize(
+        "make", [GammaFamily, GaussianLocationFamily, InverseGaussianFamily,
+                 PoissonExponentialFamily],
+        ids=["gamma", "gaussian", "inverse-gaussian", "poisson-exp"],
+    )
+    @settings(deadline=None, max_examples=300)
+    @given(
+        shape=st.floats(1e-3, 1e4),
+        n=st.integers(1, 10**9),
+        k=st.integers(1, 3),
+        x=st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(-300, 300).map(_decade)),
+        s=st.one_of(
+            st.sampled_from([0.0, 1e-300, 1e300, math.inf]), st.floats(-300, 300).map(_decade)
+        ),
+        negate=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_conjugate_carrier_kernel_equals_the_call_chain(
+        self, make, shape, n, k, x, s, negate
+    ):
+        # the one-frame kernel of the CNML normalizer gives the bits of
+        # n A*(x) + ln h_k(s) through _convex_conjugate and the k-fold
+        # _log_carrier, or raises what they raise, with the same message;
+        # x runs over the mean domain, s over the support (s = 0 and s = inf
+        # are QUADPACK's v = 0 and a v whose square overflows)
+        family = make(shape)
+        if family.mean_domain == REAL_LINE:
+            x, s = (-x if negate[0] else x), (-s if negate[1] else s)
+        assume(family.in_mean_domain(x))
+        conv = family._convolution_family(k)
+        kernel = family._conjugate_carrier_kernel(n, conv)
+
+        def chain(x, s):
+            return n * family._convex_conjugate(x) + conv._log_carrier(s)
+
+        assert _bits(kernel, x, s) == _bits(chain, x, s)
 
     def test_gaussian_d2_kernels_keep_matrix_forms(self):
         family = GaussianLocationFamily([[2.0, 0.3], [0.3, 0.5]])
