@@ -187,8 +187,7 @@ class GaussianLocationFamily(Family):
         return 0.5 * self._logdet
 
     def _conjugate_carrier_kernel(self, n, conv):
-        if self.d != 1:
-            return super()._conjugate_carrier_kernel(n, conv)
+        # on floats at d == 1, the only d at which CNML runs
         b, b_inv, c_inv, c1, c2 = (
             self._b, self._b_inv, conv._b_inv, conv._half_log_tau_d, conv._half_logdet)
 
