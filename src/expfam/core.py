@@ -336,11 +336,6 @@ class Family(ParamsMixin):
     def density(self, theta, x):
         return exp_density(self.log_density(theta, x))
 
-    def log_likelihood(self, theta, batch):
-        """Carrier-free part of the log likelihood, n*(theta.xbar - A(theta))."""
-        theta = self._check_natural(theta)
-        return batch.n * (self._dot(theta, batch.xbar) - self._cumulant(theta))
-
     def robustness_ratio(self, theta, x):
         """Density ratio p_theta(x) / p_that(x)(x) = exp(-bregman(theta, that(x)))."""
         theta = self._check_natural(theta)

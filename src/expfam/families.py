@@ -145,7 +145,7 @@ class GaussianLocationFamily(Family):
             raise DomainError(f"cov is too near singular to invert in floats: {cov!r}")
         self._rows = B.tolist()
         self._inv_rows = self._B_inv.tolist()
-        # B and B^-1 as floats for the d = 1 kernels, and the carrier's constants
+        # B and B^-1 as floats for the d = 1 closed forms, and the carrier's constants
         self._b, self._b_inv = self._rows[0][0], self._inv_rows[0][0]
         self._half_log_tau_d = 0.5 * self.d * math.log(TAU)
         self._half_logdet = 0.5 * self._logdet
@@ -158,12 +158,7 @@ class GaussianLocationFamily(Family):
             [sum(r[j] * t[..., j] for j in range(self.d)) for r in rows], axis=-1
         )
 
-    # At d == 1 the kernels run on plain floats (or stacks of them), in the
-    # order of the _mul/_dot forms they skip, so both give the same bits.
-
     def _cumulant(self, theta):
-        if self.d == 1:
-            return 0.5 * (self._b * theta * theta)
         return 0.5 * self._dot(self._mul(self._rows, theta), theta)
 
     def _mean_from_natural(self, theta):
@@ -173,13 +168,10 @@ class GaussianLocationFamily(Family):
         return self._b if self.d == 1 else self._B.copy()
 
     def _mle(self, mu):
-        return self._b_inv * mu if self.d == 1 else self._mul(self._inv_rows, mu)
+        return self._mul(self._inv_rows, mu)
 
     def _log_carrier(self, x):
-        if self.d == 1:
-            quad = self._b_inv * x * x
-        else:
-            quad = self._dot(self._mul(self._inv_rows, x), x)
+        quad = self._dot(self._mul(self._inv_rows, x), x)
         return -0.5 * quad - self._half_log_tau_d - self._half_logdet
 
     def _log_jeffreys(self, theta):
@@ -209,9 +201,8 @@ class GaussianLocationFamily(Family):
 
     def _log_jeffreys_predictive(self, n, xbar, future):
         # N(xbar, B/n) posterior of the mean: with k futures of mean ybar the
-        # predictive is the evidence ratio written without its O(n) terms
-        if self.d != 1:
-            return None
+        # predictive is the evidence ratio written without its O(n) terms; the
+        # predictors run at d == 1 only
         B = self._b
         k = future.shape[0]
         ybar = float(future.mean())

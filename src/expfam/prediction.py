@@ -134,6 +134,10 @@ class _PredictorBase(ParamsMixin):
     def fit(self, X):
         self._validate()
         self.batch_ = as_batch(self.family, X)
+        xbar = np.asarray(self.batch_.xbar)
+        if xbar.shape not in ((), (1,)):  # a length-1 vector is a 1-D point
+            raise DomainError(f"a predictor fits one batch mean, got shape {xbar.shape}")
+        self._m, self._xbar = self.batch_.n, xbar.item()
         self._prepare()
         return self
 
@@ -172,19 +176,14 @@ class JeffreysPredictor(_PredictorBase):
         return n * fam._convex_conjugate(xbar) + log_r, rel_err
 
     def _prepare(self):
-        batch = self.batch_
-        self.log_evidence_, self._evidence_rel_err = self._log_evidence(
-            batch.n, float(batch.xbar)
-        )
+        self.log_evidence_, self._evidence_rel_err = self._log_evidence(self._m, self._xbar)
 
     def _log_predictive(self, future):
-        batch = self.batch_
-        closed = self.family._log_jeffreys_predictive(batch.n, float(batch.xbar), future)
+        closed = self.family._log_jeffreys_predictive(self._m, self._xbar, future)
         if closed is not None:
             return closed, 0.0
-        k = future.shape[0]
-        n_new = batch.n + k
-        xbar_new = (batch.n * float(batch.xbar) + float(future.sum())) / n_new
+        n_new = self._m + future.shape[0]
+        xbar_new = (self._m * self._xbar + float(future.sum())) / n_new
         log_num, num_err = self._log_evidence(n_new, xbar_new)
         carriers = sum(self.family._log_carrier(y) for y in future.tolist())
         err = num_err + self._evidence_rel_err
@@ -219,8 +218,8 @@ class CnmlPredictor(_PredictorBase):
             return -math.inf
         return n * fam._convex_conjugate(xbar)
 
-    def _sum_normalizer(self, k, shift, tol):
-        """Quadrature of exp(n A*((base+s)/n)) against the k-fold carrier.
+    def _sum_normalizer(self, n, conv, shift):
+        """Quadrature of exp(n A*((base+s)/n)) against ``conv``'s k-fold carrier.
 
         Returns (shift, value, error), the normalizer being exp(shift) *
         value; the atom and the continuous part share the shift.  The
@@ -236,13 +235,11 @@ class CnmlPredictor(_PredictorBase):
         singularities at 0 and turns the compound Poisson's stretched
         exponential tail into a plain one.  Its values and exceptions are
         those of exp(_log_hindsight(base + s, n) + log carrier(s) - shift).
+        ``_prepare`` builds n = m + k and ``conv`` once, for ``_diverges`` too.
         """
-        batch = self.batch_
-        fam = self.family
-        n = batch.n + k
-        base = batch.n * float(batch.xbar)
-        conv = fam._convolution_family(k)
-        split = k * float(batch.xbar)
+        m, xbar, fam = self._m, self._xbar, self.family
+        base = m * xbar
+        split = self._horizon * xbar
         log_peak = self._log_hindsight(base + split, n) + conv.log_carrier(split)
         if conv.has_atom:
             log_atom = self._log_hindsight(base + conv.atom_point, n)
@@ -265,27 +262,24 @@ class CnmlPredictor(_PredictorBase):
 
         try:
             result = integrate(
-                integrand, 0.0 if half_line else -math.inf, math.inf, tol=tol,
+                integrand, 0.0 if half_line else -math.inf, math.inf, tol=self.tol,
                 points=[math.sqrt(split) if half_line else split],
             )
         except OverflowError:
             raise NonConvergenceError(
-                f"CNML normalizer integrand overflows for m={batch.n}, "
-                f"xbar={batch.xbar}, horizon={k}"
+                f"CNML normalizer integrand overflows for m={m}, "
+                f"xbar={xbar}, horizon={self._horizon}"
             ) from None
         return shift, value + result.value, result.error_estimate
 
-    def _diverges(self, k, shift):
+    def _diverges(self, n, conv, shift):
         """Doubling probe along the tail of the sum-normalizer integrand.
 
         Declares divergence when s * f(s) has not decayed across three
         decades of doubling, which catches constant and 1/s tails while
         leaving every integrable power or exponential tail alone.
         """
-        batch = self.batch_
-        n = batch.n + k
-        base = batch.n * float(batch.xbar)
-        conv = self.family._convolution_family(k)
+        base = self._m * self._xbar
         logs = []
         for j in range(10, 44, 4):
             s = 2.0**j
@@ -297,16 +291,16 @@ class CnmlPredictor(_PredictorBase):
         return logs[-1] > logs[0] - 2.0 and logs[-1] > -600.0
 
     def _prepare(self):
-        batch = self.batch_
         k = self._horizon
-        n = batch.n + k
-        shift = self._log_hindsight(n * float(batch.xbar), n)
+        n = self._m + k
+        shift = self._log_hindsight(n * self._xbar, n)
+        conv = self.family._convolution_family(k)
         try:
-            shift, value, err = self._sum_normalizer(k, shift, self.tol)
+            shift, value, err = self._sum_normalizer(n, conv, shift)
         except NonConvergenceError:
-            if self._diverges(k, shift):
+            if self._diverges(n, conv, shift):
                 raise NonNormalizableError(
-                    f"CNML normalizer diverges for m={batch.n}, horizon={k}"
+                    f"CNML normalizer diverges for m={self._m}, horizon={k}"
                 ) from None
             raise
         if not math.isfinite(value) or value <= 0:
@@ -317,14 +311,13 @@ class CnmlPredictor(_PredictorBase):
         self._normalizer_rel_err = err / value
 
     def _log_predictive(self, future):
-        batch = self.batch_
         k = future.shape[0]
         if k != self._horizon:
             raise DomainError(
                 f"this predictor was fitted for horizon {self._horizon}, got {k} points"
             )
-        n = batch.n + k
-        total = batch.n * float(batch.xbar) + float(future.sum())
+        n = self._m + k
+        total = self._m * self._xbar + float(future.sum())
         log_num = self._log_hindsight(total, n)
         carriers = sum(self.family._log_carrier(y) for y in future.tolist())
         return log_num + carriers - self.log_normalizer_, self._normalizer_rel_err
@@ -336,7 +329,7 @@ class PlugInPredictor(_PredictorBase):
     method = "PlugIn"
 
     def _prepare(self):
-        self.theta_hat_ = self.family._mle(float(self.batch_.xbar))
+        self.theta_hat_ = self.family._mle(self._xbar)
 
     def _log_predictive(self, future):
         fam = self.family
@@ -375,8 +368,7 @@ def regret(family, method, sequence, m, tol=DEFAULT_TOL):
     predictor = make_predictor(method, family, horizon=n - m, tol=tol)
     predictor.fit(ObservationBatch.from_observations(prefix))
     log_pred, _ = predictor._log_predictive(future)
-    theta_hat = family._mle(batch.xbar)
-    log_hindsight = n * (family._dot(theta_hat, batch.xbar) - family._cumulant(theta_hat))
+    log_hindsight = n * family._convex_conjugate(batch.xbar)
     return log_hindsight + sum(family._log_carrier(x) for x in sequence.tolist()) - log_pred
 
 

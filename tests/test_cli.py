@@ -339,6 +339,19 @@ class TestPredictCommand:
         jeffreys = run_json([*argv, "jeffreys"], capsys)
         assert cnml["log_density"] == pytest.approx(jeffreys["log_density"], abs=1e-9)
 
+    @pytest.mark.parametrize("method", ["cnml", "jeffreys", "plugin"])
+    def test_multivariate_gaussian_exit_code(self, method, tmp_path, capsys):
+        # the predictors are univariate; a 2-D Gaussian is an input error
+        data = tmp_path / "plane.txt"
+        data.write_text("0.0,1.0\n1.0,0.5\n")
+        code, _, err = run_cli(
+            ["predict", "--family", "gaussian", "--cov", "1,0;0,1", "--data", str(data),
+             "--future", "1.0", "--method", method],
+            capsys,
+        )
+        assert code == 2
+        assert "univariate only" in err
+
     def test_far_poisson_exp_prefix_jeffreys(self, tmp_path, capsys):
         # quadrature missed this evidence by 4.5e-4 while it reported an
         # error of 1.5e-9; the family's Bessel closed form replaces it

@@ -373,9 +373,10 @@ def _cnml_integrand(case):
 
     with mock.patch.object(prediction, "integrate", spy):
         start = predictor._log_hindsight(n * float(predictor.batch_.xbar), n)
-        shift, _, _ = predictor._sum_normalizer(k, start, predictor.tol)
+        conv = family._convolution_family(k)
+        shift, _, _ = predictor._sum_normalizer(n, conv, start)
     (f,) = captured
-    return predictor, family._convolution_family(k), shift, f
+    return predictor, conv, shift, f
 
 
 def _outcome(f, x):
@@ -849,6 +850,32 @@ class TestEstimatorSurface:
     def test_support_validated(self):
         with pytest.raises(Exception):
             JeffreysPredictor(GammaFamily(1.0)).fit([1.0, -2.0])
+
+    @pytest.mark.parametrize("make", [CnmlPredictor, JeffreysPredictor, PlugInPredictor])
+    def test_length_one_batch_mean_is_a_point(self, make):
+        # a length-1 mean used to escape float() as a raw TypeError
+        family = GammaFamily(2.0)
+        vector = make(family).fit(ObservationBatch(n=2, xbar=np.array([1.3])))
+        scalar = make(family).fit(ObservationBatch(n=2, xbar=1.3))
+        assert vector.log_predictive([0.7]) == scalar.log_predictive([0.7])
+
+    @pytest.mark.parametrize("make", [CnmlPredictor, JeffreysPredictor, PlugInPredictor])
+    def test_stacked_batch_means_rejected(self, make):
+        batch = ObservationBatch(n=2, xbar=np.array([1.0, 2.0]))
+        with pytest.raises(DomainError, match="one batch mean"):
+            make(GammaFamily(2.0)).fit(batch)
+
+    @pytest.mark.parametrize("make", [CnmlPredictor, JeffreysPredictor, PlugInPredictor])
+    def test_multivariate_family_rejected(self, make):
+        family = GaussianLocationFamily(np.eye(2))
+        with pytest.raises(DomainError, match="univariate only"):
+            make(family).fit([[0.0, 1.0], [1.0, 0.5]])
+
+    @pytest.mark.parametrize("method", ["cnml", "jeffreys", "plugin"])
+    def test_multivariate_regret_rejected(self, method):
+        family = GaussianLocationFamily(np.eye(2))
+        with pytest.raises(DomainError, match="univariate only"):
+            regret(family, method, [[0.0, 1.0], [1.0, 0.5], [0.3, 0.2]], 2)
 
 
 class TestValidationCost:
