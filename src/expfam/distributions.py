@@ -11,8 +11,11 @@ with a point mass exp(-kappa/(2*beta)) at zero; kappa = 2*lambda*beta ties
 the Poisson rate lambda to the family's shape parameter.
 
 Its distribution function is the Poisson-weighted sum of gamma distribution
-functions for lambda <= 30 (the CLI goldens pin those bits) and above that the
-zero-degree noncentral chi-squared form of Siegel (1979, *Biometrika* 66).
+functions for lambda <= 30 (the CLI goldens pin those bits).  Above that it is
+a contour integral through the saddle point of the Poisson counts' generating
+function, in closed form up to a 16-point Gauss-Hermite remainder, and in the
+far lower tail the zero-degree noncentral chi-squared form of Siegel (1979,
+*Biometrika* 66).
 """
 
 import functools
@@ -317,15 +320,52 @@ class PoissonExponentialDist:
         """P(Y <= x): the atom plus the Poisson-weighted gamma distribution functions.
 
         For lam <= 30 the sum runs over k = 1..lam+45, term by term, or
-        further until a geometric bound puts the rest below half an ulp.  Above,
-        2 beta Y is noncentral chi-squared with zero degrees of freedom and
-        noncentrality 2 lam (Siegel 1979), so with t = beta x and independent
-        Poisson counts N_t, N_lam
+        further until a geometric bound puts the rest below half an ulp.
 
-            P(Y <= x) = P(N_t > N_lam) + P(N_t = N_lam)
-                      = chndtr(2t, 2, 2 lam) + exp(-(sqrt(lam) - sqrt(t))^2) i0e(2 sqrt(lam t)),
+        Above, with t = beta x and independent Poisson counts N_t, N_lam,
+        P(Y <= x) = P(N_t >= N_lam) (Siegel 1979).  D = N_t - N_lam has the
+        generating function G(z) = exp(t(z - 1) + lam(1/z - 1)), so for t < lam
+        F = P(D >= 0) is the contour integral
 
-        two positive terms, so the lower tail keeps its digits at any lam.
+            F = (1/(2 pi i)) * integral of G(z) / (z - 1) dz
+
+        on any circle |z| = r > 1, and for t >= lam F is 1 less the integral
+        of G(z) / (1 - z) on a circle r <= 1.  Take r = sqrt(lam/t), the
+        circle through G's saddle point.  There G = exp(-d^2 - 2 xi s^2),
+        with d = sqrt(lam) - sqrt(t), xi = 2 sqrt(lam t) and s = sin(theta/2),
+        so it is real and peaks at theta = 0.  The real part of z/(z - 1) is
+
+            1/2 + (r^2 - 1) / (2 ((r - 1)^2 + 4 r s^2)),
+
+        and in s (d theta = 2 ds / sqrt(1 - s^2)) the three parts are
+
+        - the constant 1/2: half the atom, P(D = 0)/2 = exp(-d^2) i0e(xi)/2;
+        - the pole part, 1/sqrt(1 - s^2) replaced by 1/c, its value at the
+          poles s = +-i|r - 1|/(2 sqrt r), c = (r + 1)/(2 sqrt r), and
+          integrated over the whole line: exactly erfc(|d|)/2, with the
+          sign of r - 1 (2 xi times the squared pole distance is d^2);
+        - the remainder, proportional to exp(-2 xi s^2) / (q c (q + c)) with
+          q = sqrt(1 - s^2): of one sign, with nothing left to cancel.
+
+        So F = P(D = 0)/2 + erfc(d)/2 + T for t < lam and
+        F = 1 + P(D = 0)/2 - erfc(-d)/2 + T otherwise, where
+
+            T = exp(-d^2) d / (2 pi xi) * (integral over x > 0 of
+                exp(-x^2) / (q (q + c))),  s = x / sqrt(2 xi).
+
+        The 8 positive nodes of the 16-point Gauss-Hermite rule integrate T
+        and the atom's own integral, i0e(xi) = (2/pi) * (integral over
+        0 < s < 1 of exp(-2 xi s^2) / q), together; the neglected s > 1
+        weighs exp(-2 xi).  Where xi >= 20 the largest node sits at
+        s^2 = 0.55, clear of the branch point at s = 1.  Against a 40-digit
+        reference the cdf is then within 3e-14 relative in the lower tail
+        down to F = 1e-30 (further down the rounding of d^2 costs a few d^2
+        ulps: 2e-13 at F = 1e-280) and within 2.3e-16 absolute in the upper
+        tail, at any lam.  Below xi = 20 (t < 100/lam, the far lower tail) it is
+
+            chndtr(2t, 2, 2 lam) + exp(-d^2) i0e(xi),
+
+        P(D > 0) + P(D = 0), two positive terms.
         """
         x = check_nonnegative(x, "x")
         lam = self.poisson_rate
@@ -350,19 +390,38 @@ def _log_factorials():
     return _scisp.gammaln(np.arange(2.0, 152.0))
 
 
+# (x^2, w) at the 8 positive nodes of the 16-point Gauss-Hermite rule, which
+# equal numpy.polynomial.hermite.hermgauss(16): literals, so that the cdf
+# imports no numpy.polynomial
+_HERMITE_16 = (
+    (0.07479188259681827, 0.5079294790166137),
+    (0.6772490876492891, 0.2806474585285337),
+    (1.9051136350314286, 0.08381004139898583),
+    (3.8094763614849065, 0.012880311535509989),
+    (6.483145428627171, 0.0009322840086241807),
+    (10.093323675221344, 2.7118600925378892e-05),
+    (14.972627088426394, 2.3209808448652032e-07),
+    (21.984272840962653, 2.6548074740111673e-10),
+)
+
+
 def _pe_cdf(lam, t):
     """``PoissonExponentialDist.cdf`` at t = beta x > 0 for the Poisson rate
     lam, on arguments its callers checked."""
     if lam > 30.0:
         root_lam, root_t = math.sqrt(lam), math.sqrt(t)
-        out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam))
-        if math.isnan(out):  # from a rate of about 3e10
-            raise NonConvergenceError(
-                f"the noncentral chi-squared cdf is nan at lam={lam}, t={t}"
-            )
-        out += math.exp(-((root_lam - root_t) ** 2)) * float(
-            _scisp.i0e(2.0 * root_lam * root_t)
-        )
+        xi = 2.0 * root_lam * root_t
+        # chndtr takes the far lower tail, and the limits 0 and 1 where lam or
+        # beta x overflowed, on which the contour form's d would be NaN
+        if xi < 20.0 or math.isinf(lam + t):
+            out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam))
+            if math.isnan(out):  # scipy's NaN becomes an error naming the arguments
+                raise NonConvergenceError(
+                    f"the noncentral chi-squared cdf is nan at lam={lam}, t={t}"
+                )
+            out += math.exp(-((root_lam - root_t) ** 2)) * float(_scisp.i0e(xi))
+        else:
+            out = _pe_cdf_contour(lam, t, root_lam, root_t, xi)
     else:
         k = np.arange(1, int(lam + 45) + 1, dtype=float)
         out = math.exp(-lam)
@@ -378,3 +437,23 @@ def _pe_cdf(lam, t):
                 break
             k = k + len(k)
     return min(out, 1.0)
+
+
+def _pe_cdf_contour(lam, t, root_lam, root_t, xi):
+    """The saddle-point contour form of ``PoissonExponentialDist.cdf`` at xi >= 20.
+
+    With v = sqrt(2 xi), d = sqrt(lam) - sqrt(t) and c = (sqrt(lam) +
+    sqrt(t))/v, the half atom and T sum to exp(-d^2)/(pi v) times
+    sum_i w_i (q_i + 2 sqrt(lam)/v) / (q_i (q_i + c)), q_i = sqrt(1 - x_i^2/v^2).
+    """
+    v = math.sqrt(2.0 * xi)
+    d = (lam - t) / (root_lam + root_t)
+    a, c, h = 2.0 * root_lam / v, (root_lam + root_t) / v, 0.5 / xi
+    total = 0.0
+    for x2, w in _HERMITE_16:
+        q = math.sqrt(1.0 - x2 * h)
+        total += w * (q + a) / (q * (q + c))
+    body = math.exp(-d * d) * total / (math.pi * v)
+    if d > 0.0:
+        return body + 0.5 * math.erfc(d)
+    return 1.0 + body - 0.5 * math.erfc(-d)

@@ -15,6 +15,7 @@ from scipy import special
 from scipy.optimize import brentq  # the oracle of the Brent port
 
 from expfam.distributions import (
+    _HERMITE_16,
     GammaPosterior,
     InverseGaussianDist,
     PoissonExponentialDist,
@@ -406,14 +407,21 @@ class TestPoissonExponentialDist:
         values = [dist.cdf(x) for x in xs]
         assert np.all(np.diff(values) >= -1e-15)
 
+    def test_cdf_limits_where_the_rate_or_beta_x_overflows(self):
+        # lam = kappa / (2 rate) or t = rate x past the float range: the limits
+        assert PoissonExponentialDist(1e308, 1e305).cdf(1e10) == 1.0
+        assert PoissonExponentialDist(1e308, 1e-300).cdf(1e-8) == 0.0
+
     def test_large_poisson_rate_cdf(self):
-        # the noncentral chi-squared form must put the median near the mean at lambda >> 30
+        # the contour form must put the median near the mean at lambda >> 30
         dist = PoissonExponentialDist(2000.0, 0.01)  # lambda = 1e5
         mid = dist.cdf(dist.mean)
         assert 0.3 < mid < 0.7
 
     # P(Y <= t) for Poisson(lam) many Exp(1) jumps at t = max(lam + z sd, 1),
-    # sd = sqrt(2 lam), z in (-6, 0, 4), by 40-digit quadrature of the Bessel density:
+    # sd = sqrt(2 lam), z in (-6, 0, 4) and z = -9 at lam = 1e8, by 40-digit
+    # quadrature of the Bessel density (scipy's chndtr is 2e-8 off at lam = 1e8,
+    # z = -9, NaN at lam = 3e10 from z = 0 and NaN at 1e12):
     #
     #     mp.mp.dps = 40
     #     def ref(lam, t):
@@ -434,6 +442,13 @@ class TestPoissonExponentialDist:
         (1e8, 99915147.18625762, 9.7909375447359312e-10),
         (1e8, 1e8, 0.50001410473959751),
         (1e8, 100056568.54249492, 0.99996825772942269),
+        (1e8, 99872720.77938642, 1.099861639655717e-19),
+        (3e10, 29998530306.15433, 9.86153645271318e-10),
+        (3e10, 3e10, 0.50000081433751984),
+        (3e10, 30000979795.897114, 0.99996832466028831),
+        (1e12, 999991514718.6257, 9.8651246216621955e-10),
+        (1e12, 1e12, 0.50000014104739589),
+        (1e12, 1000005656854.2495, 0.99996832804842131),
     ]
 
     @pytest.mark.parametrize("lam, t, reference", CLOSED_FORM_REFERENCE)
@@ -442,6 +457,45 @@ class TestPoissonExponentialDist:
         assert PoissonExponentialDist(2.0 * lam, 1.0).cdf(t) == pytest.approx(
             reference, rel=2e-12, abs=0.0
         )
+
+    @pytest.mark.parametrize(
+        "lam, t, reference",
+        [row for row in CLOSED_FORM_REFERENCE if 2.0 * math.sqrt(row[0] * row[1]) >= 20.0],
+    )
+    def test_contour_form_against_mpmath(self, lam, t, reference):
+        # xi = 2 sqrt(lam t) >= 20: the saddle-point contour form keeps the lower
+        # tail's digits, and the upper tail's to 1e-15 absolute
+        cdf = _pe_cdf(lam, t)
+        if reference < 0.5:
+            assert cdf == pytest.approx(reference, rel=3e-14, abs=0.0)
+        else:
+            assert cdf == pytest.approx(reference, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [30.5, 31.0, 40.0, 50.0, 100.0, 130.0])
+    def test_forms_meet_at_xi_20(self, lam):
+        # chndtr just below xi = 2 sqrt(lam t) = 20 against the contour form
+        # extrapolated linearly from just above it
+        cut, eps = 100.0 / lam, 1e-9
+        below, above, further = (_pe_cdf(lam, cut * (1.0 + k * eps)) for k in (-1, 1, 3))
+        assert 2.0 * above - further == pytest.approx(below, rel=3e-14, abs=0.0)
+        # and the cdf does not decrease in t across the switch
+        values = [_pe_cdf(lam, cut * (1.0 + k * 1e-12)) for k in range(-50, 51)]
+        assert np.all(np.diff(values) >= 0.0)
+
+    def test_hermite_nodes_are_hermgauss_16(self):
+        # the contour form's literal (x^2, w) pairs: numpy.polynomial stays
+        # unimported in the CLI
+        x, w = np.polynomial.hermite.hermgauss(16)
+        assert _HERMITE_16 == tuple(
+            (float(xi * xi), float(wi)) for xi, wi in zip(x[8:], w[8:])
+        )
+
+    def test_hermite_rule_gives_i0e_at_xi_20_and_above(self):
+        # the same 8 nodes integrate the atom's i0e(xi) within a few ulps
+        for xi in (20.0, 20.5, 25.0, 50.0, 100.0, 1e3, 1e6, 1e12):
+            rule = sum(w / math.sqrt(1.0 - x2 / (2.0 * xi)) for x2, w in _HERMITE_16)
+            value = 2.0 * rule / (math.pi * math.sqrt(2.0 * xi))
+            assert value == pytest.approx(special.i0e(xi), rel=1e-15, abs=0.0)
 
     def test_branches_meet_at_lambda_30(self):
         # the sum just below the cut against the closed form extrapolated

@@ -17,7 +17,7 @@ from expfam import (
 )
 from expfam.core import REAL_LINE
 from expfam.distributions import InverseGaussianDist, PoissonExponentialDist
-from expfam.errors import DegenerateDataError, DomainError, NonConvergenceError
+from expfam.errors import DegenerateDataError, DomainError
 from expfam import intervals
 from expfam.intervals import (
     CoverageReport,
@@ -270,9 +270,30 @@ class TestPoissonExponentialConfidence:
 
     def test_rate_beyond_the_chi_squared_kernel(self):
         # near beta = sqrt(1e-3) the Poisson rate m kappa / (2 beta) is 3.2e10,
-        # where scipy's chndtr returns nan: the cdf kernel says where
-        with pytest.raises(NonConvergenceError, match="chi-squared cdf is nan at lam=316"):
-            poisson_exp_confidence(2.0, ObservationBatch(n=10**9, xbar=1e3), 0.9)
+        # where scipy's chndtr returns nan; the contour form holds there.  The
+        # root is mpmath's secant method on the 40-digit cdf, and Brent's xtol
+        # is 1e-12
+        started = time.perf_counter()
+        result = poisson_exp_confidence(2.0, ObservationBatch(n=10**9, xbar=1e3), 0.9)
+        assert time.perf_counter() - started < 1.0
+        assert result.upper == pytest.approx(0.031622937748422424, rel=0.0, abs=2e-12)
+
+    def test_no_endpoint_of_the_large_sample_grid_raises(self):
+        # m 1e6..1e9 by x-bar 1e-3..1e3 by kappa 0.1, 2, 10: Poisson rates up to
+        # 7e10; the level lies between the cdfs a Brent tolerance either side
+        started = time.perf_counter()
+        for m in (10**6, 10**7, 10**8, 10**9):
+            for xbar in 10.0 ** np.arange(-3, 4):
+                for kappa in (0.1, 2.0, 10.0):
+                    batch = ObservationBatch(n=m, xbar=float(xbar))
+                    upper = poisson_exp_confidence(kappa, batch, 0.9).upper
+                    step = 2e-12 + 1e-15 * upper
+                    low, high = (
+                        PoissonExponentialDist(m * kappa, beta).cdf(m * xbar)
+                        for beta in (upper - step, upper + step)
+                    )
+                    assert low <= 0.9 <= high
+        assert time.perf_counter() - started < 5.0
 
     def test_matches_brentq_on_the_distribution_cdf(self):
         # the endpoint is scipy's brentq, bit for bit, on the cdf of a
