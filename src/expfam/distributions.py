@@ -10,12 +10,12 @@ continuous part of the density of Y = X_1 + ... + X_N factors as
 with a point mass exp(-kappa/(2*beta)) at zero; kappa = 2*lambda*beta ties
 the Poisson rate lambda to the family's shape parameter.
 
-Its distribution function is the Poisson-weighted sum of gamma distribution
-functions for lambda <= 30 (the CLI goldens pin those bits).  Above that it is
-a contour integral through the saddle point of the Poisson counts' generating
-function, in closed form up to a 16-point Gauss-Hermite remainder, and in the
-far lower tail the zero-degree noncentral chi-squared form of Siegel (1979,
-*Biometrika* 66).
+Its distribution function has two forms.  One is the Poisson-weighted sum of
+gamma distribution functions, for lambda <= 30 (the CLI goldens pin those
+bits) and in the far lower tail above it.  The other is a contour integral
+through the saddle point of the Poisson counts' generating function (Siegel
+1979, *Biometrika* 66), in closed form up to a 16-point Gauss-Hermite
+remainder.
 """
 
 import functools
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, SupportError
+from .errors import DomainError, SupportError
 from .numerics import _scisp, find_root, std_normal_quantile
 from .validation import (
     all_hold,
@@ -273,12 +273,15 @@ def _log_series_factor(kappa, x):
     evaluation of Tweedie densities*); ``i1e`` = exp(-y) I_1(y) keeps it
     in range for any y.  Below y = 1e-4 the expansion
     log S = log z + y^2/8 - y^4/384 + ... is exact to 3e-19 with two terms,
-    and it stays finite where y underflows and I_1(y)/y would be 0/0.
+    and it stays finite where y underflows and I_1(y)/y would be 0/0.  Above
+    y = 1e200 it takes log(2 i1e(y)) - log y, as 2 i1e(y)/y nears underflow.
     """
     z = kappa / 2.0
     y = 2.0 * math.sqrt(z) * math.sqrt(x)
     if y < 1e-4:
         return math.log(z) + 0.125 * y * y
+    if y > 1e200:
+        return math.log(z) + (math.log(2.0 * _scisp.i1e(y)) - math.log(y)) + y
     return math.log(z) + math.log(2.0 * _scisp.i1e(y) / y) + y
 
 
@@ -361,11 +364,9 @@ class PoissonExponentialDist:
         reference the cdf is then within 3e-14 relative in the lower tail
         down to F = 1e-30 (further down the rounding of d^2 costs a few d^2
         ulps: 2e-13 at F = 1e-280) and within 2.3e-16 absolute in the upper
-        tail, at any lam.  Below xi = 20 (t < 100/lam, the far lower tail) it is
-
-            chndtr(2t, 2, 2 lam) + exp(-d^2) i0e(xi),
-
-        P(D > 0) + P(D = 0), two positive terms.
+        tail, at any lam.  Below xi = 20 (t < 100/lam, the far lower tail) the
+        sum takes over again: its terms peak near k = xi/2 < 10, so its first
+        75 terms hold it all.
         """
         x = check_nonnegative(x, "x")
         lam = self.poisson_rate
@@ -384,9 +385,9 @@ class PoissonExponentialDist:
 
 @functools.cache
 def _log_factorials():
-    """gammaln(k + 1) for k = 1..150: the lam <= 30 sum of ``_pe_cdf`` stops
-    within two blocks of int(lam + 45) terms (the weight at the second's end
-    is below e^-90 of the atom)."""
+    """gammaln(k + 1) for k = 1..150: the sum of ``_pe_cdf`` stops within two
+    blocks of int(min(lam, 30) + 45) terms (at lam <= 30 the weight at the
+    second's end is below e^-90 of the atom; above, one block holds the sum)."""
     return _scisp.gammaln(np.arange(2.0, 152.0))
 
 
@@ -409,33 +410,29 @@ def _pe_cdf(lam, t):
     """``PoissonExponentialDist.cdf`` at t = beta x > 0 for the Poisson rate
     lam, on arguments its callers checked."""
     if lam > 30.0:
+        # the limits where lam or beta x overflowed, on which d would be NaN
+        if math.isinf(lam) or math.isinf(t):
+            return 0.0 if math.isinf(lam) else 1.0
         root_lam, root_t = math.sqrt(lam), math.sqrt(t)
         xi = 2.0 * root_lam * root_t
-        # chndtr takes the far lower tail, and the limits 0 and 1 where lam or
-        # beta x overflowed, on which the contour form's d would be NaN
-        if xi < 20.0 or math.isinf(lam + t):
-            out = float(_scisp.chndtr(2.0 * t, 2.0, 2.0 * lam))
-            if math.isnan(out):  # scipy's NaN becomes an error naming the arguments
-                raise NonConvergenceError(
-                    f"the noncentral chi-squared cdf is nan at lam={lam}, t={t}"
-                )
-            out += math.exp(-((root_lam - root_t) ** 2)) * float(_scisp.i0e(xi))
-        else:
-            out = _pe_cdf_contour(lam, t, root_lam, root_t, xi)
-    else:
-        k = np.arange(1, int(lam + 45) + 1, dtype=float)
-        out = math.exp(-lam)
-        while True:
-            log_k_factorial = _log_factorials()[int(k[0]) - 1 : int(k[-1])]
-            log_w = -lam + k * math.log(lam) - log_k_factorial
-            terms = np.exp(log_w) * _scisp.gammainc(k, t)
-            out += float(np.sum(terms))
-            # later terms shrink by lam/(k+1) <= r each: their sum is below
-            # terms[-1] r / (1 - r), which must fall under half an ulp of out
-            r = lam / (k[-1] + 1.0)
-            if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
-                break
-            k = k + len(k)
+        if xi >= 20.0:
+            return min(_pe_cdf_contour(lam, t, root_lam, root_t, xi), 1.0)
+    k = np.arange(1, int(min(lam, 30.0) + 45) + 1, dtype=float)
+    out = math.exp(-lam)
+    while True:
+        log_k_factorial = _log_factorials()[int(k[0]) - 1 : int(k[-1])]
+        log_w = -lam + k * math.log(lam) - log_k_factorial
+        terms = np.exp(log_w) * _scisp.gammainc(k, t)
+        out += float(np.sum(terms))
+        # later terms shrink by r each: their sum is below terms[-1] r / (1 - r),
+        # which must fall under half an ulp of out.  Where lam/(k+1) >= 1,
+        # r also takes the gamma cdfs' ratio: P(k+1, t) <= t/(k+1) P(k, t)
+        r = lam / (k[-1] + 1.0)
+        if r >= 1.0:
+            r *= t / (k[-1] + 1.0)
+        if terms[-1] * r / (1.0 - r) <= 2.0**-53 * out:
+            break
+        k = k + len(k)
     return min(out, 1.0)
 
 

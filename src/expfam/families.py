@@ -336,6 +336,8 @@ class PoissonExponentialFamily(Family):
             if s == 0.0:
                 return log_h + 0.0
             y = two_root_z * sqrt(s)
+            if y > 1e200:  # where 2 i1e(y)/y nears underflow
+                return log_h + (log_z + (log(2.0 * i1e(y)) - log(y)) + y)
             return log_h + (log_z + 0.125 * y * y if y < 1e-4
                             else log_z + log(2.0 * i1e(y) / y) + y)
 

@@ -105,7 +105,7 @@ def test_scipy_special_handle_returns_scipy_functions():
     names = set()
     for module in src.glob("*.py"):
         names.update(re.findall(r"_scisp\.(\w+)", module.read_text()))
-    assert {"gammainc", "ndtri", "i1e", "chndtr"} <= names
+    assert {"gammainc", "ndtri", "i1e", "erfcx"} <= names
     for name in sorted(names):
         assert getattr(numerics._scisp, name) is getattr(special, name), name
         assert vars(numerics._scisp)[name] is getattr(special, name), name  # kept
@@ -174,6 +174,15 @@ class TestDensityCommand:
         )
         assert record["value_type"] == "atom"
         assert record["value"] == pytest.approx(0.3678794, abs=1e-7)
+
+    def test_poisson_exp_density_where_the_bessel_quotient_underflows(self, capsys):
+        # 2 i1e(y)/y underflows to 0 at y = 2 sqrt(kappa x / 2) = 1.4e300
+        record = run_json(
+            ["density", "--family", "poisson-exp", "--kappa", "1e300", "--rate", "1",
+             "--x", "1e300"],
+            capsys,
+        )
+        assert math.isfinite(record["log_value"])
 
     def test_support_error_exit_code(self, capsys):
         code, out, err = run_cli(

@@ -25,6 +25,7 @@ from expfam.distributions import (
 from expfam.errors import DomainError, SupportError
 from expfam.families import PoissonExponentialFamily
 from expfam.numerics import integrate, rng_stream
+from expfam.prediction import PlugInPredictor
 
 TAU = 2.0 * math.pi
 
@@ -342,6 +343,16 @@ class TestPoissonExponentialSeries:
             assert values == sorted(values)
             assert values[0] == pytest.approx(math.log(kappa / 2.0), abs=1e-15)
 
+    def test_finite_where_the_bessel_quotient_underflows(self):
+        # y = 2 sqrt(kappa x / 2) = 1.4e300: 2 i1e(y)/y underflows to 0, so the
+        # log of the quotient is taken as a difference above y = 1e200
+        with mp.workdps(50):
+            z, x = mp.mpf(1e300) / 2, mp.mpf(1e300)
+            y = 2 * mp.sqrt(z * x)
+            reference = float(mp.log(z) + mp.log(2 * mp.besseli(1, y) / y))
+        assert log_series_factor(1e300, 1e300) == pytest.approx(reference, rel=1e-16, abs=0.0)
+        PlugInPredictor(PoissonExponentialFamily(1e300)).fit([1e300])
+
     def test_rejects_non_finite(self):
         for x in (math.nan, math.inf, -1.0):
             with pytest.raises(SupportError):
@@ -471,9 +482,33 @@ class TestPoissonExponentialDist:
         else:
             assert cdf == pytest.approx(reference, rel=0.0, abs=1e-15)
 
+    # the far lower tail, lam > 30 and xi = 2 sqrt(lam t) < 20, where the sum
+    # takes over from the contour form (scipy's chndtr was 1.2-4.3% off in the
+    # last three rows), by the same sum over k at 50 digits:
+    #
+    #     mp.mp.dps = 50
+    #     def ref(lam, t):
+    #         lam, t = mp.mpf(lam), mp.mpf(t)
+    #         return mp.exp(-lam) * (1 + mp.fsum(
+    #             mp.exp(k * mp.log(lam) - mp.loggamma(k + 1))
+    #             * mp.gammainc(k, 0, t, regularized=True) for k in range(1, 200)))
+    FAR_TAIL_REFERENCE = [
+        (40.0, 1.0, 6.4884733738720383e-14),
+        (100.0, 0.5, 3.5924686549758402e-39),
+        (200.0, 0.4, 5.4109460961957495e-81),
+        (300.0, 0.25, 1.3257631923315057e-124),
+        (700.0, 0.1, 1.6409576954524391e-298),
+    ]
+
+    @pytest.mark.parametrize("lam, t, reference", FAR_TAIL_REFERENCE)
+    def test_far_lower_tail_against_mpmath(self, lam, t, reference):
+        assert PoissonExponentialDist(2.0 * lam, 1.0).cdf(t) == pytest.approx(
+            reference, rel=3e-14, abs=0.0
+        )
+
     @pytest.mark.parametrize("lam", [30.5, 31.0, 40.0, 50.0, 100.0, 130.0])
     def test_forms_meet_at_xi_20(self, lam):
-        # chndtr just below xi = 2 sqrt(lam t) = 20 against the contour form
+        # the sum just below xi = 2 sqrt(lam t) = 20 against the contour form
         # extrapolated linearly from just above it
         cut, eps = 100.0 / lam, 1e-9
         below, above, further = (_pe_cdf(lam, cut * (1.0 + k * eps)) for k in (-1, 1, 3))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expfam import (
@@ -468,6 +468,8 @@ class TestHoistedKernels:
         ),
         negate=st.tuples(st.booleans(), st.booleans()),
     )
+    # the Poisson-exponential carrier at y = 1.4e300, past 2 i1e(y)/y's underflow
+    @example(shape=1e300, n=1, k=1, x=1e300, s=1e300, negate=(False, False))
     def test_conjugate_carrier_kernel_equals_the_call_chain(
         self, make, shape, n, k, x, s, negate
     ):
