@@ -271,7 +271,7 @@ def _log_series_factor(kappa, x):
     With z = kappa/2 and y = 2 sqrt(z x) the series sums to
     S = sqrt(z/x) I_1(y) = z I_1(y) / (y/2) (Dunn & Smyth 2005, *Series
     evaluation of Tweedie densities*); ``i1e`` = exp(-y) I_1(y) keeps it
-    in range for any y.  Below y = 1e-4 the expansion
+    in range for any finite y.  Below y = 1e-4 the expansion
     log S = log z + y^2/8 - y^4/384 + ... is exact to 3e-19 with two terms,
     and it stays finite where y underflows and I_1(y)/y would be 0/0.  Above
     y = 1e200 it takes log(2 i1e(y)) - log y, as 2 i1e(y)/y nears underflow.
@@ -281,6 +281,8 @@ def _log_series_factor(kappa, x):
     if y < 1e-4:
         return math.log(z) + 0.125 * y * y
     if y > 1e200:
+        if y == math.inf:  # log S is about y
+            raise DomainError("the carrier exceeds the float range")
         return math.log(z) + (math.log(2.0 * _scisp.i1e(y)) - math.log(y)) + y
     return math.log(z) + math.log(2.0 * _scisp.i1e(y) / y) + y
 

@@ -33,7 +33,7 @@ from .distributions import (
 )
 from .errors import DomainError
 from .numerics import _scisp
-from .validation import all_hold, check_positive
+from .validation import all_hold, check_finite_scalar, check_positive
 
 __all__ = [
     "GammaFamily",
@@ -232,8 +232,33 @@ class GaussianLocationFamily(Family):
         return draws[..., 0] if self.d == 1 else draws
 
 
+#: Above this w, ln g(w) sums six terms of the Hankel series of 2 ive(1/4, w),
+#: its first omitted term below 2e-21; scipy's ``ive`` returns NaN from w = 1.07e9.
+_HANKEL_W = 1e3
+
+
+def _log_bessel_factor(w):
+    """ln g(w), g(w) = sqrt(pi w / 2) (ive(-1/4, w) + ive(1/4, w)); g tends to 1."""
+    if not w > 0.0:
+        raise DomainError(f"n kappa / (4 xbar) underflows to {w}")
+    if w > _HANKEL_W:  # I_(-1/4) - I_(1/4) is O(e^-2w); DLMF 10.40.1
+        term, total = 1.0, 0.0
+        for k in range(1, 7):
+            term *= (2 * k - 1.5) * (2 * k - 0.5) / (8 * k * w)
+            total += term
+        return math.log1p(total)
+    return 0.5 * math.log(0.5 * math.pi * w) + math.log(_scisp.ive(-0.25, w) + _scisp.ive(0.25, w))
+
+
 class InverseGaussianFamily(Family):
-    """Inverse Gaussian with fixed shape ``kappa``; the mean varies."""
+    """Inverse Gaussian with fixed shape ``kappa``; the mean varies.
+
+    Its Jeffreys evidence is exp(n A*(xbar)) R, n A*(xbar) = n kappa / (2 xbar) = 2w, with
+    R = pi sqrt(kappa / (4 xbar)) (ive(-1/4, w) + ive(1/4, w)) = sqrt(tau / n) g(w):
+    theta = -u^2 makes the evidence 2c times the integral of u^(-1/2) exp(-n xbar
+    u^2 + n sqrt(2 kappa) u), c^4 = kappa / 8, a parabolic cylinder D_(-1/2)(-2 sqrt(w))
+    (Gradshteyn & Ryzhik 3.462.1) that DLMF 12.7.10-11 write with I_(+-1/4)(w).
+    """
 
     def __init__(self, kappa):
         self.kappa = kappa
@@ -278,6 +303,22 @@ class InverseGaussianFamily(Family):
         # n D = n sqrt(2 kappa beta_hat) (e^(v/2) - 1)^2 / 2, J(theta) |dtheta/dv| ~ e^(v/4)
         c = 0.5 * n * np.sqrt(-2.0 * self.kappa * theta_hat)
         return -c * np.expm1(0.5 * v) ** 2 + 0.25 * v
+
+    def _log_jeffreys_evidence(self, n, xbar):
+        w = n * self.kappa / (4.0 * xbar)
+        log_e = 2.0 * w + 0.5 * (math.log(TAU) - math.log(n)) + _log_bessel_factor(w)
+        return check_finite_scalar(log_e, "the inverse Gaussian Jeffreys evidence")
+
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        # the evidence ratio, its O(n) terms merged into one quotient: k futures
+        # of sum s take n xbar to t = n xbar + s and w to (n + k)^2 kappa / (4 t)
+        k, s, kappa = future.shape[0], float(future.sum()), self.kappa
+        t = n * xbar + s
+        log_p = kappa * (k * xbar * (2 * n + k) - n * s) / (2.0 * xbar * t)
+        log_p += _log_bessel_factor((n + k) ** 2 * kappa / (4.0 * t)) - 0.5 * math.log1p(k / n)
+        log_p -= _log_bessel_factor(n * kappa / (4.0 * xbar))
+        log_p += sum(self._log_carrier(y) for y in future.tolist())
+        return check_finite_scalar(log_p, "the inverse Gaussian Jeffreys predictive")
 
     def conjugate(self):
         return PoissonExponentialFamily(self.kappa)
@@ -337,6 +378,8 @@ class PoissonExponentialFamily(Family):
                 return log_h + 0.0
             y = two_root_z * sqrt(s)
             if y > 1e200:  # where 2 i1e(y)/y nears underflow
+                if y == math.inf:
+                    raise DomainError("the carrier exceeds the float range")
                 return log_h + (log_z + (log(2.0 * i1e(y)) - log(y)) + y)
             return log_h + (log_z + 0.125 * y * y if y < 1e-4
                             else log_z + log(2.0 * i1e(y) / y) + y)

@@ -3,10 +3,10 @@
 Three prediction strategies share one estimator surface: ``fit`` on the
 observed prefix, then query log predictive densities of future suffixes.
 
-* ``JeffreysPredictor`` integrates the likelihood of the suffix against
-  the (numerically normalized) posterior built from the unnormalized
-  Jeffreys prior, or takes the family's closed-form predictive where it
-  has one.  The prior cannot be normalized for the half-line families,
+* ``JeffreysPredictor`` takes the posterior predictive under the
+  unnormalized Jeffreys prior from the closed forms all four families
+  have; a ``Family`` with none integrates its evidence by the ratio
+  integral.  The prior cannot be normalized for the half-line families,
   but the posterior is proper for any prefix of length >= 1 whose mean
   statistic is interior.
 * ``CnmlPredictor`` normalizes the hindsight maximum-likelihood density of
@@ -164,8 +164,8 @@ class JeffreysPredictor(_PredictorBase):
     def _log_evidence(self, n, xbar):
         """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta.
 
-        The family's closed form where it has one, else n A*(xbar) plus the
-        log ratio integral.  ``xbar`` is checked here once.
+        The family's closed form, which every concrete family has, else
+        n A*(xbar) plus the log ratio integral.  ``xbar`` is checked here once.
         """
         fam = self.family
         xbar = fam._check_mean(xbar)

@@ -184,6 +184,17 @@ class TestDensityCommand:
         )
         assert math.isfinite(record["log_value"])
 
+    def test_poisson_exp_density_whose_carrier_overflows_exits_2(self, capsys):
+        # y = 2 sqrt(kappa x / 2) overflows to inf, where i1e(y) is 0: the log
+        # of 0 was a raw ValueError and a traceback (exit 1)
+        code, out, err = run_cli(
+            ["density", "--family", "poisson-exp", "--kappa", "1.7e308", "--rate", "1",
+             "--x", "1.7e308"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "the carrier exceeds the float range" in err
+
     def test_support_error_exit_code(self, capsys):
         code, out, err = run_cli(
             [

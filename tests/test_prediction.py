@@ -23,6 +23,7 @@ from expfam import (
 )
 from expfam import core, prediction
 from expfam.core import TAU, Family, _log_ratio_integral
+from expfam.families import _HANKEL_W, _log_bessel_factor
 from expfam.errors import (
     DegenerateDataError,
     DomainError,
@@ -88,6 +89,11 @@ def _mp_log_ratio(family, n, xbar):
         return float((mp.log(2 * mp.pi) - mp.log(n)) / 2)
 
 
+def _bessel_log_ratio(kappa, n, xbar):
+    """The inverse Gaussian ln R in float: ln(tau / n) / 2 + ln g(n kappa / (4 xbar))."""
+    return 0.5 * (math.log(TAU) - math.log(n)) + _log_bessel_factor(n * kappa / (4.0 * xbar))
+
+
 class TestRatioIntegralLargeN:
     """ln R against 50-digit references, with no n A*(xbar) subtracted in float."""
 
@@ -96,13 +102,19 @@ class TestRatioIntegralLargeN:
         [GammaFamily(1e-3), GammaFamily(1.0), GammaFamily(1e4),
          PoissonExponentialFamily(1e-3), PoissonExponentialFamily(2.0),
          PoissonExponentialFamily(1e4), GaussianLocationFamily(1e-3),
-         GaussianLocationFamily(1.0), GaussianLocationFamily(1e4)],
+         GaussianLocationFamily(1.0), GaussianLocationFamily(1e4),
+         InverseGaussianFamily(1e-3), InverseGaussianFamily(2.0), InverseGaussianFamily(1e4)],
     )
     def test_closed_forms_n_up_to_1e9(self, family):
+        # the inverse Gaussian's closed form is the Bessel one, itself
+        # checked against 50 digits in TestInverseGaussianClosedForm
         for n in (1, 3, 10**3, 10**6, 10**9):
             for xbar in (1e-3, 0.25, 4.0, 1e3):
                 log_r, rel_err = _log_ratio_integral(family, n, family.mle(xbar), 1e-10)
-                ref = _mp_log_ratio(family, n, xbar)
+                if isinstance(family, InverseGaussianFamily):
+                    ref = _bessel_log_ratio(family.kappa, n, xbar)
+                else:
+                    ref = _mp_log_ratio(family, n, xbar)
                 assert abs(log_r - ref) <= 1e-10 * max(1.0, abs(ref)), (n, xbar)
                 assert rel_err <= 1e-10
 
@@ -217,8 +229,8 @@ class TestJeffreysPredictor:
 
     @pytest.mark.parametrize("kappa", [0.5, 1.3])
     def test_inverse_gaussian_evidence_against_mpmath(self, kappa):
-        # the inverse Gaussian has no closed-form evidence: this is the
-        # ratio-integral quadrature path
+        # the inverse Gaussian evidence is the Bessel closed form, against
+        # its parabolic-cylinder form at 30 digits
         predictor = JeffreysPredictor(InverseGaussianFamily(kappa))
         with mp.workdps(30):
             for n in (1, 2, 3, 5, 8, 20, 100, 1000):
@@ -334,12 +346,116 @@ class TestJeffreysPredictor:
             (GaussianLocationFamily(1.0), lambda: rng.normal(1.0, 2.0, size=3)),
             (PoissonExponentialFamily(2.0), lambda: rng.uniform(0.5, 3.0, size=2)),
             (PoissonExponentialFamily(2.0), lambda: rng.uniform(0.2, 1.0, size=1)),
+            (InverseGaussianFamily(2.0), lambda: rng.uniform(0.5, 3.0, size=2)),
+            (InverseGaussianFamily(0.3), lambda: rng.uniform(0.2, 1.0, size=1)),
         ]
         for family, draw in cases:
             predictor = JeffreysPredictor(family, tol=1e-10).fit(draw())
             assert self._one_step_mass(predictor) == pytest.approx(
                 1.0, abs=1e-7
             ), family
+
+
+class TestInverseGaussianClosedForm:
+    """The Bessel I_(+-1/4) evidence and predictive against 50-digit mpmath."""
+
+    def test_log_ratio_across_the_north_star_range(self):
+        ws = []
+        for kappa in (1e-3, 0.1, 2.0, 1e4):
+            for n in (1, 3, 10**3, 10**6, 10**9):
+                for xbar in (1e-8, 1e-4, 0.3, 1.0, 1e4, 1e8):
+                    got = _bessel_log_ratio(kappa, n, xbar)
+                    ref = _mp_log_ratio(InverseGaussianFamily(kappa), n, xbar)
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (kappa, n, xbar)
+                    ws.append(n * kappa / (4.0 * xbar))
+        # both sides of the switch, and past w = 1.07e9, where scipy's ive is NaN
+        assert min(ws) < _HANKEL_W < max(ws)
+        assert math.isnan(special.ive(0.25, max(ws))) and max(ws) > 1e20
+
+    @pytest.mark.parametrize("w", [1.0, 999.0, _HANKEL_W, 1001.0, 1.07e9, 1e12, 1e20])
+    def test_bessel_factor_at_the_switch_and_beyond_scipy(self, w):
+        with mp.workdps(50):
+            x = mp.mpf(w)
+            ref = mp.log(mp.sqrt(mp.pi * x / 2) * mp.exp(-x)
+                         * (mp.besseli(-0.25, x) + mp.besseli(0.25, x)))
+        assert abs(_log_bessel_factor(w) - float(ref)) <= 5e-16
+
+    @pytest.mark.parametrize("kappa", [1e-3, 2.0, 1e4])
+    @pytest.mark.parametrize("future", [(1.0,), (0.05,), (7.0,), (0.3, 2.5)])
+    def test_predictive_against_mpmath_to_1e9(self, kappa, future):
+        # the evidence difference was 2.6e-8 off at m = 1e8 (kappa 2)
+        family, k = InverseGaussianFamily(kappa), len(future)
+        for m in (1, 2, 10, 10**3, 10**5, 10**7, 10**8, 10**9):
+            for xbar in (1e-3, 1.3, 30.0):
+                fitted = JeffreysPredictor(family).fit(ObservationBatch(n=m, xbar=xbar))
+                value = fitted.predictive_value(list(future))
+                with mp.workdps(50):
+                    ys = [mp.mpf(y) for y in future]
+                    new = (m * mp.mpf(xbar) + mp.fsum(ys)) / (m + k)
+                    ref = float(
+                        _mp_inverse_gaussian_log_evidence(kappa, m + k, new)
+                        - _mp_inverse_gaussian_log_evidence(kappa, m, xbar)
+                        + mp.fsum(
+                            (mp.log(kappa) - mp.log(2 * mp.pi) - 3 * mp.log(y)) / 2
+                            - mp.mpf(kappa) / (2 * y)
+                            for y in ys
+                        )
+                    )
+                assert abs(value.log_density - ref) <= 1e-10 * max(1.0, abs(ref)), (m, xbar)
+                assert value.normalizer_error == 0.0
+
+    def test_fit_and_predict_run_no_quadrature(self, monkeypatch):
+        def run():
+            for n in (1, 10**9):
+                fitted = JeffreysPredictor(InverseGaussianFamily(2.0)).fit(
+                    ObservationBatch(n=n, xbar=1.3)
+                )
+                fitted.log_predictive([0.7])
+                fitted.log_predictive([0.7, 2.0])
+
+        assert TestValidationCost._count(monkeypatch, run)["integrals"] == 0
+
+    def test_the_ratio_integral_fallback(self, monkeypatch):
+        # a Family subclass with no closed forms integrates its evidence; the
+        # inverse Gaussian was that path's only user, so it is kept driven here
+        class NoClosedForm(InverseGaussianFamily):
+            def _log_jeffreys_evidence(self, n, xbar):
+                return None
+
+            def _log_jeffreys_predictive(self, n, xbar, future):
+                return None
+
+        closed = InverseGaussianFamily(2.0)
+        for n, xbar in ((1, 0.4), (20, 1.3), (10**6, 3.0)):
+            batch = ObservationBatch(n=n, xbar=xbar)
+            exact = JeffreysPredictor(closed).fit(batch)
+            fallback, values = JeffreysPredictor(NoClosedForm(2.0), tol=1e-12), []
+
+            def run():
+                fallback.fit(batch)
+                values.extend(fallback.predictive_value(f) for f in ([0.7], [0.2, 2.5]))
+
+            # one ratio integral for the fit, one per predictive value
+            assert TestValidationCost._count(monkeypatch, run)["integrals"] == 3
+            assert fallback.log_evidence_ == pytest.approx(exact.log_evidence_, rel=1e-11)
+            for future, got in zip(([0.7], [0.2, 2.5]), values):
+                assert got.log_density == pytest.approx(exact.log_predictive(future), abs=1e-9)
+                assert got.normalizer_error <= 1e-11
+
+    def test_outside_the_float_range_raises(self):
+        # n A*(xbar) = 5e308; n kappa / (4 xbar) underflows to 0; a future
+        # sum that overflows
+        cases = [
+            lambda: JeffreysPredictor(InverseGaussianFamily(1e300)).fit(
+                ObservationBatch(n=10**9, xbar=1.0)),
+            lambda: JeffreysPredictor(InverseGaussianFamily(5e-324)).fit(
+                ObservationBatch(n=1, xbar=0.5)),
+            lambda: JeffreysPredictor(InverseGaussianFamily(2.0)).fit(
+                ObservationBatch(n=3, xbar=1.0)).log_predictive([1e308, 1e308]),
+        ]
+        for case in cases:
+            with pytest.raises(ExpfamError), np.errstate(over="ignore"):
+                case()
 
 
 _CNML_PREFIXES = (
