@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .core import as_batch
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -37,7 +38,7 @@ from .intervals import (
     interval_construction,
 )
 from .numerics import DEFAULT_TOL, exp_density
-from .prediction import as_batch, make_predictor
+from .prediction import make_predictor
 from .validation import check_whole
 from .verify import available_suites, run_suite
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ParamsMixin
-from .errors import DomainError, SupportError
+from .errors import DegenerateDataError, DomainError, SupportError
 # integrate is not used here; it stays importable as expfam.core.integrate
 from .numerics import exp_density, integrate, integrate_trapezoid  # noqa: F401
-from .validation import all_hold, check_count, check_finite_scalar, float_array
+from .validation import all_hold, check_count, check_finite_scalar, check_observations, float_array
 
 TAU = 2.0 * math.pi
 
@@ -368,6 +368,42 @@ def _check_mle_in_floats(family, xbar):
             "it lies too near the edge of the mean domain"
         )
     return xbar
+
+
+def as_batch(family, X):
+    """Raw observations, or a ready ``ObservationBatch``, as a checked batch.
+
+    The one batch check of every predictor, interval construction and Lemma 1
+    call.  Observations must be finite and in the support; a mean, or each of
+    a stack, (..., d) at d > 1, interior to the mean domain, with a sum n xbar
+    and an MLE in floats (a mean of 1e-320 has no MLE).  A zero mean (say, an
+    all-atom compound-Poisson sample) is a :class:`DegenerateDataError`.
+    """
+    if isinstance(X, ObservationBatch):
+        batch = X
+    else:
+        X = check_observations(X, family.d)
+        try:
+            family._check_sample(X)
+        except SupportError:
+            if not np.isfinite(X).all():
+                raise DomainError("observations must be finite") from None
+            raise
+        batch = ObservationBatch.from_observations(X)
+    xbar, d = batch.xbar, family.d
+    if d > 1 and np.shape(xbar)[-1:] != (d,):
+        raise DomainError(f"xbar must have shape (..., {d}), got {np.shape(xbar)}")
+    if not family.in_mean_domain(xbar):
+        if not all_hold(xbar != 0.0):
+            raise DegenerateDataError(
+                "a batch mean is 0 (all its observations are 0): the MLE and posterior degenerate"
+            )
+        raise DomainError(f"batch mean {xbar!r} is outside the mean domain of {family!r}")
+    largest = float(np.abs(xbar).max(initial=0.0)) if isinstance(xbar, np.ndarray) else abs(xbar)
+    if not math.isfinite(batch.n * largest):
+        raise DomainError(f"batch sum n xbar leaves the float range: n={batch.n}, xbar={xbar!r}")
+    _check_mle_in_floats(family, xbar)
+    return batch
 
 
 # -- quadrature helpers --------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import ParamsMixin, check_is_fitted
-from .core import POSITIVE_HALF_LINE, ObservationBatch, _mle_in_floats
+from .core import POSITIVE_HALF_LINE, ObservationBatch, _mle_in_floats, as_batch
 from .distributions import _pe_cdf
 from .errors import DegenerateDataError, DomainError
 from .families import (
@@ -34,8 +34,7 @@ from .families import (
     poisson_exponential_posterior,
 )
 from .numerics import find_root, inv_reg_gamma_lower, rng_stream
-from .prediction import as_batch
-from .validation import all_hold, check_count, check_positive, check_unit_open, check_whole
+from .validation import all_hold, check_count, check_unit_open, check_whole
 
 __all__ = [
     "METHOD_CREDIBLE",
@@ -107,27 +106,18 @@ class DivergenceBallRegion:
         return self.covers(theta)
 
 
-def _rate_batch(family, batch, name):
-    """The batch mean, a float or a stack over trials, checked nonzero and by ``as_batch``."""
-    if not all_hold(batch.xbar != 0.0):
-        raise DegenerateDataError(
-            f"{name}: all observations are zero; the rate interval degenerates"
-        )
-    return as_batch(family, batch).xbar
-
-
 def gamma_credible(alpha, batch, level):
     """[0, q] with q the level-quantile of the Gamma(m alpha, m xbar) posterior."""
     level = check_unit_open(level, "level")
-    xbar = _rate_batch(GammaFamily(alpha), batch, "gamma_credible")
+    batch = as_batch(GammaFamily(alpha), batch)
     pivot_quantile = inv_reg_gamma_lower(batch.n * alpha, level) / batch.n
-    upper = pivot_quantile / xbar
+    upper = pivot_quantile / batch.xbar
     return IntervalResult(
         lower=0.0,
         upper=upper,
         level=level,
         method=METHOD_CREDIBLE,
-        diagnostics={"posterior_shape": batch.n * alpha, "posterior_rate": batch.n * xbar},
+        diagnostics={"posterior_shape": batch.n * alpha, "posterior_rate": batch.n * batch.xbar},
     )
 
 
@@ -148,10 +138,8 @@ def gaussian_divergence_ball(cov, batch, level):
     """
     level = check_unit_open(level, "level")
     family = cov if isinstance(cov, GaussianLocationFamily) else GaussianLocationFamily(cov)
-    d = family.d
-    if d > 1 and np.shape(batch.xbar)[-1:] != (d,):
-        raise DomainError(f"xbar must have shape (..., {d}), got {np.shape(batch.xbar)}")
-    chi2_quantile = 2.0 * inv_reg_gamma_lower(d / 2.0, level)
+    batch = as_batch(family, batch)
+    chi2_quantile = 2.0 * inv_reg_gamma_lower(family.d / 2.0, level)
     radius = chi2_quantile / (2.0 * batch.n)
     center = family._mle(batch.xbar)
     return DivergenceBallRegion(
@@ -166,7 +154,7 @@ def gaussian_divergence_ball(cov, batch, level):
 def poisson_exp_credible(kappa, batch, level):
     """[0, q] with q the level-quantile of the inverse Gaussian posterior."""
     level = check_unit_open(level, "level")
-    _rate_batch(PoissonExponentialFamily(kappa), batch, "poisson_exp_credible")
+    batch = as_batch(PoissonExponentialFamily(kappa), batch)
     post = poisson_exponential_posterior(kappa, batch)
     upper = post.ppf(level)
     return IntervalResult(
@@ -191,8 +179,8 @@ def poisson_exp_confidence(kappa, batch, level):
     family this recipe reproduces the pivot endpoints exactly).
     """
     level = check_unit_open(level, "level")
-    xbar = _rate_batch(PoissonExponentialFamily(kappa), batch, "poisson_exp_confidence")
-    m = batch.n
+    batch = as_batch(PoissonExponentialFamily(kappa), batch)
+    m, xbar = batch.n, batch.xbar
     s_obs = m * xbar
     # stacked trials go one by one, each a Brent solve on the cdf
     uppers = [_cdf_inversion(kappa, m, float(x), level) for x in np.ravel(xbar)]
@@ -211,7 +199,7 @@ def _cdf_inversion(kappa, m, xbar, level):
 
     S is Poisson-exponential(m kappa, beta); lam and t are formed as its cdf forms them.
     """
-    s_obs = check_positive(m * xbar, "the sum m xbar")
+    s_obs = m * xbar
     shape = m * kappa
 
     def cdf(beta):

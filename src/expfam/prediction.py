@@ -35,11 +35,10 @@ from .core import (
     POSITIVE_HALF_LINE,
     Family,
     ObservationBatch,
-    _check_mle_in_floats,
     _log_ratio_integral,
+    as_batch,
 )
 from .errors import (
-    DegenerateDataError,
     DomainError,
     NonConvergenceError,
     NonNormalizableError,
@@ -49,7 +48,6 @@ from .numerics import DEFAULT_TOL, integrate
 from .validation import (
     check_count,
     check_finite_scalar,
-    check_observations,
     check_positive,
     float_array,
 )
@@ -77,37 +75,6 @@ class PredictiveValue:
     log_density: float
     method: str
     normalizer_error: float
-
-
-def as_batch(family, X):
-    """Coerce raw observations (or a ready batch) into an ObservationBatch.
-
-    Every observation must be finite and lie in the support, and the mean
-    statistic must be interior to the mean domain, with an MLE that is a
-    finite point of the natural domain (a mean of 1e-320 has none); an
-    all-atom compound-Poisson sample is reported as degenerate.
-    """
-    if isinstance(X, ObservationBatch):
-        batch = X
-    else:
-        X = check_observations(X, family.d)
-        try:
-            family._check_sample(X)
-        except SupportError:
-            if not np.isfinite(X).all():
-                raise DomainError("observations must be finite") from None
-            raise
-        batch = ObservationBatch.from_observations(X)
-    if not family.in_mean_domain(batch.xbar):
-        if family.has_atom and np.all(np.atleast_1d(batch.xbar) == family.atom_point):
-            raise DegenerateDataError(
-                "all observations sit on the atom; the MLE and posterior degenerate"
-            )
-        raise DomainError(
-            f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
-        )
-    _check_mle_in_floats(family, batch.xbar)
-    return batch
 
 
 def _check_suffix(family, future):
@@ -387,18 +354,20 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL):
 
     which depends on the data only through the hindsight estimate; its
     relative spread (max-min over the median) across sequences is the
-    constancy statistic.  All sequences share one ratio integral, at any d.
+    constancy statistic.  A sequence is a sample or an ``ObservationBatch``,
+    whose stack of means counts as one sequence per mean.  All sequences
+    share one ratio integral, at any d.
     """
     check_positive(tol, "tol")
     theta_hats = []
     for seq in sequences:
-        batch = seq if isinstance(seq, ObservationBatch) else as_batch(family, seq)
+        batch = as_batch(family, seq)
         if batch.n != n:
             raise DomainError(f"sequence has n={batch.n}, expected {n}")
-        theta_hats.append(family.mle(batch.xbar))
+        theta_hats.append(np.asarray(family._mle(batch.xbar)).reshape(-1, family.d))
     if not theta_hats:
         raise DomainError("lemma1_constancy needs at least one sequence")
-    log_r, _ = _log_ratio_integral(family, n, np.array(theta_hats), tol)
+    log_r, _ = _log_ratio_integral(family, n, np.concatenate(theta_hats), tol)
     values = tuple(np.exp(log_r).tolist())
     spread = (max(values) - min(values)) / float(np.median(values))
     return Lemma1Report(values=values, relative_spread=spread)

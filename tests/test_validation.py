@@ -30,10 +30,10 @@ from expfam import (
     regret,
     run_suite,
 )
-from expfam.core import Family
+from expfam.core import Family, as_batch
 from expfam.distributions import GaussianDist
 from expfam.errors import DegenerateDataError, DomainError, SupportError
-from expfam.prediction import _check_suffix, as_batch
+from expfam.prediction import _check_suffix
 from expfam.validation import check_count
 
 UNIVARIATE = [
@@ -83,12 +83,16 @@ def _reference_as_batch(family, X):
     else:
         batch = ObservationBatch(n=X.shape[0], xbar=X.mean(axis=0))
     if not family.in_mean_domain(batch.xbar):
-        if family.has_atom and np.all(np.atleast_1d(batch.xbar) == family.atom_point):
+        if np.any(np.atleast_1d(batch.xbar) == 0.0):
             raise DegenerateDataError(
-                "all observations sit on the atom; the MLE and posterior degenerate"
+                "a batch mean is 0 (all its observations are 0): the MLE and posterior degenerate"
             )
         raise DomainError(
             f"batch mean {batch.xbar!r} is outside the mean domain of {family!r}"
+        )
+    if not np.all(np.isfinite(batch.n * np.asarray(batch.xbar))):
+        raise DomainError(
+            f"batch sum n xbar leaves the float range: n={batch.n}, xbar={batch.xbar!r}"
         )
     try:
         theta_hat = family._mle(batch.xbar)
