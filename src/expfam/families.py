@@ -202,17 +202,28 @@ class GaussianLocationFamily(Family):
     def _log_jeffreys_predictive(self, n, xbar, future):
         # N(xbar, B/n) posterior of the mean: with k futures of mean ybar the
         # predictive is the evidence ratio written without its O(n) terms; the
-        # predictors run at d == 1 only
+        # predictors run at d == 1 only.  A square past the floats is inf, and
+        # a log density of -inf raises
         B = self._b
         k = future.shape[0]
-        ybar = float(future.mean())
-        spread = float(np.sum((future - ybar) ** 2))
-        shrunk = n * k / (n + k) * (ybar - xbar) ** 2
-        return (
+        if k == 1:  # a lone future is its own mean, with no spread
+            ybar, spread = future.item(), 0.0
+        else:
+            ybar = float(future.mean())
+            with np.errstate(over="ignore"):
+                spread = float(np.sum((future - ybar) ** 2))
+        try:
+            shrunk = n * k / (n + k) * (ybar - xbar) ** 2
+        except OverflowError:
+            shrunk = math.inf
+        log_p = (
             -0.5 * math.log1p(k / n)
             - 0.5 * k * math.log(TAU * B)
             - (spread + shrunk) / (2.0 * B)
         )
+        if log_p == -math.inf:
+            raise DomainError("the Jeffreys predictive log density is below the float range")
+        return log_p
 
     def jeffreys_posterior(self, batch):
         """N(B^-1 xbar, B^-1/n): for B = I the textbook N(xbar, B/n) of the mean."""

@@ -12,9 +12,12 @@ Every construction takes one ``ObservationBatch`` or a stacked one, whose
 ``xbar`` carries a leading trial axis.  A stacked batch gives one result
 whose endpoints (or ball centers) are arrays over the trials and whose
 ``covers_natural`` returns one bool per trial; a single batch gives Python
-floats and a bool.  ``interval_construction`` looks a (family, method) pair
-up in the one table of constructions, which the CLI and the estimator
-classes share.
+floats and a bool.  Each construction checks its batch once, with
+``core.as_batch``, the check every predictor and ``lemma1_constancy`` make
+too: a zero mean, or a zero trial in a stack, raises
+``DegenerateDataError``, and every other bad batch ``DomainError``.
+``interval_construction`` looks a (family, method) pair up in the one
+table of constructions, which the CLI and the estimator classes share.
 """
 
 import dataclasses

@@ -111,6 +111,9 @@ class _PredictorBase(ParamsMixin):
     def predictive_value(self, future):
         check_is_fitted(self, "batch_")
         future = _check_suffix(self.family, future)
+        total = self._m * self._xbar + sum(future.tolist())  # Python floats: no numpy warning
+        if not math.isfinite(total):
+            raise DomainError(f"the sum m xbar + sum(future) = {total} leaves the float range")
         log_density, err = self._log_predictive(future)
         return PredictiveValue(log_density, self.method, err)
 

@@ -372,6 +372,19 @@ class TestPredictCommand:
         assert code == 2
         assert "univariate only" in err
 
+    def test_gaussian_jeffreys_far_prefix_exit_code(self, tmp_path, capsys):
+        # (ybar - xbar)^2 = 1e320 was a raw OverflowError and a traceback (exit 1);
+        # the log density, about -3.8e319, is below the float range
+        data = tmp_path / "far.txt"
+        data.write_text("1e160\n1e160\n1e160\n")
+        code, out, err = run_cli(
+            ["predict", "--family", "gaussian", "--cov", "1", "--data", str(data),
+             "--future", "1.0", "--method", "jeffreys"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "below the float range" in err
+
     def test_far_poisson_exp_prefix_jeffreys(self, tmp_path, capsys):
         # quadrature missed this evidence by 4.5e-4 while it reported an
         # error of 1.5e-9; the family's Bessel closed form replaces it

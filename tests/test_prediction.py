@@ -294,6 +294,20 @@ class TestJeffreysPredictor:
                 assert value.log_density == pytest.approx(float(ref), rel=0.0, abs=1e-13), n
                 assert value.normalizer_error == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "cov, xbar, future",
+        [(1.0, 1e160, [1.0]), (1.0, 1.0, [1e200, -1e200]), (1e-300, 1.0, [1e5])],
+        ids=["gap-squared-overflows", "spread-overflows", "quotient-overflows"],
+    )
+    def test_gaussian_predictive_below_the_float_range_raises(self, cov, xbar, future):
+        # (ybar - xbar)^2 raised a raw OverflowError in Python floats; the
+        # numpy spread overflowed with a warning and the value was -inf
+        predictor = JeffreysPredictor(GaussianLocationFamily(cov))
+        predictor.fit(ObservationBatch(n=3, xbar=xbar))
+        with pytest.raises(DomainError, match="below the float range"):
+            predictor.log_predictive(future)
+
     def test_gaussian_joint_equals_chained(self):
         # p(y1, y2, y3 | x) = p(y1 | x) p(y2 | x, y1) p(y3 | x, y1, y2)
         family, n, xbar = GaussianLocationFamily(1.3), 7, -0.6
@@ -442,6 +456,7 @@ class TestInverseGaussianClosedForm:
                 assert got.log_density == pytest.approx(exact.log_predictive(future), abs=1e-9)
                 assert got.normalizer_error <= 1e-11
 
+    @pytest.mark.filterwarnings("error")
     def test_outside_the_float_range_raises(self):
         # n A*(xbar) = 5e308; n kappa / (4 xbar) underflows to 0; a future
         # sum that overflows
@@ -454,7 +469,7 @@ class TestInverseGaussianClosedForm:
                 ObservationBatch(n=3, xbar=1.0)).log_predictive([1e308, 1e308]),
         ]
         for case in cases:
-            with pytest.raises(ExpfamError), np.errstate(over="ignore"):
+            with pytest.raises(ExpfamError):
                 case()
 
 
@@ -966,6 +981,31 @@ class TestEstimatorSurface:
     def test_support_validated(self):
         with pytest.raises(Exception):
             JeffreysPredictor(GammaFamily(1.0)).fit([1.0, -2.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["cnml", "jeffreys", "plugin"])
+    @pytest.mark.parametrize(
+        "family",
+        [GammaFamily(1.0), GaussianLocationFamily(1.0), InverseGaussianFamily(2.0),
+         PoissonExponentialFamily(2.0)],
+        ids=lambda f: type(f).__name__,
+    )
+    def test_future_whose_sum_overflows_rejected(self, method, family):
+        # CNML and plug-in returned -inf (CNML reporting normalizer_error
+        # 1e-12), and numpy warned of an overflow in the sum before any error
+        predictor = make_predictor(method, family, horizon=2)
+        predictor.fit(ObservationBatch(n=3, xbar=1.0))
+        with pytest.raises(DomainError, match="leaves the float range"):
+            predictor.predictive_value([1e308, 1e308])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["jeffreys", "plugin"])
+    def test_future_whose_sum_with_the_prefix_overflows_rejected(self, method):
+        # the future's sum 1.5e308 is a float, m xbar plus that sum is not
+        predictor = make_predictor(method, GammaFamily(1.0))
+        predictor.fit(ObservationBatch(n=3, xbar=1e307))
+        with pytest.raises(DomainError, match="leaves the float range"):
+            predictor.predictive_value([1e308, 5e307])
 
     @pytest.mark.parametrize("make", [CnmlPredictor, JeffreysPredictor, PlugInPredictor])
     def test_length_one_batch_mean_is_a_point(self, make):

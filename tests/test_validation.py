@@ -6,6 +6,7 @@ message; the reference below is that check, kept here as the oracle.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,17 +23,24 @@ from expfam import (
     InverseGaussianFamily,
     JeffreysPredictor,
     ObservationBatch,
+    PlugInPredictor,
     PoissonExponentialFamily,
+    PoissonExponentialRateInterval,
     coverage_simulation,
     equivalence_check,
+    gamma_confidence,
     gamma_credible,
+    gaussian_divergence_ball,
     interval_construction,
+    lemma1_constancy,
+    poisson_exp_confidence,
+    poisson_exp_credible,
     regret,
     run_suite,
 )
 from expfam.core import Family, as_batch
 from expfam.distributions import GaussianDist
-from expfam.errors import DegenerateDataError, DomainError, SupportError
+from expfam.errors import DegenerateDataError, DomainError, ExpfamError, SupportError
 from expfam.prediction import _check_suffix
 from expfam.validation import check_count
 
@@ -321,3 +329,93 @@ def test_mean_without_a_finite_mle_is_a_domain_error(family, mean):
     with pytest.raises(DomainError) as mle_error:
         family.mle(mean)
     assert str(mle_error.value) == str(batch_error.value)
+
+
+# -- one batch check: every entry point gives a bad batch one verdict ------------
+
+LEVEL = 0.9
+
+
+def _entry_points(family):
+    """(name, call(batch)) for every entry point that takes a batch of ``family``.
+
+    The interval constructions are called directly, through the table and
+    through their estimator, at each method the family has.
+    """
+    direct, methods, estimator = {}, (), None
+    if isinstance(family, GammaFamily):
+        a = family.alpha
+        direct = {"gamma_credible": lambda b: gamma_credible(a, b, LEVEL),
+                  "gamma_confidence": lambda b: gamma_confidence(a, b, LEVEL)}
+        methods = ("credible", "confidence")
+        estimator = lambda m: GammaRateInterval(a, level=LEVEL, method=m)  # noqa: E731
+    elif isinstance(family, PoissonExponentialFamily):
+        k = family.kappa
+        direct = {"poisson_exp_credible": lambda b: poisson_exp_credible(k, b, LEVEL),
+                  "poisson_exp_confidence": lambda b: poisson_exp_confidence(k, b, LEVEL)}
+        methods = ("credible", "confidence")
+        estimator = lambda m: PoissonExponentialRateInterval(  # noqa: E731
+            k, level=LEVEL, method=m)
+    elif isinstance(family, GaussianLocationFamily):
+        direct = {"gaussian_divergence_ball":
+                  lambda b: gaussian_divergence_ball(family, b, LEVEL)}
+        methods = ("divergence-ball",)
+        estimator = lambda m: GaussianDivergenceBall(family.cov, level=LEVEL)  # noqa: E731
+    calls = list(direct.items())
+    for m in methods:
+        calls.append((f"interval_construction/{m}", interval_construction(family, m, LEVEL)))
+        calls.append((f"estimator/{m}", lambda b, m=m: estimator(m).fit(b)))
+    calls += [(P.__name__, lambda b, P=P: P(family).fit(b))
+              for P in (JeffreysPredictor, CnmlPredictor, PlugInPredictor)]
+    calls.append(("lemma1_constancy", lambda b: lemma1_constancy(family, b.n, [b])))
+    return calls
+
+
+_HALF_LINE = [GammaFamily(1.5), InverseGaussianFamily(2.0), PoissonExponentialFamily(2.0)]
+_PLANE = GaussianLocationFamily(np.eye(2))
+_MAX, _TINY = sys.float_info.max, 5e-324
+#: (case, family, batch, a sample with the batch's fault or None, the one error
+#: every entry point raises).  ``regret`` takes the sample; there is none for
+#: a stack of means, nor for a zero mean where 0 is outside the support.  The
+#: sum of [max, tiny, tiny] is a float, but 3 times its mean is not.
+BAD_BATCHES = (
+    [("zero-mean", f, ObservationBatch(n=2, xbar=0.0), None, DegenerateDataError)
+     for f in _HALF_LINE[:2]]
+    + [("zero-mean", PoissonExponentialFamily(2.0), ObservationBatch(n=2, xbar=0.0),
+        [0.0, 0.0], DegenerateDataError)]
+    + [("zero-trial", f, ObservationBatch(n=2, xbar=np.array([1.0, 0.0])), None,
+        DegenerateDataError) for f in _HALF_LINE]
+    + [("mle-overflows", f, ObservationBatch(n=2, xbar=x), [x, x], DomainError)
+       for f, x in [
+           (GammaFamily(1.5), 1e-320),
+           (PoissonExponentialFamily(2.0), 1e-320),
+           (InverseGaussianFamily(2.0), 1e-200),
+           (InverseGaussianFamily(2.0), 1e200),
+           (GaussianLocationFamily(1e-10), 1e300),  # the ball's center would be inf
+       ]]
+    + [("d2-length-3-mean", _PLANE, ObservationBatch(n=2, xbar=np.ones(3)),
+        np.ones((2, 3)), DomainError)]
+    + [("sum-overflows", f, ObservationBatch(n=3, xbar=1e308), [_MAX, _TINY, _TINY],
+        DomainError) for f in _HALF_LINE + [GaussianLocationFamily(1.0)]]
+    + [("sum-overflows", _PLANE, ObservationBatch(n=3, xbar=np.array([1e308, 0.0])),
+        [[_MAX, 0.0], [0.0, 0.0], [0.0, 0.0]], DomainError)]
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "case, family, batch, sample, error", BAD_BATCHES,
+    ids=[f"{case}-{type(f).__name__}" for case, f, *_ in BAD_BATCHES],
+)
+def test_every_entry_point_gives_a_bad_batch_one_verdict(case, family, batch, sample, error):
+    # each raises an ExpfamError, with no numpy warning on the way
+    verdicts = {}
+    for name, call in _entry_points(family):
+        with pytest.raises(ExpfamError) as raised:
+            call(batch)
+        verdicts[name] = raised.type
+    if sample is not None:
+        with pytest.raises(ExpfamError) as raised:
+            regret(family, "jeffreys", sample, 1)
+        verdicts["regret"] = raised.type
+    assert verdicts == dict.fromkeys(verdicts, error)
