@@ -14,10 +14,10 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .core import as_batch
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -39,7 +39,7 @@ from .intervals import (
 )
 from .numerics import DEFAULT_TOL, exp_density
 from .prediction import make_predictor
-from .validation import check_whole
+from .validation import check_observations, check_whole
 from .verify import available_suites, run_suite
 
 EXIT_OK = 0
@@ -116,28 +116,18 @@ def _whole_number(text):
 
 
 def _load_observations(path, d=1):
-    rows = []
+    """The data file's rows by numpy's parser, checked by ``check_observations``.
+
+    A parse or read failure, an empty file and a row of the wrong width each
+    raise :class:`DomainError` naming the file.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    if d == 1:
-                        rows.append(float(line))
-                    else:
-                        entries = [float(v) for v in line.split(",")]
-                        if len(entries) != d:
-                            raise ValueError(f"expected {d} coordinates")
-                        rows.append(entries)
-                except ValueError as exc:
-                    raise DomainError(f"{path}:{lineno}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+            rows = np.loadtxt(handle, delimiter=",", ndmin=1 if d == 1 else 2)
+        return check_observations(rows, d)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and DomainError are ValueErrors
         raise DomainError(f"cannot read data file {path}: {exc}") from None
-    if not rows:
-        raise DomainError(f"data file {path} contains no observations")
-    return np.asarray(rows)
 
 
 def _make_family(args):
@@ -190,27 +180,18 @@ def _emit(records, fmt, out):
         writer.writerow({k: _csv_cell(v) for k, v in record.items()})
 
 
-def _check_finite(value, key=None):
-    """Raise DomainError at a non-finite float in a record: JSON has no number for it."""
+def _jsonable(value, key=None):
+    """``value`` in JSON's types, in one walk: numpy arrays and scalars become
+    lists and Python numbers, and a non-finite float, for which JSON has no
+    number, raises DomainError naming its key."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict):
-        for k, v in value.items():
-            _check_finite(v, k)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _check_finite(v, key)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"{key} is {value}, outside the float range")
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, key) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{key} is {value}, outside the float range")
     return value
 
 
@@ -218,7 +199,7 @@ def cmd_density(args, config):
     family = _make_family(args)
     x = _parse_vector(args.x)
     theta = _theta_for(args, family)
-    record = {"family": args.family, "x": _jsonable(x)}
+    record = {"family": args.family, "x": x}
     atom = family.has_atom and np.ndim(x) == 0 and float(x) == family.atom_point
     log_value = family.log_density(theta, x)
     record["value_type"] = "atom" if atom else "density"
@@ -245,7 +226,7 @@ def cmd_predict(args, config):
             {
                 "method": value.method,
                 "m": int(prefix.shape[0]),
-                "future": _jsonable(future),
+                "future": future,
                 "log_density": value.log_density,
                 "normalizer_error": value.normalizer_error,
             }
@@ -264,17 +245,17 @@ def _interval_record(result):
     if isinstance(result, DivergenceBallRegion):
         return {
             "method": METHOD_DIVERGENCE_BALL,
-            "center": _jsonable(result.center),
+            "center": result.center,
             "radius": result.radius,
             "level": result.level,
-            "diagnostics": _jsonable(result.diagnostics),
+            "diagnostics": result.diagnostics,
         }
     return {
         "lower": result.lower,
         "upper": result.upper,
         "level": result.level,
         "method": result.method,
-        "diagnostics": _jsonable(result.diagnostics),
+        "diagnostics": result.diagnostics,
     }
 
 
@@ -282,9 +263,8 @@ def cmd_interval(args, config):
     family = _make_family(args)
     level = _resolve(args, config, "level", 0.9, float)
     data = _load_observations(args.data, family.d)
-    batch = as_batch(family, data)
     build = interval_construction(family, args.method, level)
-    return [_interval_record(build(batch))], EXIT_OK
+    return [_interval_record(build(data))], EXIT_OK
 
 
 def cmd_coverage(args, config):
@@ -419,7 +399,7 @@ def main(argv=None):
             raise DomainError(f"format must be json or csv, got {fmt!r}")
         records, code = args.handler(args, config)
         if args.command != "verify":  # an inf statistic there marks a failed check
-            _check_finite(records)
+            records = _jsonable(records)
     except DegenerateDataError as exc:
         return _fail(exc, EXIT_DEGENERATE)
     except (NonNormalizableError, NonConvergenceError) as exc:

@@ -8,16 +8,17 @@ Poisson-exponential credible interval comes from the inverse Gaussian
 posterior while the confidence interval inverts the exact sampling
 distribution of the sample sum; the two deliberately disagree.
 
-Every construction takes one ``ObservationBatch`` or a stacked one, whose
-``xbar`` carries a leading trial axis.  A stacked batch gives one result
-whose endpoints (or ball centers) are arrays over the trials and whose
-``covers_natural`` returns one bool per trial; a single batch gives Python
-floats and a bool.  Each construction checks its batch once, with
-``core.as_batch``, the check every predictor and ``lemma1_constancy`` make
-too: a zero mean, or a zero trial in a stack, raises
-``DegenerateDataError``, and every other bad batch ``DomainError``.
+Every construction takes raw observations, one ``ObservationBatch`` or a
+stacked one, whose ``xbar`` carries a leading trial axis.  A stacked batch
+gives one result whose endpoints (or ball centers) are arrays over the
+trials and whose ``covers_natural`` returns one bool per trial; a single
+batch gives Python floats and a bool.  Each construction checks its level
+and then its input once, with ``core.as_batch``, the check every predictor
+and ``lemma1_constancy`` make too: a zero mean, or a zero trial in a stack,
+raises ``DegenerateDataError``, and every other bad batch ``DomainError``.
 ``interval_construction`` looks a (family, method) pair up in the one
-table of constructions, which the CLI and the estimator classes share.
+table of constructions, which the CLI and the estimator classes share;
+both pass their input to it unchecked.
 """
 
 import dataclasses
@@ -362,10 +363,8 @@ class _IntervalEstimator(ParamsMixin):
         raise NotImplementedError
 
     def fit(self, X):
-        family = self._family()
-        check_unit_open(self.level, "level")
-        build = interval_construction(family, self.method, self.level)
-        self.result_ = build(as_batch(family, X))
+        build = interval_construction(self._family(), self.method, self.level)
+        self.result_ = build(X)
         for name in self._fitted:
             setattr(self, name + "_", getattr(self.result_, name))
         return self

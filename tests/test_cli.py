@@ -16,11 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_intervals import count_as_batch
 
-from expfam.cli import main
+from expfam.cli import _load_observations, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
@@ -325,7 +327,8 @@ class TestPredictCommand:
             capsys,
         )
         assert code == 2
-        assert "bad.txt:2" in err
+        # numpy's parser names the entry, not the line
+        assert f"cannot read data file {bad}: could not convert string 'not-a-number'" in err
 
     def test_far_poisson_exp_prefix_exit_code(self, tmp_path, capsys):
         # the CNML atom term used to overflow into a raw OverflowError (exit 1)
@@ -1015,3 +1018,88 @@ def test_undecodable_file_is_an_input_error(option, tmp_path, gamma_data, capsys
     what = "data file" if option == "--data" else "config"
     assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode")
     assert len(err.splitlines()) == 1
+
+
+# -- the data file: numpy's parser, checked by check_observations -----------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _float_line_by_line(path, d):
+    """The data file as the old line walk read it: ``float`` on each entry."""
+    rows = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            rows.append(float(line) if d == 1 else [float(v) for v in line.split(",")])
+    return np.asarray(rows)
+
+
+def _generated_rows(d):
+    """Lines of d entries in several spellings, with comment and blank lines."""
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((200, d)) * 10.0 ** rng.integers(-300, 300, (200, d))
+    spellings = (repr, "{:.17g}".format, "{:.3e}".format, "{:+.6f}".format)
+    lines = ["# a comment line", ""]
+    for i, row in enumerate(values.tolist()):
+        lines.append(" " + ",".join(spellings[(i + j) % 4](v) for j, v in enumerate(row)))
+    lines += ["-0.0" if d == 1 else "-0.0,0.0", "1E5" if d == 1 else "1E5,7", ""]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["golden", "d1", "d2"])
+def test_loader_bits_equal_float_line_by_line(source, tmp_path):
+    if source == "golden":
+        path, d = ROOT / "perfbench" / "golden" / "obs.txt", 1
+    else:
+        d = int(source[1])
+        path = tmp_path / "rows.txt"
+        path.write_text(_generated_rows(d))
+    got, want = _load_observations(str(path), d), _float_line_by_line(path, d)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # -0.0 included
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a file with no data
+@pytest.mark.parametrize(
+    "content, d, message",
+    [
+        (b"1.0\nnot-a-number\n", 1, "could not convert string 'not-a-number'"),
+        (b"1.0,2.0\n3.0\n", 2, "the number of columns changed"),
+        (b"1.0,2.0,3.0\n", 2, "expected observations of dimension 2"),
+        (b"", 1, "at least one observation is required"),
+        (b"# a comment and nothing else\n\n", 2, "observations of dimension 2, got shape (0, 1)"),
+        (None, 1, "No such file or directory"),
+        (b"1.0\n\xff\xfe2.0\n", 1, "'utf-8' codec can't decode"),
+    ],
+    ids=["non-number", "ragged", "wrong-width", "empty", "comment-only", "missing",
+         "bad-utf8"],
+)
+def test_bad_data_file_exits_2_naming_the_file(content, d, message, tmp_path, capsys):
+    path = tmp_path / "data.txt"
+    if content is not None:
+        path.write_bytes(content)
+    family = ["--family", "gamma", "--shape", "1", "--method", "credible"]
+    if d == 2:
+        family = ["--family", "gaussian", "--cov", "1,0;0,1", "--method", "divergence-ball"]
+    code, out, err = run_cli(["interval", *family, "--data", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read data file {path}: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "gamma", "--shape", "2", "--method", "confidence"],
+        ["--family", "poisson-exp", "--kappa", "2", "--method", "credible"],
+        ["--family", "gaussian", "--cov", "1", "--method", "divergence-ball"],
+    ],
+)
+def test_interval_checks_its_data_once(family, monkeypatch, tmp_path, capsys):
+    # cmd_interval passes the rows straight to the construction, which runs as_batch
+    path = tmp_path / "data.txt"
+    path.write_text("0.5\n1.5\n")
+    calls = count_as_batch(monkeypatch)
+    run_json(["interval", *family, "--data", str(path)], capsys)
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Tests for the interval constructions and coverage simulation."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from expfam import (
     ObservationBatch,
     poisson_exponential_posterior,
 )
+from expfam import core
 from expfam.core import REAL_LINE
 from expfam.distributions import InverseGaussianDist, PoissonExponentialDist
 from expfam.errors import DegenerateDataError, DomainError
@@ -37,6 +39,21 @@ from expfam.numerics import (
     inv_reg_gamma_lower,
     rng_stream,
 )
+
+
+def count_as_batch(monkeypatch):
+    """The list of ``core.as_batch`` calls, through every expfam module that binds the name."""
+    calls = []
+    original = core.as_batch
+
+    def counted(family, X):
+        calls.append(type(family).__name__)
+        return original(family, X)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "expfam" and hasattr(module, "as_batch"):
+            monkeypatch.setattr(module, "as_batch", counted)
+    return calls
 
 
 class TestGammaCredible:
@@ -440,6 +457,32 @@ class TestIntervalEstimators:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             GammaRateInterval(alpha=1.0, method="hpd").fit([1.0])
+
+    @pytest.mark.parametrize(
+        "estimator, data",
+        [
+            (GammaRateInterval(2.0, 0.8, "credible"), [0.5, 1.5]),
+            (GammaRateInterval(2.0, 0.8, "confidence"), [0.5, 1.5]),
+            (PoissonExponentialRateInterval(2.0, 0.8, "credible"), [0.0, 2.0]),
+            (PoissonExponentialRateInterval(2.0, 0.8, "confidence"), [0.0, 2.0]),
+            (GaussianDivergenceBall(1.5, 0.8), [0.3, -1.2]),
+            (GaussianDivergenceBall(np.eye(2), 0.8), [[0.3, -1.0], [1.2, 0.4]]),
+        ],
+    )
+    def test_fit_checks_its_input_once(self, monkeypatch, estimator, data):
+        # fit passes X straight to the construction, which runs as_batch
+        calls = count_as_batch(monkeypatch)
+        estimator.fit(data)
+        assert len(calls) == 1
+
+    def test_fit_still_rejects_a_bad_level_and_bad_data(self):
+        # the checks fit dropped are the construction's
+        with pytest.raises(DomainError, match=r"level must lie in \(0, 1\)"):
+            GammaRateInterval(1.0, level=1.5).fit([1.0])
+        with pytest.raises(DegenerateDataError, match="a batch mean is 0"):
+            PoissonExponentialRateInterval(2.0).fit([0.0, 0.0])
+        with pytest.raises(DomainError, match="observations must be finite"):
+            GaussianDivergenceBall(1.0).fit([1.0, math.nan])
 
     @pytest.mark.parametrize(
         "estimator, family, method, data",
