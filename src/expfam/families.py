@@ -407,6 +407,18 @@ class PoissonExponentialFamily(Family):
         # is a Bessel K_{1/2}: sqrt(2 pi/n) exp(-n sqrt(2 kappa xbar))
         return 0.5 * (math.log(TAU) - math.log(n)) - n * math.sqrt(2.0 * self.kappa * xbar)
 
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        # the evidence ratio: k futures of sum s take n sqrt(xbar) to sqrt((n + k) t),
+        # t = n xbar + s, and the difference is the quotient (n k xbar + (n + k) s) /
+        # (sqrt((n + k) t) + n sqrt(xbar)), with no term of order n; each part of the
+        # numerator is divided first and each square root taken alone, so none overflows
+        k, s = future.shape[0], float(future.sum())
+        root = math.sqrt(n + k) * math.sqrt(n * xbar + s) + n * math.sqrt(xbar)
+        gap = k * (n * xbar / root) + (n + k) * (s / root)
+        log_p = -0.5 * math.log1p(k / n) - math.sqrt(2.0 * self.kappa) * gap
+        log_p += sum(self._log_carrier(y) for y in future.tolist())
+        return check_finite_scalar(log_p, "the Poisson-exponential Jeffreys predictive")
+
     def jeffreys_posterior(self, batch):
         return RatePosterior(poisson_exponential_posterior(self.kappa, batch))
 

@@ -246,12 +246,15 @@ class CnmlPredictor(_PredictorBase):
 
         Declares divergence when s * f(s) has not decayed across three
         decades of doubling, which catches constant and 1/s tails while
-        leaving every integrable power or exponential tail alone.
+        leaving every integrable power or exponential tail alone.  The probe
+        runs at s = |k xbar| 2^j, from the split point on, so that it stays
+        past the bulk at any scale of xbar (1 where k xbar is 0).
         """
         base = self._m * self._xbar
+        scale = abs(self._horizon * self._xbar) or 1.0
         logs = []
         for j in range(10, 44, 4):
-            s = 2.0**j
+            s = scale * 2.0**j
             try:
                 val = self._log_hindsight(base + s, n) + conv.log_carrier(s) - shift
             except (DomainError, SupportError):
@@ -263,6 +266,8 @@ class CnmlPredictor(_PredictorBase):
         k = self._horizon
         n = self._m + k
         shift = self._log_hindsight(n * self._xbar, n)
+        if not math.isfinite(shift):
+            raise DomainError(f"the CNML shift n A*(xbar) = {shift} leaves the float range")
         conv = self.family._convolution_family(k)
         try:
             shift, value, err = self._sum_normalizer(n, conv, shift)
@@ -302,7 +307,10 @@ class PlugInPredictor(_PredictorBase):
 
     def _log_predictive(self, future):
         fam = self.family
-        return sum(fam._log_density(self.theta_hat_, y) for y in future.tolist()), 0.0
+        log_p = sum(fam._log_density(self.theta_hat_, y) for y in future.tolist())
+        if not math.isfinite(log_p):  # -inf below the float range, or inf - inf
+            raise DomainError(f"the plug-in log density is {log_p}, outside the float range")
+        return log_p, 0.0
 
 
 _METHODS = {

@@ -388,6 +388,37 @@ class TestPredictCommand:
         assert (code, out) == (2, "")
         assert "below the float range" in err
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [("cnml", "leaves the float range"), ("jeffreys", "below the float range"),
+         ("plugin", "outside the float range")],
+    )
+    def test_far_gaussian_prefix_exits_2_for_every_method(self, method, message, tmp_path,
+                                                          capsys):
+        # CNML exited 3 on a NaN integrand, and the plug-in -inf reached the JSON check
+        data = tmp_path / "far.txt"
+        data.write_text("1e160\n1e160\n1e160\n")
+        code, out, err = run_cli(
+            ["predict", "--family", "gaussian", "--cov", "1", "--data", str(data),
+             "--future", "1.0", "--method", method],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+    def test_normalizable_far_gamma_prefix_is_no_divergence(self, tmp_path, capsys):
+        # the CNML divergence probe called this normalizer divergent; QUADPACK
+        # fails on it, which is a numerical failure, exit 3 as before
+        data = tmp_path / "far.txt"
+        data.write_text("1e50\n1e50\n1e50\n")
+        code, out, err = run_cli(
+            ["predict", "--family", "gamma", "--shape", "1", "--data", str(data),
+             "--future", "1.0", "--method", "cnml"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert "diverges" not in err and len(err.splitlines()) == 1
+
     def test_far_poisson_exp_prefix_jeffreys(self, tmp_path, capsys):
         # quadrature missed this evidence by 4.5e-4 while it reported an
         # error of 1.5e-9; the family's Bessel closed form replaces it

@@ -28,6 +28,7 @@ from expfam.errors import (
     DegenerateDataError,
     DomainError,
     ExpfamError,
+    NonConvergenceError,
     NonNormalizableError,
     SupportError,
 )
@@ -308,6 +309,19 @@ class TestJeffreysPredictor:
         with pytest.raises(DomainError, match="below the float range"):
             predictor.log_predictive(future)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "method, message",
+        [("cnml", "shift .* leaves the float range"), ("jeffreys", "below the float range"),
+         ("plugin", "log density is -inf, outside the float range")],
+    )
+    def test_far_gaussian_prefix_gets_one_verdict(self, method, message):
+        # three observations of 1e160: the plug-in predictive was -inf with no
+        # error, and CNML raised NonConvergenceError on a NaN integrand
+        predictor = make_predictor(method, GaussianLocationFamily(1.0))
+        with pytest.raises(DomainError, match=message):
+            predictor.fit([1e160] * 3).predictive_value([1.0])
+
     def test_gaussian_joint_equals_chained(self):
         # p(y1, y2, y3 | x) = p(y1 | x) p(y2 | x, y1) p(y3 | x, y1, y2)
         family, n, xbar = GaussianLocationFamily(1.3), 7, -0.6
@@ -473,6 +487,61 @@ class TestInverseGaussianClosedForm:
                 case()
 
 
+def _mp_poisson_exp_log_predictive(kappa, n, xbar, future):
+    """ln of the Jeffreys predictive at 50 digits, as the difference of two evidences.
+
+    The evidence is sqrt(tau / n) exp(-n sqrt(2 kappa xbar)) (a Bessel K_(1/2)), and
+    the carrier of y > 0 is kappa I_1(u) / u with u = sqrt(2 kappa y), 1 at the atom.
+    """
+    with mp.workdps(50):
+        kappa, xbar, ys = mp.mpf(kappa), mp.mpf(xbar), [mp.mpf(y) for y in future]
+        k, t = len(ys), n * xbar + mp.fsum(ys)
+
+        def log_evidence(n, x):
+            return mp.log(2 * mp.pi / n) / 2 - n * mp.sqrt(2 * kappa * x)
+
+        carriers = mp.fsum(
+            mp.log(kappa * mp.besseli(1, mp.sqrt(2 * kappa * y)) / mp.sqrt(2 * kappa * y))
+            for y in ys if y != 0
+        )
+        return float(log_evidence(n + k, t / (n + k)) - log_evidence(n, xbar) + carriers)
+
+
+class TestPoissonExponentialClosedForm:
+    """The Jeffreys predictive as one ratio, against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("kappa", [1e-3, 2.0, 1e4])
+    @pytest.mark.parametrize("future", [(1.0,), (0.0,), (0.05,), (7.0,), (0.3, 2.5), (0.0, 1.0)])
+    def test_predictive_against_mpmath_to_1e9(self, kappa, future):
+        # the evidence difference was 2.8e-8 off at m = 1e9 and reported an error of 0
+        family = PoissonExponentialFamily(kappa)
+        for m in (1, 2, 10, 10**3, 10**5, 10**7, 10**8, 10**9):
+            for xbar in (1e-3, 1.3, 30.0):
+                fitted = JeffreysPredictor(family).fit(ObservationBatch(n=m, xbar=xbar))
+                value = fitted.predictive_value(list(future))
+                ref = _mp_poisson_exp_log_predictive(kappa, m, xbar, future)
+                assert abs(value.log_density - ref) <= 1e-13 * max(1.0, abs(ref)), (m, xbar)
+                assert value.normalizer_error == 0.0
+
+    def test_no_overflow_where_the_sum_nears_the_float_range(self):
+        # (n + k)(n xbar + s) = 1e317 would overflow as one product under the root
+        fitted = JeffreysPredictor(PoissonExponentialFamily(2.0)).fit(
+            ObservationBatch(n=10**9, xbar=1e299))
+        ref = _mp_poisson_exp_log_predictive(2.0, 10**9, 1e299, (1.0, 3.0))
+        assert fitted.log_predictive([1.0, 3.0]) == pytest.approx(ref, rel=1e-13)
+
+    def test_fit_and_predict_run_no_quadrature(self, monkeypatch):
+        def run():
+            for n in (1, 10**9):
+                fitted = JeffreysPredictor(PoissonExponentialFamily(2.0)).fit(
+                    ObservationBatch(n=n, xbar=1.3)
+                )
+                fitted.log_predictive([0.7])
+                fitted.log_predictive([0.0, 2.0])
+
+        assert TestValidationCost._count(monkeypatch, run)["integrals"] == 0
+
+
 _CNML_PREFIXES = (
     (GammaFamily(2.5), [0.4, 1.3]),
     (GaussianLocationFamily(0.7), [-0.4, 1.3]),
@@ -636,6 +705,37 @@ class TestCnmlPredictor:
 
         with pytest.raises(NonNormalizableError):
             CnmlPredictor(FlatConjugate(), tol=1e-10).fit([1.0])
+        # the probe scales with k xbar, and still sees the flat tail far out
+        with pytest.raises(NonNormalizableError):
+            CnmlPredictor(FlatConjugate(), tol=1e-10).fit([1e10])
+
+    @staticmethod
+    def _probe(predictor):
+        """``_diverges`` on the fitted (or failed) predictor's own n, k-fold family and shift."""
+        n = predictor._m + predictor._horizon
+        shift = predictor._log_hindsight(n * predictor._xbar, n)
+        return predictor._diverges(n, predictor.family._convolution_family(predictor._horizon), shift)
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize("xbar", [1e10, 1e50, 1e300])
+    def test_normalizable_far_prefix_not_declared_divergent(self, xbar, horizon):
+        # the Gamma CNML is scale invariant and normalizable at every xbar; the
+        # probe at fixed s = 2^10..2^42 lay below the bulk at k xbar and
+        # called it divergent.  Where QUADPACK fails, that is NonConvergenceError
+        predictor = CnmlPredictor(GammaFamily(1.0), horizon=horizon)
+        try:
+            predictor.fit(ObservationBatch(n=3, xbar=xbar))
+        except NonConvergenceError:
+            pass
+        assert not self._probe(predictor)
+        if horizon == 1:
+            with pytest.raises(NonConvergenceError):
+                predictor.fit(ObservationBatch(n=3, xbar=xbar))
+
+    @pytest.mark.parametrize("xbar", [1e-3, 1.0, 1e7])
+    def test_probe_unchanged_near_unit_scale(self, xbar):
+        predictor = CnmlPredictor(GammaFamily(1.0)).fit(ObservationBatch(n=3, xbar=xbar))
+        assert not self._probe(predictor)
 
     @pytest.mark.parametrize("case", range(len(CNML_CASES)))
     @settings(max_examples=100, deadline=None)
