@@ -732,6 +732,13 @@ class TestCnmlPredictor:
             with pytest.raises(NonConvergenceError):
                 predictor.fit(ObservationBatch(n=3, xbar=xbar))
 
+    @pytest.mark.parametrize("xbar", [0.0, -3.0])
+    def test_probe_on_the_real_line_at_a_nonpositive_mean(self, xbar):
+        # k xbar = 0 probes at unit scale, a negative one at its size on the
+        # positive side; an unattainable tol makes the fit run the probe
+        with pytest.raises(NonConvergenceError):
+            CnmlPredictor(GaussianLocationFamily(1.0), tol=1e-30).fit([xbar])
+
     @pytest.mark.parametrize("xbar", [1e-3, 1.0, 1e7])
     def test_probe_unchanged_near_unit_scale(self, xbar):
         predictor = CnmlPredictor(GammaFamily(1.0)).fit(ObservationBatch(n=3, xbar=xbar))
