@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_intervals import count_as_batch
 
 from expfam.cli import _load_observations, main
+from test_intervals import count_as_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402

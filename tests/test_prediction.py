@@ -712,9 +712,10 @@ class TestCnmlPredictor:
     @staticmethod
     def _probe(predictor):
         """``_diverges`` on the fitted (or failed) predictor's own n, k-fold family and shift."""
-        n = predictor._m + predictor._horizon
+        k = predictor._horizon
+        n = predictor._m + k
         shift = predictor._log_hindsight(n * predictor._xbar, n)
-        return predictor._diverges(n, predictor.family._convolution_family(predictor._horizon), shift)
+        return predictor._diverges(n, predictor.family._convolution_family(k), shift)
 
     @pytest.mark.parametrize("horizon", [1, 2])
     @pytest.mark.parametrize("xbar", [1e10, 1e50, 1e300])
