@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 
+from .core import as_batch
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -124,7 +125,9 @@ def _load_observations(path, d=1):
     try:
         with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
-            rows = np.loadtxt(handle, delimiter=",", ndmin=1 if d == 1 else 2)
+            rows = np.loadtxt(handle, delimiter=",", ndmin=2)
+        if rows.size == 0:  # shape (0, 1) at any d, which is no width error
+            raise DomainError("at least one observation is required")
         return check_observations(rows, d)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError and DomainError are ValueErrors
         raise DomainError(f"cannot read data file {path}: {exc}") from None
@@ -262,9 +265,9 @@ def _interval_record(result):
 def cmd_interval(args, config):
     family = _make_family(args)
     level = _resolve(args, config, "level", 0.9, float)
-    data = _load_observations(args.data, family.d)
+    batch = as_batch(family, _load_observations(args.data, family.d))
     build = interval_construction(family, args.method, level)
-    return [_interval_record(build(data))], EXIT_OK
+    return [_interval_record(build(batch))], EXIT_OK
 
 
 def cmd_coverage(args, config):

@@ -248,19 +248,23 @@ class CnmlPredictor(_PredictorBase):
         decades of doubling, which catches constant and 1/s tails while
         leaving every integrable power or exponential tail alone.  The probe
         runs at s = |k xbar| 2^j, from the split point on, so that it stays
-        past the bulk at any scale of xbar (1 where k xbar is 0).
+        past the bulk at any scale of xbar (1 where k xbar is 0).  It stops
+        where base + s leaves the float range and judges on the points below;
+        with fewer than two it declares nothing.
         """
         base = self._m * self._xbar
         scale = abs(self._horizon * self._xbar) or 1.0
         logs = []
         for j in range(10, 44, 4):
             s = scale * 2.0**j
+            if not math.isfinite(base + s):
+                break
             try:
                 val = self._log_hindsight(base + s, n) + conv.log_carrier(s) - shift
             except (DomainError, SupportError):
                 val = -math.inf
             logs.append(math.log(s) + val)
-        return logs[-1] > logs[0] - 2.0 and logs[-1] > -600.0
+        return len(logs) > 1 and logs[-1] > logs[0] - 2.0 and logs[-1] > -600.0
 
     def _prepare(self):
         k = self._horizon

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expfam.cli import _load_observations, main
-from test_intervals import count_as_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
@@ -1098,13 +1097,15 @@ def test_loader_bits_equal_float_line_by_line(source, tmp_path):
         (b"1.0\nnot-a-number\n", 1, "could not convert string 'not-a-number'"),
         (b"1.0,2.0\n3.0\n", 2, "the number of columns changed"),
         (b"1.0,2.0,3.0\n", 2, "expected observations of dimension 2"),
+        (b"1.0,2.0\n", 1, "expected 1-d observations, got shape (1, 2)"),
         (b"", 1, "at least one observation is required"),
-        (b"# a comment and nothing else\n\n", 2, "observations of dimension 2, got shape (0, 1)"),
+        (b"", 2, "at least one observation is required"),
+        (b"# a comment and nothing else\n\n", 2, "at least one observation is required"),
         (None, 1, "No such file or directory"),
         (b"1.0\n\xff\xfe2.0\n", 1, "'utf-8' codec can't decode"),
     ],
-    ids=["non-number", "ragged", "wrong-width", "empty", "comment-only", "missing",
-         "bad-utf8"],
+    ids=["non-number", "ragged", "wrong-width", "one-row-at-d1", "empty", "empty-d2",
+         "comment-only", "missing", "bad-utf8"],
 )
 def test_bad_data_file_exits_2_naming_the_file(content, d, message, tmp_path, capsys):
     path = tmp_path / "data.txt"
@@ -1124,13 +1125,15 @@ def test_bad_data_file_exits_2_naming_the_file(content, d, message, tmp_path, ca
     [
         ["--family", "gamma", "--shape", "2", "--method", "confidence"],
         ["--family", "poisson-exp", "--kappa", "2", "--method", "credible"],
+        ["--family", "poisson-exp", "--kappa", "2", "--method", "confidence"],
         ["--family", "gaussian", "--cov", "1", "--method", "divergence-ball"],
     ],
 )
-def test_interval_checks_its_data_once(family, monkeypatch, tmp_path, capsys):
-    # cmd_interval passes the rows straight to the construction, which runs as_batch
+def test_interval_checks_its_data_once(family, as_batch_calls, tmp_path, capsys):
+    # cmd_interval checks the rows and hands the construction the batch, whose
+    # own as_batch scans no sample; the construction must get a batch, as the
+    # perfbench tracer labels poisson_exp_confidence calls by batch.n
     path = tmp_path / "data.txt"
     path.write_text("0.5\n1.5\n")
-    calls = count_as_batch(monkeypatch)
     run_json(["interval", *family, "--data", str(path)], capsys)
-    assert len(calls) == 1
+    assert as_batch_calls == ["rows", "batch"]

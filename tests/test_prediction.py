@@ -680,7 +680,7 @@ class TestCnmlPredictor:
                 return theta < 0
 
             def in_mean_domain(self, mu):
-                return mu > 0
+                return 0 < mu < math.inf
 
             def in_support(self, x):
                 return x > 0
@@ -708,6 +708,9 @@ class TestCnmlPredictor:
         # the probe scales with k xbar, and still sees the flat tail far out
         with pytest.raises(NonNormalizableError):
             CnmlPredictor(FlatConjugate(), tol=1e-10).fit([1e10])
+        # near the float range it judges on the points below it, not on NaN
+        with pytest.raises(NonNormalizableError):
+            CnmlPredictor(FlatConjugate(), tol=1e-10).fit([1e300])
 
     @staticmethod
     def _probe(predictor):
