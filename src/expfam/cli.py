@@ -214,7 +214,7 @@ def cmd_density(args, config):
 def cmd_predict(args, config):
     family = _make_family(args)
     tol = _resolve(args, config, "tol", DEFAULT_TOL, float)
-    prefix = _load_observations(args.data, family.d)
+    batch = as_batch(family, _load_observations(args.data, family.d))
     future = np.atleast_1d(_parse_vector(args.future))
     horizon = future.shape[0]
     methods = ["cnml", "jeffreys"] if args.compare else [args.method]
@@ -222,13 +222,13 @@ def cmd_predict(args, config):
     values = {}
     for method in methods:
         predictor = make_predictor(method, family, horizon=horizon, tol=tol)
-        predictor.fit(prefix)
+        predictor.fit(batch)
         value = predictor.predictive_value(future)
         values[method] = value.log_density
         records.append(
             {
                 "method": value.method,
-                "m": int(prefix.shape[0]),
+                "m": batch.n,
                 "future": future,
                 "log_density": value.log_density,
                 "normalizer_error": value.normalizer_error,

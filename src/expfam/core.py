@@ -82,8 +82,9 @@ class Family(ParamsMixin):
     values: ``_cumulant``, ``_mean_from_natural``, ``_covariance``,
     ``_mle``, ``_log_carrier`` and ``_convolution_family``,
     ``_log_jeffreys`` where the default would overflow,
-    ``_ratio_exponent`` for the ratio integral, and a one-frame
-    ``_conjugate_carrier_kernel`` for the CNML normalizer.  A
+    ``_ratio_exponent`` for the ratio integral, a one-frame
+    ``_conjugate_carrier_kernel`` for the CNML normalizer, and
+    ``_log_jeffreys_predictive`` for the Jeffreys predictor.  A
     point is a float when d == 1 and a vector (d,) otherwise.  Each
     public method checks its arguments and calls the kernel of the same
     name; quadrature integrands, whose arguments are checked once before
@@ -137,14 +138,6 @@ class Family(ParamsMixin):
         """
         raise DomainError(f"no closed-form Jeffreys posterior for {type(self).__name__}")
 
-    def _log_jeffreys_evidence(self, n, xbar):
-        """ln of the integral of exp(n(theta xbar - A(theta))) * jeffreys(theta).
-
-        Returns the closed form on checked arguments, or None where the
-        evidence must be integrated.
-        """
-        return None
-
     def _ratio_exponent(self, n, theta_hat, v):
         """g(v), the log of Lemma 1's integrand relative to its value at v = 0.
 
@@ -159,11 +152,10 @@ class Family(ParamsMixin):
     def _log_jeffreys_predictive(self, n, xbar, future):
         """ln of the Jeffreys predictive density of ``future`` after n points of mean xbar.
 
-        Returns the closed form as a ratio, with no term of order n
-        subtracted, on checked arguments (``future`` a 1-d array), or None
-        where the predictive is the difference of two evidences.
+        The family's closed form on checked arguments (``future`` a 1-d
+        array); only families that have one define it.
         """
-        return None
+        raise DomainError(f"no closed-form Jeffreys predictive for {type(self).__name__}")
 
     def conjugate(self):
         """The conjugated exponential family; see ``families.conjugate_family``."""

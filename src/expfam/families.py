@@ -93,6 +93,16 @@ class GammaFamily(Family):
         a = self.alpha
         return 0.5 * math.log(a) + math.lgamma(n * a) - n * a * math.log(n * xbar)
 
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        # the difference of two evidences, whose O(n) terms cancel in float and
+        # cost digits as n grows: k futures of sum s take (n, xbar) to
+        # (n + k, (n xbar + s) / (n + k))
+        k = future.shape[0]
+        xbar_new = (n * xbar + float(future.sum())) / (n + k)
+        log_p = self._log_jeffreys_evidence(n + k, xbar_new) - self._log_jeffreys_evidence(n, xbar)
+        log_p += sum(self._log_carrier(y) for y in future.tolist())
+        return check_finite_scalar(log_p, "the Gamma Jeffreys predictive")
+
     def jeffreys_posterior(self, batch):
         return RatePosterior(GammaPosterior(batch.n * self.alpha, batch.n * float(batch.xbar)))
 
@@ -173,6 +183,10 @@ class GaussianLocationFamily(Family):
     def _log_carrier(self, x):
         quad = self._dot(self._mul(self._inv_rows, x), x)
         return -0.5 * quad - self._half_log_tau_d - self._half_logdet
+
+    def _log_density(self, theta, x):
+        # the carrier at x - B theta, as theta.x - A(theta) + ln h(x) is inf - inf far from 0
+        return self._log_carrier(x - self._mean_from_natural(theta))
 
     def _log_jeffreys(self, theta):
         # J(theta) = det(B)^(1/2) does not depend on theta

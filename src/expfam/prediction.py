@@ -4,11 +4,10 @@ Three prediction strategies share one estimator surface: ``fit`` on the
 observed prefix, then query log predictive densities of future suffixes.
 
 * ``JeffreysPredictor`` takes the posterior predictive under the
-  unnormalized Jeffreys prior from the closed forms all four families
-  have; a ``Family`` with none integrates its evidence by the ratio
-  integral.  The prior cannot be normalized for the half-line families,
-  but the posterior is proper for any prefix of length >= 1 whose mean
-  statistic is interior.
+  unnormalized Jeffreys prior from the family's closed form, which all
+  four families have.  The prior cannot be normalized for the half-line
+  families, but the posterior is proper for any prefix of length >= 1
+  whose mean statistic is interior.
 * ``CnmlPredictor`` normalizes the hindsight maximum-likelihood density of
   the completed sequence over all possible futures.  Writing the hindsight
   likelihood through the conjugate pins the computation down to
@@ -86,16 +85,14 @@ def _check_suffix(family, future):
 class _PredictorBase(ParamsMixin):
     method = None
 
-    def __init__(self, family, tol=DEFAULT_TOL):
+    def __init__(self, family):
         self.family = family
-        self.tol = tol
 
     def _validate(self):
         if not isinstance(self.family, Family):
             raise DomainError("family must be a Family instance")
         if self.family.d != 1:
             raise DomainError("predictive quadrature is univariate only")
-        check_positive(self.tol, "tol")
 
     def fit(self, X):
         self._validate()
@@ -106,6 +103,9 @@ class _PredictorBase(ParamsMixin):
         self._m, self._xbar = self.batch_.n, xbar.item()
         self._prepare()
         return self
+
+    def _prepare(self):
+        """State a fit derives from (m, xbar); none unless a predictor needs it."""
 
     def predictive_value(self, future):
         check_is_fitted(self, "batch_")
@@ -126,37 +126,12 @@ class _PredictorBase(ParamsMixin):
 
 
 class JeffreysPredictor(_PredictorBase):
-    """Posterior predictive under the (improper) Jeffreys prior."""
+    """Posterior predictive under the (improper) Jeffreys prior, in closed form."""
 
     method = "Jeffreys"
 
-    def _log_evidence(self, n, xbar):
-        """log of integral exp(n(theta xbar - A)) * jeffreys(theta) dtheta.
-
-        The family's closed form, which every concrete family has, else
-        n A*(xbar) plus the log ratio integral.  ``xbar`` is checked here once.
-        """
-        fam = self.family
-        xbar = fam._check_mean(xbar)
-        closed = fam._log_jeffreys_evidence(n, xbar)
-        if closed is not None:
-            return closed, 0.0
-        log_r, rel_err = _log_ratio_integral(fam, n, fam._mle(xbar), self.tol)
-        return n * fam._convex_conjugate(xbar) + log_r, rel_err
-
-    def _prepare(self):
-        self.log_evidence_, self._evidence_rel_err = self._log_evidence(self._m, self._xbar)
-
     def _log_predictive(self, future):
-        closed = self.family._log_jeffreys_predictive(self._m, self._xbar, future)
-        if closed is not None:
-            return closed, 0.0
-        n_new = self._m + future.shape[0]
-        xbar_new = (self._m * self._xbar + float(future.sum())) / n_new
-        log_num, num_err = self._log_evidence(n_new, xbar_new)
-        carriers = sum(self.family._log_carrier(y) for y in future.tolist())
-        err = num_err + self._evidence_rel_err
-        return log_num - self.log_evidence_ + carriers, err
+        return self.family._log_jeffreys_predictive(self._m, self._xbar, future), 0.0
 
 
 class CnmlPredictor(_PredictorBase):
@@ -172,11 +147,13 @@ class CnmlPredictor(_PredictorBase):
     method = "CNML"
 
     def __init__(self, family, horizon=1, tol=DEFAULT_TOL):
-        super().__init__(family, tol=tol)
+        super().__init__(family)
         self.horizon = horizon
+        self.tol = tol
 
     def _validate(self):
         super()._validate()
+        check_positive(self.tol, "tol")
         self._horizon = check_count(self.horizon, "horizon")
 
     def _log_hindsight(self, total_stat, n):
@@ -331,7 +308,7 @@ def make_predictor(method, family, horizon=1, tol=DEFAULT_TOL):
         raise DomainError(f"unknown method {method!r}; expected one of {sorted(_METHODS)}")
     if key == "cnml":
         return CnmlPredictor(family, horizon=horizon, tol=tol)
-    return _METHODS[key](family, tol=tol)
+    return _METHODS[key](family)
 
 
 def regret(family, method, sequence, m, tol=DEFAULT_TOL):
@@ -402,7 +379,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
     for xbar in prefix_means:
         batch = ObservationBatch(n=m, xbar=xbar)
         try:
-            jeffreys = JeffreysPredictor(family, tol=tol).fit(batch)
+            jeffreys = JeffreysPredictor(family).fit(batch)
             cnml = CnmlPredictor(family, horizon=horizon, tol=tol).fit(batch)
         except NonConvergenceError as exc:
             raise NonConvergenceError(

@@ -1137,3 +1137,21 @@ def test_interval_checks_its_data_once(family, as_batch_calls, tmp_path, capsys)
     path.write_text("0.5\n1.5\n")
     run_json(["interval", *family, "--data", str(path)], capsys)
     assert as_batch_calls == ["rows", "batch"]
+
+
+@pytest.mark.parametrize(
+    "method, calls",
+    [(["--compare"], ["rows", "batch", "batch"]), (["--method", "jeffreys"], ["rows", "batch"])],
+)
+def test_predict_checks_its_data_once(method, calls, as_batch_calls, tmp_path, capsys):
+    # cmd_predict checks the rows once and fits each predictor on the batch;
+    # a compare scanned the sample once per method
+    path = tmp_path / "data.txt"
+    path.write_text("0.5\n1.5\n")
+    out = run_json(
+        ["predict", "--family", "gamma", "--shape", "2", "--data", str(path), "--future", "1.0",
+         *method],
+        capsys,
+    )
+    assert as_batch_calls == calls
+    assert (out[0] if isinstance(out, list) else out)["m"] == 2

@@ -203,12 +203,12 @@ class TestRatioIntegralLargeN:
 class TestJeffreysPredictor:
     def test_gamma_one_step_closed_form(self):
         # posterior Gamma(1, x1); predictive x1/(x1+y)^2
-        predictor = JeffreysPredictor(GammaFamily(1.0), tol=1e-11).fit([1.0])
+        predictor = JeffreysPredictor(GammaFamily(1.0)).fit([1.0])
         assert predictor.log_predictive([1.0]) == pytest.approx(
             math.log(0.25), abs=1e-10
         )
         for x1, y in ((0.5, 2.0), (3.0, 0.7)):
-            predictor = JeffreysPredictor(GammaFamily(1.0), tol=1e-11).fit([x1])
+            predictor = JeffreysPredictor(GammaFamily(1.0)).fit([x1])
             assert predictor.log_predictive([y]) == pytest.approx(
                 math.log(x1 / (x1 + y) ** 2), abs=1e-9
             )
@@ -223,7 +223,7 @@ class TestJeffreysPredictor:
             math.inf,
             tol=1e-12,
         ).value
-        predictor = JeffreysPredictor(GammaFamily(1.0), tol=1e-11).fit([x1])
+        predictor = JeffreysPredictor(GammaFamily(1.0)).fit([x1])
         assert predictor.log_predictive([y]) == pytest.approx(
             math.log(num), abs=1e-9
         )
@@ -232,12 +232,12 @@ class TestJeffreysPredictor:
     def test_inverse_gaussian_evidence_against_mpmath(self, kappa):
         # the inverse Gaussian evidence is the Bessel closed form, against
         # its parabolic-cylinder form at 30 digits
-        predictor = JeffreysPredictor(InverseGaussianFamily(kappa))
+        family = InverseGaussianFamily(kappa)
         with mp.workdps(30):
             for n in (1, 2, 3, 5, 8, 20, 100, 1000):
                 for xbar in (0.05, 0.4, 1.0, 3.0, 20.0):
                     ref = float(_mp_inverse_gaussian_log_evidence(kappa, n, xbar))
-                    got, _ = predictor._log_evidence(n, xbar)
+                    got = family._log_jeffreys_evidence(n, xbar)
                     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (n, xbar)
 
     @pytest.mark.parametrize(
@@ -255,10 +255,42 @@ class TestJeffreysPredictor:
                 got = n * family.convex_conjugate(xbar) + log_r
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, xbar)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 1e4),
+        n=st.integers(1, 10**9),
+        xbar=st.floats(1e-8, 1e8),
+        future=st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=3),
+    )
+    def test_gamma_predictive_is_the_evidence_difference(self, alpha, n, xbar, future):
+        # bit for bit the difference of the two closed-form evidences, in its
+        # order of operations, until a ratio form replaces it
+        family, k = GammaFamily(alpha), len(future)
+        new = (n * xbar + float(np.sum(future))) / (n + k)
+        expected = (
+            family._log_jeffreys_evidence(n + k, new)
+            - family._log_jeffreys_evidence(n, xbar)
+            + sum(family._log_carrier(y) for y in future)
+        )
+        value = JeffreysPredictor(family).fit(ObservationBatch(n=n, xbar=xbar)).predictive_value(
+            future
+        )
+        assert value.log_density == expected
+        assert value.normalizer_error == 0.0
+
+    def test_a_family_with_no_closed_form_raises(self):
+        # the Family default raises, where it returned None to an evidence difference
+        class NoClosedForm(InverseGaussianFamily):
+            _log_jeffreys_predictive = Family._log_jeffreys_predictive
+
+        predictor = JeffreysPredictor(NoClosedForm(2.0)).fit([0.5, 1.5])
+        with pytest.raises(DomainError, match="no closed-form Jeffreys predictive for NoClosedForm"):
+            predictor.log_predictive([0.7])
+
     def test_gaussian_convolution(self):
         # posterior N(xbar, 1), predictive N(xbar, 2)
         xbar = 0.4
-        predictor = JeffreysPredictor(GaussianLocationFamily(1.0), tol=1e-11).fit(
+        predictor = JeffreysPredictor(GaussianLocationFamily(1.0)).fit(
             [xbar]
         )
         for y in (-1.0, 0.4, 2.2):
@@ -364,7 +396,7 @@ class TestJeffreysPredictor:
         rng = np.random.default_rng(41)
         for _ in range(10):
             data = rng.uniform(0.3, 3.0, size=int(rng.integers(1, 5)))
-            predictor = JeffreysPredictor(GammaFamily(1.5), tol=1e-10).fit(data)
+            predictor = JeffreysPredictor(GammaFamily(1.5)).fit(data)
             assert self._one_step_mass(predictor) == pytest.approx(1.0, abs=1e-7)
 
     def test_one_step_normalization_quadrature_families(self):
@@ -378,7 +410,7 @@ class TestJeffreysPredictor:
             (InverseGaussianFamily(0.3), lambda: rng.uniform(0.2, 1.0, size=1)),
         ]
         for family, draw in cases:
-            predictor = JeffreysPredictor(family, tol=1e-10).fit(draw())
+            predictor = JeffreysPredictor(family).fit(draw())
             assert self._one_step_mass(predictor) == pytest.approx(
                 1.0, abs=1e-7
             ), family
@@ -443,42 +475,16 @@ class TestInverseGaussianClosedForm:
 
         assert TestValidationCost._count(monkeypatch, run)["integrals"] == 0
 
-    def test_the_ratio_integral_fallback(self, monkeypatch):
-        # a Family subclass with no closed forms integrates its evidence; the
-        # inverse Gaussian was that path's only user, so it is kept driven here
-        class NoClosedForm(InverseGaussianFamily):
-            def _log_jeffreys_evidence(self, n, xbar):
-                return None
-
-            def _log_jeffreys_predictive(self, n, xbar, future):
-                return None
-
-        closed = InverseGaussianFamily(2.0)
-        for n, xbar in ((1, 0.4), (20, 1.3), (10**6, 3.0)):
-            batch = ObservationBatch(n=n, xbar=xbar)
-            exact = JeffreysPredictor(closed).fit(batch)
-            fallback, values = JeffreysPredictor(NoClosedForm(2.0), tol=1e-12), []
-
-            def run():
-                fallback.fit(batch)
-                values.extend(fallback.predictive_value(f) for f in ([0.7], [0.2, 2.5]))
-
-            # one ratio integral for the fit, one per predictive value
-            assert TestValidationCost._count(monkeypatch, run)["integrals"] == 3
-            assert fallback.log_evidence_ == pytest.approx(exact.log_evidence_, rel=1e-11)
-            for future, got in zip(([0.7], [0.2, 2.5]), values):
-                assert got.log_density == pytest.approx(exact.log_predictive(future), abs=1e-9)
-                assert got.normalizer_error <= 1e-11
-
     @pytest.mark.filterwarnings("error")
     def test_outside_the_float_range_raises(self):
         # n A*(xbar) = 5e308; n kappa / (4 xbar) underflows to 0; a future
-        # sum that overflows
+        # sum that overflows.  A fit computes no evidence, so the first two
+        # raise at the predictive
         cases = [
             lambda: JeffreysPredictor(InverseGaussianFamily(1e300)).fit(
-                ObservationBatch(n=10**9, xbar=1.0)),
+                ObservationBatch(n=10**9, xbar=1.0)).log_predictive([0.7]),
             lambda: JeffreysPredictor(InverseGaussianFamily(5e-324)).fit(
-                ObservationBatch(n=1, xbar=0.5)),
+                ObservationBatch(n=1, xbar=0.5)).log_predictive([0.7]),
             lambda: JeffreysPredictor(InverseGaussianFamily(2.0)).fit(
                 ObservationBatch(n=3, xbar=1.0)).log_predictive([1e308, 1e308]),
         ]
@@ -866,6 +872,25 @@ class TestPlugInPredictor:
             worst_cnml = max(worst_cnml, regret(family, "cnml", seq, 1, tol=1e-9))
         assert worst_plugin >= worst_cnml
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cov", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize(
+        "xbar, y",
+        [(0.37, 1.7), (-2.0, 3.5), (1e8, 1e8 + 3.0), (1e160, 1e160), (-1e160, -1e160 - 2e144),
+         (1e300, 1e300)],
+    )
+    def test_gaussian_against_mpmath(self, cov, xbar, y):
+        # the normal log density at the fitted mean B theta_hat, in 50 digits;
+        # a power-of-two cov makes that mean exact in floats.  theta y - A(theta)
+        # was inf - inf from |xbar| 1.3e154, and the plug-in raised on the NaN
+        family = GaussianLocationFamily(cov)
+        got = PlugInPredictor(family).fit(ObservationBatch(n=3, xbar=xbar)).log_predictive([y])
+        with mp.workdps(50):
+            B = mp.mpf(cov)
+            mean = B * mp.mpf(family.mle(xbar))
+            ref = -((mp.mpf(y) - mean) ** 2) / (2 * B) - mp.log(2 * mp.pi * B) / 2
+        assert got == pytest.approx(float(ref), rel=4e-16, abs=4e-16)
+
 
 class TestRegret:
     def test_cnml_regret_constant_over_future(self):
@@ -1007,8 +1032,8 @@ class TestEquivalence:
     def test_permutation_invariance(self):
         # predictive depends on the prefix only through (m, xbar)
         family = GammaFamily(2.0)
-        a = JeffreysPredictor(family, tol=1e-10).fit([0.5, 2.0, 1.1])
-        b = JeffreysPredictor(family, tol=1e-10).fit([1.1, 0.5, 2.0])
+        a = JeffreysPredictor(family).fit([0.5, 2.0, 1.1])
+        b = JeffreysPredictor(family).fit([1.1, 0.5, 2.0])
         assert a.log_predictive([1.4]) == b.log_predictive([1.4])
         c = CnmlPredictor(family, tol=1e-10).fit([0.5, 2.0, 1.1])
         d = CnmlPredictor(family, tol=1e-10).fit([2.0, 1.1, 0.5])
@@ -1068,6 +1093,11 @@ class TestEstimatorSurface:
         assert predictor.fit([1.0]) is predictor
         params = predictor.get_params()
         assert params["horizon"] == 2 and params["tol"] == 1e-9
+
+    @pytest.mark.parametrize("predictor", [JeffreysPredictor, PlugInPredictor])
+    def test_closed_form_predictors_take_no_tol(self, predictor):
+        family = GammaFamily(1.0)
+        assert predictor(family).get_params() == {"family": family}
 
     def test_unfitted_query_rejected(self):
         with pytest.raises(DomainError):

@@ -248,7 +248,7 @@ def _coverage(**kwargs):
         lambda: GammaFamily("abc"),
         lambda: GammaFamily(None),
         lambda: gamma_credible(1.0, ONE, None),
-        lambda: JeffreysPredictor(GAMMA, tol="a").fit([1.0]),
+        lambda: CnmlPredictor(GAMMA, tol="a").fit([1.0]),
         lambda: ObservationBatch(n=1, xbar="a"),
         lambda: ObservationBatch(n=1, xbar=[1.0, 2.0]),
         lambda: GAMMA.cumulant("a"),
