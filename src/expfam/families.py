@@ -91,7 +91,11 @@ class GammaFamily(Family):
     def _log_jeffreys_evidence(self, n, xbar):
         # the posterior of the rate is Gamma(n alpha, n xbar)
         a = self.alpha
-        return 0.5 * math.log(a) + math.lgamma(n * a) - n * a * math.log(n * xbar)
+        try:
+            log_gamma = math.lgamma(n * a)
+        except OverflowError:  # n alpha above 2.56e305
+            raise DomainError(f"ln Gamma(n alpha) overflows at n alpha = {n * a}") from None
+        return 0.5 * math.log(a) + log_gamma - n * a * math.log(n * xbar)
 
     def _log_jeffreys_predictive(self, n, xbar, future):
         # the difference of two evidences, whose O(n) terms cancel in float and

@@ -82,6 +82,17 @@ def _check_suffix(family, future):
     return family._check_sample(future)
 
 
+def _check_grid(family, grid, horizon, name="future grid"):
+    """A grid's rows and their sums, checked once: an entry is a suffix of horizon points."""
+    grid = float_array(grid, name)
+    if grid.ndim < 2 and horizon == 1:
+        grid = grid.reshape(-1, 1)
+    if grid.ndim != 2 or grid.shape[1] != horizon or grid.shape[0] < 1:
+        raise DomainError(f"{name} entries must be {horizon} points each, got shape {grid.shape}")
+    family._check_sample(grid.ravel())
+    return list(grid), [sum(row) for row in grid.tolist()]
+
+
 class _PredictorBase(ParamsMixin):
     method = None
 
@@ -110,19 +121,24 @@ class _PredictorBase(ParamsMixin):
     def predictive_value(self, future):
         check_is_fitted(self, "batch_")
         future = _check_suffix(self.family, future)
-        total = self._m * self._xbar + sum(future.tolist())  # Python floats: no numpy warning
+        log_density, err = self._score(future, sum(future.tolist()))
+        return PredictiveValue(log_density, self.method, err)
+
+    def _score(self, future, future_sum):
+        """``_log_predictive`` of a checked suffix whose Python-float sum is given."""
+        total = self._m * self._xbar + future_sum  # Python floats: no numpy warning
         if not math.isfinite(total):
             raise DomainError(f"the sum m xbar + sum(future) = {total} leaves the float range")
-        log_density, err = self._log_predictive(future)
-        return PredictiveValue(log_density, self.method, err)
+        return self._log_predictive(future)
 
     def log_predictive(self, future):
         return self.predictive_value(future).log_density
 
     def score_samples(self, Y):
-        """One-step log predictive density at each point of Y."""
-        Y = np.atleast_1d(float_array(Y, "score points"))
-        return np.array([self.predictive_value([y]).log_density for y in Y])
+        """One-step log predictive density at each point of Y, checked once."""
+        check_is_fitted(self, "batch_")
+        rows, sums = _check_grid(self.family, Y, 1, "score points")
+        return np.array([self._score(row, s)[0] for row, s in zip(rows, sums)])
 
 
 class JeffreysPredictor(_PredictorBase):
@@ -249,7 +265,7 @@ class CnmlPredictor(_PredictorBase):
         shift = self._log_hindsight(n * self._xbar, n)
         if not math.isfinite(shift):
             raise DomainError(f"the CNML shift n A*(xbar) = {shift} leaves the float range")
-        conv = self.family._convolution_family(k)
+        conv = self.family if k == 1 else self.family._convolution_family(k)
         try:
             shift, value, err = self._sum_normalizer(n, conv, shift)
         except NonConvergenceError:
@@ -369,12 +385,14 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
 
     ``prefix_means`` are observed averages for prefixes of length m;
     ``future_grid`` holds single future points (one-step, n = m + 1) or
-    suffix tuples of length n - m.
+    suffix tuples of length n - m.  The grid is checked once, before any
+    prefix, and each fitted pair scores its rows directly.
     """
     m, n = check_count(m, "m"), check_count(n, "n")
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     horizon = n - m
+    rows, sums = _check_grid(family, future_grid, horizon)
     worst = 0.0
     for xbar in prefix_means:
         batch = ObservationBatch(n=m, xbar=xbar)
@@ -385,14 +403,12 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
             raise NonConvergenceError(
                 f"predictor setup failed at prefix xbar={xbar}: {exc}"
             ) from exc
-        for entry in future_grid:
+        for row, s in zip(rows, sums):
             try:
-                # CNML first: it rejects a suffix whose length is not the
-                # horizon, where the Jeffreys predictive takes any length
-                delta = abs(cnml.log_predictive(entry) - jeffreys.log_predictive(entry))
+                delta = abs(cnml._score(row, s)[0] - jeffreys._log_predictive(row)[0])
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
-                    f"prediction failed at xbar={xbar}, future={entry!r}: {exc}"
+                    f"prediction failed at xbar={xbar}, future={row.tolist()}: {exc}"
                 ) from exc
             worst = max(worst, delta)
     return worst

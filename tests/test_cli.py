@@ -387,6 +387,19 @@ class TestPredictCommand:
         assert (code, out) == (2, "")
         assert "below the float range" in err
 
+    def test_huge_gamma_shape_jeffreys_exits_2(self, tmp_path, capsys):
+        # ln Gamma(n alpha) at n alpha = 4e305 was a raw OverflowError and a
+        # traceback (exit 1)
+        data = tmp_path / "two.txt"
+        data.write_text("1.0\n1.0\n")
+        code, out, err = run_cli(
+            ["predict", "--family", "gamma", "--shape", "2e305", "--data", str(data),
+             "--future", "1.0", "--method", "jeffreys"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "method, message",
         [("cnml", "leaves the float range"), ("jeffreys", "below the float range"),

@@ -278,6 +278,26 @@ class TestJeffreysPredictor:
         assert value.log_density == expected
         assert value.normalizer_error == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 1e4),
+        n=st.integers(1, 10**9),
+        xbar=st.floats(1e-8, 1e8),
+    )
+    def test_gamma_evidence_keeps_its_bits(self, alpha, n, xbar):
+        # the overflow guard leaves every finite evidence as the one-line form
+        expected = (0.5 * math.log(alpha) + math.lgamma(n * alpha)
+                    - n * alpha * math.log(n * xbar))
+        assert GammaFamily(alpha)._log_jeffreys_evidence(n, xbar) == expected
+
+    @pytest.mark.parametrize("alpha, n", [(2e305, 2), (3e300, 10**5), (2.5e305, 1)])
+    def test_gamma_evidence_past_lgamma_raises_domain_error(self, alpha, n):
+        # ln Gamma(n alpha) overflows above n alpha = 2.56e305: a raw OverflowError
+        # at the predictive (and a traceback on the CLI) before
+        fitted = JeffreysPredictor(GammaFamily(alpha)).fit(ObservationBatch(n=n, xbar=1.0))
+        with pytest.raises(DomainError, match="overflows at n alpha"):
+            fitted.log_predictive([1.0])
+
     def test_a_family_with_no_closed_form_raises(self):
         # the Family default raises, where it returned None to an evidence difference
         class NoClosedForm(InverseGaussianFamily):
@@ -1044,6 +1064,145 @@ class TestEquivalence:
             equivalence_check(GammaFamily(1.0), 1, 3, (1.0,), (1.0,), tol=1e-9)
 
 
+_GRID_FAMILIES = (
+    (GammaFamily(2.5), (0.4, 1.3), (0.2, 1.0, 5.0)),
+    (GaussianLocationFamily(0.7), (-0.4, 1.3), (-2.0, 0.0, 1.5)),
+    (InverseGaussianFamily(2.0), (0.4, 1.3), (0.2, 1.0, 5.0)),
+    (PoissonExponentialFamily(2.0), (0.5, 1.3), (0.0, 0.7, 3.0)),
+)
+
+
+def _grid(points, horizon):
+    """The points as scalars at horizon 1, else every ordered pair of them (horizon 2)."""
+    return points if horizon == 1 else [(a, b) for a in points for b in points]
+
+
+class TestScoringThroughTheFit:
+    """The grid scorers check their grid once and score through the fitted predictors."""
+
+    @pytest.mark.parametrize("family, prefixes, points", _GRID_FAMILIES)
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_equivalence_statistic_is_the_public_maximum(self, family, prefixes, points,
+                                                          horizon):
+        grid, m = _grid(points, horizon), 2
+        expected = 0.0
+        for xbar in prefixes:
+            batch = ObservationBatch(n=m, xbar=xbar)
+            jeffreys = JeffreysPredictor(family).fit(batch)
+            cnml = CnmlPredictor(family, horizon=horizon, tol=1e-10).fit(batch)
+            for entry in grid:
+                delta = abs(cnml.log_predictive(entry) - jeffreys.log_predictive(entry))
+                expected = max(expected, delta)
+        got = equivalence_check(family, m, m + horizon, prefixes, grid, tol=1e-10)
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("family, prefixes, points", _GRID_FAMILIES)
+    @pytest.mark.parametrize("method", ["jeffreys", "cnml", "plugin"])
+    def test_score_samples_is_the_public_predictive(self, family, prefixes, points, method):
+        fitted = make_predictor(method, family).fit(ObservationBatch(n=3, xbar=prefixes[1]))
+        expected = [fitted.predictive_value([y]).log_density for y in points]
+        assert repr(fitted.score_samples(points).tolist()) == repr(expected)
+
+    @pytest.mark.parametrize("size", [3, 30])
+    def test_a_grid_is_checked_once(self, monkeypatch, size):
+        # each (prefix, entry) pair checked its future twice, CNML's and Jeffreys'
+        family = GammaFamily(1.0)
+        points = np.geomspace(0.2, 5.0, size)
+        fitted = JeffreysPredictor(family).fit([0.5, 1.5])
+
+        def samples(run):
+            return TestValidationCost._count(monkeypatch, run)["samples"]
+
+        assert samples(lambda: equivalence_check(family, 1, 2, (0.5, 2.0), points)) == 1
+        pairs = _grid(points[:size // 3], 2)
+        assert samples(lambda: equivalence_check(family, 1, 3, (0.5, 2.0), pairs)) == 1
+        assert samples(lambda: fitted.score_samples(points)) == 1
+
+    @pytest.mark.parametrize(
+        "m, n, grid, error, message",
+        [
+            (1, 2, ["a"], DomainError, "must be numbers"),
+            (1, 2, [1.0, math.nan], SupportError, "nan is outside the support"),
+            (1, 2, [1.0, -1.0], SupportError, r"-1\.0 is outside the support"),
+            (1, 3, [(0.5, 1.0), (-1.0, 2.0)], SupportError, r"-1\.0 is outside the support"),
+            (1, 3, [1.0, 2.0], DomainError, "entries must be 2 points each"),
+            (1, 2, [(1.0, 2.0)], DomainError, "entries must be 1 points each"),
+            (1, 3, [(0.5, 1.0), (1.0,)], DomainError, "must be numbers"),
+            (1, 3, [(1e308, 1e308)], DomainError, "leaves the float range"),
+        ],
+        ids=["string", "nan", "outside", "outside-in-suffix", "short", "long", "ragged",
+             "sum-overflows"],
+    )
+    def test_a_bad_entry_still_raises(self, m, n, grid, error, message):
+        # a NaN or an outside point is a SupportError, as each point's check gave
+        with pytest.raises(error, match=message):
+            equivalence_check(GammaFamily(1.0), m, n, (1.0,), grid)
+
+    def test_each_prefix_still_checks_its_total(self):
+        # m xbar + sum(future) is checked per (prefix, entry): 1e308 + 1e308 overflows
+        with pytest.raises(DomainError, match="leaves the float range"):
+            equivalence_check(GammaFamily(1.0), 1, 2, (1.0, 1e308), (1e308,))
+
+    @pytest.mark.parametrize(
+        "Y, error, message",
+        [(["a"], DomainError, "must be numbers"), ([1.0, math.nan], SupportError, "nan"),
+         ([1.0, -1.0], SupportError, "outside the support"),
+         ([[1.0, 2.0]], DomainError, "entries must be 1 points each"),
+         ([1.0, 1e308], DomainError, "leaves the float range")],
+        ids=["string", "nan", "outside", "two-points", "total-overflows"],
+    )
+    def test_score_samples_still_rejects_a_bad_point(self, Y, error, message):
+        fitted = JeffreysPredictor(GammaFamily(1.0)).fit(ObservationBatch(n=1, xbar=1e308))
+        with pytest.raises(error, match=message):
+            fitted.score_samples(Y)
+
+    def test_the_grid_is_checked_before_any_prefix(self):
+        # each entry was checked inside the prefix loop: a bad prefix raised
+        # first, and with no prefixes a bad or empty grid returned 0.0
+        family = GammaFamily(1.0)
+        with pytest.raises(SupportError, match="outside the support"):
+            equivalence_check(family, 1, 2, (-1.0,), (-1.0,))
+        with pytest.raises(DomainError, match="outside the mean domain"):
+            equivalence_check(family, 1, 2, (-1.0,), (1.0,))
+        with pytest.raises(DomainError, match="must be numbers"):
+            equivalence_check(family, 1, 2, (), ("a",))
+
+    def test_an_empty_grid_raises(self):
+        # an empty grid returned 0.0, and an empty score_samples an empty array
+        with pytest.raises(DomainError, match="got shape"):
+            equivalence_check(GammaFamily(1.0), 1, 2, (1.0,), ())
+        with pytest.raises(DomainError, match="got shape"):
+            JeffreysPredictor(GammaFamily(1.0)).fit([1.0]).score_samples([])
+
+
+class TestHorizonOneReusesItsFamily:
+    @pytest.mark.parametrize("family, prefix", _CNML_PREFIXES)
+    def test_convolution_calls(self, family, prefix):
+        with mock.patch.object(
+            type(family), "_convolution_family", autospec=True,
+            side_effect=type(family)._convolution_family,
+        ) as conv:
+            CnmlPredictor(family, horizon=1).fit(prefix)
+            assert conv.call_count == 0
+            CnmlPredictor(family, horizon=2).fit(prefix)
+            assert [c.args[1:] for c in conv.call_args_list] == [(2,)]
+
+    @pytest.mark.parametrize("family, prefix", _CNML_PREFIXES)
+    def test_same_bits_as_the_one_fold_copy(self, family, prefix):
+        fitted = CnmlPredictor(family, horizon=1).fit(prefix)
+        copy = family._convolution_family(1)
+        assert copy is not family
+        # the fit's normalizer, forced through the copy
+        forced = CnmlPredictor(family, horizon=1).fit(prefix)
+        n = forced._m + 1
+        start = forced._log_hindsight(n * forced._xbar, n)
+        shift, value, err = forced._sum_normalizer(n, copy, start)
+        forced.log_normalizer_, forced._normalizer_rel_err = shift + math.log(value), err / value
+        assert repr(forced.log_normalizer_) == repr(fitted.log_normalizer_)
+        for y in (0.0 if family.has_atom else 0.3, 1.0, 2.7):
+            assert repr(forced.predictive_value([y])) == repr(fitted.predictive_value([y]))
+
+
 class TestMultiStepHorizon:
     def test_joint_equals_chained_one_steps(self):
         # for the exact families CNML is Bayesian, so the joint suffix
@@ -1180,7 +1339,8 @@ class TestValidationCost:
 
     @staticmethod
     def _count(monkeypatch, run):
-        counts = {"checks": 0, "in_mean_domain": 0, "integrals": 0, "evaluations": 0}
+        counts = {"checks": 0, "in_mean_domain": 0, "samples": 0, "integrals": 0,
+                  "evaluations": 0}
 
         def counted_check(name, key):
             original = getattr(Family, name)
@@ -1194,6 +1354,7 @@ class TestValidationCost:
         for name in ("_check_natural", "_check_mean", "_check_support"):
             counted_check(name, "checks")
         counted_check("in_mean_domain", "in_mean_domain")
+        counted_check("_check_sample", "samples")
 
         def counted_rule(module, name):
             original = getattr(module, name)
