@@ -105,7 +105,7 @@ class GammaFamily(Family):
         xbar_new = (n * xbar + float(future.sum())) / (n + k)
         log_p = self._log_jeffreys_evidence(n + k, xbar_new) - self._log_jeffreys_evidence(n, xbar)
         log_p += sum(self._log_carrier(y) for y in future.tolist())
-        return check_finite_scalar(log_p, "the Gamma Jeffreys predictive")
+        return log_p
 
     def jeffreys_posterior(self, batch):
         return RatePosterior(GammaPosterior(batch.n * self.alpha, batch.n * float(batch.xbar)))
@@ -220,8 +220,8 @@ class GaussianLocationFamily(Family):
     def _log_jeffreys_predictive(self, n, xbar, future):
         # N(xbar, B/n) posterior of the mean: with k futures of mean ybar the
         # predictive is the evidence ratio written without its O(n) terms; the
-        # predictors run at d == 1 only.  A square past the floats is inf, and
-        # a log density of -inf raises
+        # predictors run at d == 1 only, and their ``_score`` rejects a square
+        # past the floats
         B = self._b
         k = future.shape[0]
         if k == 1:  # a lone future is its own mean, with no spread
@@ -230,18 +230,12 @@ class GaussianLocationFamily(Family):
             ybar = float(future.mean())
             with np.errstate(over="ignore"):
                 spread = float(np.sum((future - ybar) ** 2))
-        try:
-            shrunk = n * k / (n + k) * (ybar - xbar) ** 2
-        except OverflowError:
-            shrunk = math.inf
-        log_p = (
+        shrunk = n * k / (n + k) * (ybar - xbar) ** 2
+        return (
             -0.5 * math.log1p(k / n)
             - 0.5 * k * math.log(TAU * B)
             - (spread + shrunk) / (2.0 * B)
         )
-        if log_p == -math.inf:
-            raise DomainError("the Jeffreys predictive log density is below the float range")
-        return log_p
 
     def jeffreys_posterior(self, batch):
         """N(B^-1 xbar, B^-1/n): for B = I the textbook N(xbar, B/n) of the mean."""
@@ -347,7 +341,7 @@ class InverseGaussianFamily(Family):
         log_p += _log_bessel_factor((n + k) ** 2 * kappa / (4.0 * t)) - 0.5 * math.log1p(k / n)
         log_p -= _log_bessel_factor(n * kappa / (4.0 * xbar))
         log_p += sum(self._log_carrier(y) for y in future.tolist())
-        return check_finite_scalar(log_p, "the inverse Gaussian Jeffreys predictive")
+        return log_p
 
     def conjugate(self):
         return PoissonExponentialFamily(self.kappa)
@@ -435,7 +429,7 @@ class PoissonExponentialFamily(Family):
         gap = k * (n * xbar / root) + (n + k) * (s / root)
         log_p = -0.5 * math.log1p(k / n) - math.sqrt(2.0 * self.kappa) * gap
         log_p += sum(self._log_carrier(y) for y in future.tolist())
-        return check_finite_scalar(log_p, "the Poisson-exponential Jeffreys predictive")
+        return log_p
 
     def jeffreys_posterior(self, batch):
         return RatePosterior(poisson_exponential_posterior(self.kappa, batch))

@@ -44,11 +44,7 @@ from .errors import (
     SupportError,
 )
 from .numerics import DEFAULT_TOL, integrate
-from .validation import (
-    check_count,
-    check_positive,
-    float_array,
-)
+from .validation import check_count, check_observations, check_positive, float_array
 
 __all__ = [
     "PredictiveValue",
@@ -125,11 +121,22 @@ class _PredictorBase(ParamsMixin):
         return PredictiveValue(log_density, self.method, err)
 
     def _score(self, future, future_sum):
-        """``_log_predictive`` of a checked suffix whose Python-float sum is given."""
+        """(log density, error) of a checked suffix whose Python-float sum is given.
+
+        The one path to ``_log_predictive`` and the one check that its log
+        density is a float: a closed form that overflows, divides by zero or
+        gives an infinity or a NaN raises :class:`DomainError`.
+        """
         total = self._m * self._xbar + future_sum  # Python floats: no numpy warning
         if not math.isfinite(total):
             raise DomainError(f"the sum m xbar + sum(future) = {total} leaves the float range")
-        return self._log_predictive(future)
+        try:
+            log_p, err = self._log_predictive(future)
+        except (OverflowError, ZeroDivisionError):  # a closed form past the floats
+            log_p = math.nan
+        if not math.isfinite(log_p):
+            raise DomainError(f"the {self.method} log density is {log_p}, outside the float range")
+        return log_p, err
 
     def log_predictive(self, future):
         return self.predictive_value(future).log_density
@@ -304,10 +311,7 @@ class PlugInPredictor(_PredictorBase):
 
     def _log_predictive(self, future):
         fam = self.family
-        log_p = sum(fam._log_density(self.theta_hat_, y) for y in future.tolist())
-        if not math.isfinite(log_p):  # -inf below the float range, or inf - inf
-            raise DomainError(f"the plug-in log density is {log_p}, outside the float range")
-        return log_p, 0.0
+        return sum(fam._log_density(self.theta_hat_, y) for y in future.tolist()), 0.0
 
 
 _METHODS = {
@@ -333,15 +337,15 @@ def regret(family, method, sequence, m, tol=DEFAULT_TOL):
     The predictor codes x_{m+1..n} given the prefix; the expert codes the
     whole sequence with the hindsight MLE.  Natural logarithms.
     """
+    sequence = check_observations(sequence, family.d)
     batch = as_batch(family, sequence)
-    sequence = np.ravel(np.asarray(sequence, dtype=float))
     n, m = batch.n, check_count(m, "m")
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     prefix, future = sequence[:m], sequence[m:]
     predictor = make_predictor(method, family, horizon=n - m, tol=tol)
     predictor.fit(ObservationBatch.from_observations(prefix))
-    log_pred, _ = predictor._log_predictive(future)
+    log_pred, _ = predictor._score(future, sum(future.tolist()))
     log_hindsight = n * family._convex_conjugate(batch.xbar)
     return log_hindsight + sum(family._log_carrier(x) for x in sequence.tolist()) - log_pred
 
@@ -405,7 +409,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
             ) from exc
         for row, s in zip(rows, sums):
             try:
-                delta = abs(cnml._score(row, s)[0] - jeffreys._log_predictive(row)[0])
+                delta = abs(cnml._score(row, s)[0] - jeffreys._score(row, s)[0])
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"prediction failed at xbar={xbar}, future={row.tolist()}: {exc}"

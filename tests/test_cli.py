@@ -376,7 +376,7 @@ class TestPredictCommand:
 
     def test_gaussian_jeffreys_far_prefix_exit_code(self, tmp_path, capsys):
         # (ybar - xbar)^2 = 1e320 was a raw OverflowError and a traceback (exit 1);
-        # the log density, about -3.8e319, is below the float range
+        # the log density, about -3.8e319, is outside the float range
         data = tmp_path / "far.txt"
         data.write_text("1e160\n1e160\n1e160\n")
         code, out, err = run_cli(
@@ -385,7 +385,7 @@ class TestPredictCommand:
             capsys,
         )
         assert (code, out) == (2, "")
-        assert "below the float range" in err
+        assert "Jeffreys log density is nan, outside the float range" in err
 
     def test_huge_gamma_shape_jeffreys_exits_2(self, tmp_path, capsys):
         # ln Gamma(n alpha) at n alpha = 4e305 was a raw OverflowError and a
@@ -402,7 +402,7 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize(
         "method, message",
-        [("cnml", "leaves the float range"), ("jeffreys", "below the float range"),
+        [("cnml", "leaves the float range"), ("jeffreys", "outside the float range"),
          ("plugin", "outside the float range")],
     )
     def test_far_gaussian_prefix_exits_2_for_every_method(self, method, message, tmp_path,
