@@ -44,7 +44,10 @@ def _inside(v, domain):
     lo, hi = domain
     if isinstance(v, np.ndarray):
         return bool(np.all((lo < v) & (v < hi)))
-    return lo < v < hi
+    try:
+        return lo < v < hi
+    except TypeError:  # None, a string, a list
+        raise DomainError(f"a point must be a number or an array, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,8 @@ class Family(ParamsMixin):
         """Draw iid observations under the natural parameter ``theta``."""
         raise NotImplementedError
 
-    def jeffreys_posterior(self, batch):
-        """The closed-form Jeffreys posterior given ``batch``.
+    def _jeffreys_posterior(self, batch):
+        """The closed-form Jeffreys posterior given a checked ``batch``.
 
         It has ``log_pdf(theta)`` and ``ppf(p)`` in natural coordinates.
         Only families whose conjugated family gives an explicit posterior
@@ -260,7 +263,8 @@ class Family(ParamsMixin):
         )
 
     def _check_mean(self, mu):
-        return self._checked(mu, self.in_mean_domain, DomainError, "mean domain")
+        return _check_mle_in_floats(
+            self, self._checked(mu, self.in_mean_domain, DomainError, "mean domain"))
 
     def _check_support(self, x):
         return self._checked(x, self.in_support, SupportError, "support")
@@ -288,7 +292,7 @@ class Family(ParamsMixin):
         return self._covariance(self._check_natural(theta))
 
     def mle(self, xbar):
-        return self._mle(_check_mle_in_floats(self, self._check_mean(xbar)))
+        return self._mle(self._check_mean(xbar))
 
     def log_carrier(self, x):
         return self._log_carrier(self._check_support(x))
@@ -328,11 +332,13 @@ class Family(ParamsMixin):
     def density(self, theta, x):
         return exp_density(self.log_density(theta, x))
 
+    def jeffreys_posterior(self, X):
+        """``_jeffreys_posterior`` of observations or an ``ObservationBatch``, via ``as_batch``."""
+        return self._jeffreys_posterior(as_batch(self, X))
+
     def robustness_ratio(self, theta, x):
         """Density ratio p_theta(x) / p_that(x)(x) = exp(-bregman(theta, that(x)))."""
-        theta = self._check_natural(theta)
-        theta_hat = self._mle(self._check_mean(x))
-        return math.exp(-self._bregman(theta, theta_hat))
+        return math.exp(-self._bregman(self._check_natural(theta), self.mle(x)))
 
 
 def _mle_in_floats(family, xbar):
@@ -351,9 +357,8 @@ def _mle_in_floats(family, xbar):
 
 
 def _check_mle_in_floats(family, xbar):
-    """``xbar``, a mean of the mean domain or a stack of them, once the MLE
-    at each is a finite point of the natural domain (a mean of 1e-320 on a
-    half line has none); else :class:`DomainError`."""
+    """``xbar``, a mean or a stack of them, once the MLE at each is a finite point of
+    the natural domain (a mean of 1e-320 on a half line has none); else DomainError."""
     if not all_hold(_mle_in_floats(family, xbar)):
         raise DomainError(
             f"batch mean {xbar!r} has no MLE in floats for {family!r}: "

@@ -107,8 +107,9 @@ class GammaFamily(Family):
         log_p += sum(self._log_carrier(y) for y in future.tolist())
         return log_p
 
-    def jeffreys_posterior(self, batch):
-        return RatePosterior(GammaPosterior(batch.n * self.alpha, batch.n * float(batch.xbar)))
+    def _jeffreys_posterior(self, batch):
+        xbar = check_finite_scalar(batch.xbar, "a Gamma posterior's batch mean")  # no stack
+        return RatePosterior(GammaPosterior(batch.n * self.alpha, batch.n * xbar))
 
     def conjugate(self):
         return GammaFamily(self.alpha)
@@ -237,7 +238,7 @@ class GaussianLocationFamily(Family):
             - (spread + shrunk) / (2.0 * B)
         )
 
-    def jeffreys_posterior(self, batch):
+    def _jeffreys_posterior(self, batch):
         """N(B^-1 xbar, B^-1/n): for B = I the textbook N(xbar, B/n) of the mean."""
         return GaussianDist(
             mean=np.atleast_1d(self.mle(batch.xbar)), precision=batch.n * self._B
@@ -347,7 +348,8 @@ class InverseGaussianFamily(Family):
         return PoissonExponentialFamily(self.kappa)
 
     def _convolution_family(self, k):
-        return InverseGaussianFamily(k**2 * self.kappa)
+        # k * k is exact below 2^26.5, and past the float range inf: no OverflowError
+        return InverseGaussianFamily(float(k) * k * self.kappa)
 
     def sample(self, rng, theta, size):
         mean = self.mean_from_natural(theta)
@@ -431,7 +433,7 @@ class PoissonExponentialFamily(Family):
         log_p += sum(self._log_carrier(y) for y in future.tolist())
         return log_p
 
-    def jeffreys_posterior(self, batch):
+    def _jeffreys_posterior(self, batch):
         return RatePosterior(poisson_exponential_posterior(self.kappa, batch))
 
     def conjugate(self):

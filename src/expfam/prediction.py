@@ -369,7 +369,7 @@ def lemma1_constancy(family, n, sequences, tol=DEFAULT_TOL):
     whose stack of means counts as one sequence per mean.  All sequences
     share one ratio integral, at any d.
     """
-    check_positive(tol, "tol")
+    n, tol = check_count(n), check_positive(tol, "tol")
     theta_hats = []
     for seq in sequences:
         batch = as_batch(family, seq)
@@ -397,8 +397,11 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     horizon = n - m
     rows, sums = _check_grid(family, future_grid, horizon)
+    means = np.atleast_1d(float_array(prefix_means, "prefix means"))
+    if means.ndim != 1 or means.size == 0:
+        raise DomainError(f"prefix means must be a nonempty 1-d sequence, got shape {means.shape}")
     worst = 0.0
-    for xbar in prefix_means:
+    for xbar in means.tolist():
         batch = ObservationBatch(n=m, xbar=xbar)
         try:
             jeffreys = JeffreysPredictor(family).fit(batch)
