@@ -87,8 +87,8 @@ class Family(ParamsMixin):
     ``_log_jeffreys`` where the default would overflow,
     ``_ratio_exponent`` for the ratio integral, a one-frame
     ``_conjugate_carrier_kernel`` for the CNML normalizer, and
-    ``_log_jeffreys_predictive`` for the Jeffreys predictor.  A
-    point is a float when d == 1 and a vector (d,) otherwise.  Each
+    ``_log_jeffreys_predictive`` and ``_jeffreys_posterior`` for Jeffreys.
+    A point is a float when d == 1 and a vector (d,) otherwise.  Each
     public method checks its arguments and calls the kernel of the same
     name; quadrature integrands, whose arguments are checked once before
     the integral, call the kernels directly.

@@ -64,7 +64,7 @@ class GammaPosterior:
         binomial probabilities*) and, for a >= 15, a ln a - a - lgamma(a)
         is (ln a - ln tau)/2 less Stirling's remainder series.
         """
-        x = _check_positive_x(x, "the gamma density")
+        x = _check_positive_x(x)
         a, b = self.shape, self.rate
         if a >= 15.0:
             r = 1.0 / a
@@ -286,13 +286,13 @@ def _log_series_factor(kappa, x):
     return math.log(z) + math.log(2.0 * _scisp.i1e(y) / y) + y
 
 
-def _check_positive_x(x, what="the continuous part"):
+def _check_positive_x(x):
     try:
         x = float(x)
     except (TypeError, ValueError):  # None, a string, an array of two
         raise DomainError(f"x must be a number, got {x!r}") from None
     if not 0.0 < x < math.inf:
-        raise SupportError(f"{what} lives on finite x > 0, got {x}")
+        raise SupportError(f"the density lives on finite x > 0, got {x}")
     return x
 
 

@@ -397,7 +397,7 @@ def equivalence_check(family, m, n, prefix_means, future_grid, tol=DEFAULT_TOL):
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     horizon = n - m
     rows, sums = _check_grid(family, future_grid, horizon)
-    means = np.atleast_1d(float_array(prefix_means, "prefix means"))
+    means = float_array(prefix_means, "prefix means")
     if means.ndim != 1 or means.size == 0:
         raise DomainError(f"prefix means must be a nonempty 1-d sequence, got shape {means.shape}")
     worst = 0.0
