@@ -400,6 +400,18 @@ class TestPredictCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
 
+    def test_inverse_gaussian_cnml_far_future_exits_2(self, capsys):
+        # the hindsight MLE squared past the floats: a raw OverflowError and a
+        # traceback (exit 1)
+        obs = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "obs.txt"
+        code, out, err = run_cli(
+            ["predict", "--family", "inverse-gaussian", "--kappa", "2", "--data", str(obs),
+             "--future", "1e300", "--method", "cnml"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the CNML log density is nan, outside the float range\n"
+
     @pytest.mark.parametrize(
         "method, message",
         [("cnml", "leaves the float range"), ("jeffreys", "outside the float range"),

@@ -85,6 +85,18 @@ class TestGammaPosterior:
         with pytest.raises(SupportError):
             GammaPosterior(1.0, 1.0).log_pdf(0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_log_pdf_rejects_a_point_outside_before_the_series(self, x):
+        # a NaN looped forever in bd0's series, whose sum never stopped
+        # changing, and an infinity raised a raw ValueError from math.log
+        with pytest.raises(SupportError, match="the density lives on finite x > 0"):
+            GammaPosterior(1.0, 1.0).log_pdf(x)
+
+    @pytest.mark.parametrize("x", [None, "x", [], [1.0, 2.0]])
+    def test_log_pdf_rejects_a_non_number(self, x):
+        with pytest.raises(DomainError, match="x must be a number"):
+            GammaPosterior(1.0, 1.0).log_pdf(x)
+
 
 class TestInverseGaussianDensity:
     def test_value_at_the_mean(self):

@@ -1,6 +1,7 @@
 """Tests for the prediction strategies and their agreement properties."""
 
 import functools
+import json
 import math
 import sys
 import time
@@ -1174,6 +1175,127 @@ class TestScoringThroughTheFit:
             equivalence_check(GammaFamily(1.0), 1, 2, (1.0,), ())
         with pytest.raises(DomainError, match="got shape"):
             JeffreysPredictor(GammaFamily(1.0)).fit([1.0]).score_samples([])
+
+
+#: the families, methods and sequence of the pinned score grid
+_PINNED_FAMILIES = {
+    "gamma-1": GammaFamily(1.0), "gamma-2.5": GammaFamily(2.5),
+    "gaussian": GaussianLocationFamily(1.0), "inverse-gaussian": InverseGaussianFamily(2.0),
+    "poisson-exp": PoissonExponentialFamily(2.0),
+}
+_METHODS = ("jeffreys", "cnml", "plugin")
+_SEQUENCE = (0.4, 1.7, 0.9, 1.3, 0.6)
+
+
+def _score_grid():
+    """(key, value) of every scoring entry point over five families, m in {1, 3, 100},
+    xbar in {0.4, 1.7}, horizons 1-3 and the three methods."""
+    for name, family in _PINNED_FAMILIES.items():
+        for m in (1, 3, 100):
+            for xbar in (0.4, 1.7):
+                batch = ObservationBatch(n=m, xbar=xbar)
+                for h in (1, 2, 3):
+                    for method in _METHODS:
+                        fitted = make_predictor(method, family, horizon=h).fit(batch)
+                        key = f"{name}/{method}/m={m}/xbar={xbar}/h={h}"
+                        yield f"predictive_value/{key}", fitted.predictive_value(_SEQUENCE[2:2 + h])
+                        if h == 1:
+                            yield f"score_samples/{key}", fitted.score_samples([0.5, 2.0]).tolist()
+            for h, grid in ((1, [0.5, 2.0]), (2, [[0.5, 2.0], [1.1, 0.3]])):
+                yield (f"equivalence_check/{name}/m={m}/h={h}",
+                       equivalence_check(family, m, m + h, [0.4, 1.7], grid))
+        for method in _METHODS:
+            for m in (1, 2, 3, 4):
+                yield f"regret/{name}/{method}/m={m}", regret(family, method, _SEQUENCE, m)
+
+
+class _StubClosedForm(GammaFamily):
+    """A Gamma family whose Jeffreys closed form gives ``result`` or raises it."""
+
+    def __init__(self, alpha=1.0, result=0.0):
+        super().__init__(alpha)
+        self.result = result
+
+    def _log_jeffreys_predictive(self, n, xbar, future):
+        if isinstance(self.result, type):
+            raise self.result("stub")
+        return self.result
+
+
+class TestOneScoringPath:
+    """Every predictive value goes through ``_score``, the one check that it is a float."""
+
+    def test_scores_keep_their_bits(self):
+        # tests/score_grid.json holds the repr of each value as
+        # json.dump({key: repr(value) for key, value in _score_grid()}) wrote it;
+        # a change to any closed form's arithmetic, or to what is scored, shows here
+        pinned = json.loads((Path(__file__).parent / "score_grid.json").read_text())
+        assert {key: repr(value) for key, value in _score_grid()} == pinned
+
+    def test_score_is_the_only_caller_of_log_predictive(self, monkeypatch):
+        counts = {"score": 0, "log_predictive": 0, "outside": 0}
+        depth = []
+        real_score = prediction._PredictorBase._score
+
+        def score(self, future, future_sum):
+            counts["score"] += 1
+            depth.append(self)
+            try:
+                return real_score(self, future, future_sum)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(prediction._PredictorBase, "_score", score)
+        for P in (JeffreysPredictor, CnmlPredictor, PlugInPredictor):
+            def log_predictive(self, future, real=P._log_predictive):
+                counts["log_predictive"] += 1
+                counts["outside"] += not depth
+                return real(self, future)
+
+            monkeypatch.setattr(P, "_log_predictive", log_predictive)
+        family = GammaFamily(1.5)
+        for method in _METHODS:
+            fitted = make_predictor(method, family).fit([1.0, 2.0])
+            fitted.predictive_value([0.5])
+            fitted.log_predictive([0.5])
+            fitted.score_samples([0.5, 1.0, 2.0])
+            regret(family, method, [1.0, 2.0, 0.5], 2)
+        equivalence_check(family, 1, 2, [0.5, 1.5], [0.5, 2.0])
+        # 6 scores per method, and 2 prefixes x 2 entries x 2 predictors
+        assert counts == {"score": 3 * 6 + 8, "log_predictive": 3 * 6 + 8, "outside": 0}
+
+    @pytest.mark.parametrize(
+        "result, shown",
+        [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+         (OverflowError, "nan"), (ZeroDivisionError, "nan")],
+        ids=["inf", "minus-inf", "nan", "overflow", "zero-division"],
+    )
+    def test_a_score_that_is_no_float_raises_naming_the_method(self, result, shown):
+        fitted = JeffreysPredictor(_StubClosedForm(result=result)).fit([1.0])
+        message = f"the Jeffreys log density is {shown}, outside the float range"
+        for score in (lambda: fitted.log_predictive([1.0]),
+                      lambda: fitted.score_samples([1.0]),
+                      lambda: regret(fitted.family, "jeffreys", [1.0, 1.0], 1)):
+            with pytest.raises(DomainError, match=message):
+                score()
+
+    def test_inverse_gaussian_cnml_far_future_raises(self):
+        # the hindsight MLE at (1 + 1e300) / 2 squares past the floats: a raw OverflowError
+        fitted = CnmlPredictor(InverseGaussianFamily(2.0)).fit([1.0])
+        with pytest.raises(DomainError, match="the CNML log density is nan"):
+            fitted.predictive_value([1e300])
+        with pytest.raises(DomainError, match="the CNML log density is nan"):
+            equivalence_check(InverseGaussianFamily(2.0), 1, 2, [1.0], [1e300])
+
+    def test_regret_reads_a_sequence_not_a_batch(self):
+        # a batch has no suffix to score: it raised a raw TypeError
+        with pytest.raises(DomainError, match="observations must be numbers"):
+            regret(GammaFamily(1.0), "jeffreys", ObservationBatch(n=3, xbar=1.0), 1)
+
+    def test_no_prefix_means_raises(self):
+        # it returned 0.0, a pass under any threshold with nothing compared
+        with pytest.raises(DomainError, match="prefix means must be a nonempty 1-d sequence"):
+            equivalence_check(GammaFamily(1.0), 1, 2, [], [1.0])
 
 
 class TestHorizonOneReusesItsFamily:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from expfam import (
     CnmlPredictor,
     GammaFamily,
+    GammaPosterior,
     GammaRateInterval,
     GaussianDivergenceBall,
     GaussianLocationFamily,
@@ -28,6 +29,7 @@ from expfam import (
     PoissonExponentialRateInterval,
     coverage_simulation,
     equivalence_check,
+    exactness_report,
     gamma_confidence,
     gamma_credible,
     gaussian_divergence_ball,
@@ -36,6 +38,7 @@ from expfam import (
     poisson_exp_confidence,
     poisson_exp_credible,
     regret,
+    renormalize,
     run_suite,
 )
 from expfam.core import Family, as_batch
@@ -282,6 +285,7 @@ def test_non_numbers_raise_domain_error(call):
         lambda: regret(GAMMA, "plugin", [1.0, 2.0, 0.5], 2.5),
         lambda: equivalence_check(GAMMA, 1.5, 2.5, [1.0], [1.0]),
         lambda: GAMMA.convolution_family(2.5),
+        lambda: lemma1_constancy(GAMMA, 1.5, [[1.0]]),
         lambda: _coverage(seed=1.5),
         lambda: _coverage(seed=math.nan),
         lambda: run_suite("coverage", seed=math.nan, trials=16),
@@ -289,7 +293,7 @@ def test_non_numbers_raise_domain_error(call):
     ],
     ids=[
         "horizon-fraction", "horizon-nan", "horizon-string", "regret-m", "equivalence-m-n",
-        "convolution-k", "coverage-seed", "coverage-seed-nan", "suite-seed-nan",
+        "convolution-k", "lemma1-n", "coverage-seed", "coverage-seed-nan", "suite-seed-nan",
         "suite-seed-string",
     ],
 )
@@ -320,15 +324,22 @@ def test_whole_numbers_in_any_notation():
         (InverseGaussianFamily(2.0), 1e-300),
         (InverseGaussianFamily(2.0), 1e300),
         (GammaFamily(1.0), 1e-320),
+        (InverseGaussianFamily(2.0), 5e-324),  # ZeroDivisionError in convex_conjugate
+        (PoissonExponentialFamily(2.0), 1e308),  # ZeroDivisionError in convex_conjugate
     ],
 )
 def test_mean_without_a_finite_mle_is_a_domain_error(family, mean):
-    # the public mle applies the rule of as_batch, with the same message
+    # the public mle, convex_conjugate and robustness_ratio apply the rule of
+    # as_batch, with the same message; the latter two raised a raw
+    # OverflowError or ZeroDivisionError
     with pytest.raises(DomainError, match="has no MLE in floats") as batch_error:
         as_batch(family, [mean])
-    with pytest.raises(DomainError) as mle_error:
-        family.mle(mean)
-    assert str(mle_error.value) == str(batch_error.value)
+    theta = family.mle(1.0)
+    for call in (family.mle, family.convex_conjugate,
+                 lambda x: family.robustness_ratio(theta, x)):
+        with pytest.raises(DomainError) as error:
+            call(mean)
+        assert str(error.value) == str(batch_error.value)
 
 
 # -- one batch check: every entry point gives a bad batch one verdict ------------
@@ -368,6 +379,8 @@ def _entry_points(family):
     calls += [(P.__name__, lambda b, P=P: P(family).fit(b))
               for P in (JeffreysPredictor, CnmlPredictor, PlugInPredictor)]
     calls.append(("lemma1_constancy", lambda b: lemma1_constancy(family, b.n, [b])))
+    if not isinstance(family, InverseGaussianFamily):  # it has no closed-form posterior
+        calls.append(("jeffreys_posterior", family.jeffreys_posterior))
     return calls
 
 
@@ -419,3 +432,76 @@ def test_every_entry_point_gives_a_bad_batch_one_verdict(case, family, batch, sa
             regret(family, "jeffreys", sample, 1)
         verdicts["regret"] = raised.type
     assert verdicts == dict.fromkeys(verdicts, error)
+
+
+# -- no raw exception: each public call returns or raises an ExpfamError ---------
+
+ODD_VALUES = [None, "x", math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, 1e308, 5e-324,
+              [], [[1.0]], np.array([1.0, 2.0]), ObservationBatch(n=2, xbar=1.0), True]
+
+
+def _public_calls(family):
+    """(name, call(value)) for each public entry point, with the value in one argument."""
+    theta = family.mle(1.0)
+    calls = {
+        "cumulant": family.cumulant,
+        "mean_from_natural": family.mean_from_natural,
+        "covariance": family.covariance,
+        "mle": family.mle,
+        "log_carrier": family.log_carrier,
+        "convolution_family": family.convolution_family,
+        "bregman/theta2": lambda v: family.bregman(v, theta),
+        "bregman/theta1": lambda v: family.bregman(theta, v),
+        "kl_divergence": lambda v: family.kl_divergence(v, theta),
+        "convex_conjugate": family.convex_conjugate,
+        "jeffreys_unnormalized": family.jeffreys_unnormalized,
+        "log_jeffreys": family.log_jeffreys,
+        "log_density/theta": lambda v: family.log_density(v, 1.0),
+        "log_density/x": lambda v: family.log_density(theta, v),
+        "density/theta": lambda v: family.density(v, 1.0),
+        "density/x": lambda v: family.density(theta, v),
+        "robustness_ratio/theta": lambda v: family.robustness_ratio(v, 1.0),
+        "robustness_ratio/x": lambda v: family.robustness_ratio(theta, v),
+        "sample": lambda v: family.sample(np.random.default_rng(0), v, 2),
+        "in_natural_domain": family.in_natural_domain,
+        "in_mean_domain": family.in_mean_domain,
+        "in_support": family.in_support,
+        "jeffreys_posterior": family.jeffreys_posterior,
+        "regret/sequence": lambda v: regret(family, "jeffreys", v, 1),
+        "regret/m": lambda v: regret(family, "jeffreys", [1.0, 2.0], v),
+        "lemma1_constancy/n": lambda v: lemma1_constancy(family, v, [[1.0]]),
+        "lemma1_constancy/sequence": lambda v: lemma1_constancy(family, 1, [v]),
+        "equivalence_check/m": lambda v: equivalence_check(family, v, 2, [1.0], [1.0]),
+        "equivalence_check/means": lambda v: equivalence_check(family, 1, 2, v, [1.0]),
+        "equivalence_check/mean": lambda v: equivalence_check(family, 1, 2, [v], [1.0]),
+        "equivalence_check/grid": lambda v: equivalence_check(family, 1, 2, [1.0], v),
+        "renormalize/n": lambda v: renormalize(family, v, theta),
+        "renormalize/theta": lambda v: renormalize(family, 2, v),
+        "exactness_report/theta": lambda v: exactness_report(family, 2, v, [theta]),
+        "exactness_report/grid": lambda v: exactness_report(family, 2, theta, [v]),
+        "GammaPosterior.log_pdf": GammaPosterior(2.0, 1.0).log_pdf,
+    }
+    for P in (JeffreysPredictor, CnmlPredictor, PlugInPredictor):
+        fitted = P(family).fit([1.0])
+        calls[f"{P.__name__}.fit"] = lambda v, P=P: P(family).fit(v)
+        calls[f"{P.__name__}.predictive_value"] = fitted.predictive_value
+        calls[f"{P.__name__}.score_samples"] = fitted.score_samples
+    return calls.items()
+
+
+@pytest.mark.parametrize("family", UNIVARIATE, ids=lambda f: type(f).__name__)
+def test_no_raw_exception_escapes(family):
+    # among others, the inverse Gaussian's convex_conjugate(1e300) and its CNML
+    # score of 1e300 raised OverflowError, regret on a batch TypeError,
+    # jeffreys_posterior(a list) AttributeError, and GammaPosterior.log_pdf(nan)
+    # never returned
+    raw = []
+    for name, call in _public_calls(family):
+        for value in ODD_VALUES:
+            try:
+                call(value)
+            except ExpfamError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other class is the finding
+                raw.append(f"{name}({value!r}): {type(exc).__name__}: {exc}")
+    assert raw == []
